@@ -6,7 +6,6 @@ from .pooling import (
     AssignmentPair,
     CoarseningTrace,
     PoolLayerParams,
-    SubgraphSlice,
     baseline_diffpool_layer,
     baseline_global_pool,
     coarsen,
@@ -29,7 +28,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "PoolLayerParams",
-    "SubgraphSlice",
     "Tape",
     "Tensor",
     "TrainConfig",

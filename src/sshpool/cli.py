@@ -324,7 +324,7 @@ def cmd_pool_trace(ns: argparse.Namespace) -> int:
             "coarse_adjacency": [
                 [int(v) for v in row] for row in entry.coarse_adjacency.data
             ],
-            "clusters": [list(s.node_ids) for s in entry.slices],
+            "clusters": entry.clusters,
         }
         print(json.dumps(record, sort_keys=True))
     return 0

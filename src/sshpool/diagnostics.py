@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset, Graph
 from .errors import ContractError
 from .model import ModelConfig, ModelParams, forward, global_conv
-from .pooling import coarsen, extract_subgraphs, local_conv
+from .pooling import sshpool_layer
 from .tensor import Tensor
 
 
@@ -60,15 +60,13 @@ def smoothing_profile(embeddings: Sequence[np.ndarray]) -> SmoothingProfile:
             layers.append(LayerSmoothing(depth, None, n, 0))
             continue
         norms = np.linalg.norm(mat, axis=1)
-        total, pairs, skipped = 0.0, 0, 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if norms[i] == 0.0 or norms[j] == 0.0:
-                    skipped += 1
-                    continue
-                total += float(mat[i] @ mat[j] / (norms[i] * norms[j]))
-                pairs += 1
-        mean = total / pairs if pairs else None
+        live = norms != 0.0
+        unit = mat / np.where(live, norms, 1.0)[:, None]
+        rows, cols = np.triu_indices(n, k=1)
+        kept = live[rows] & live[cols]
+        cosines = (unit @ unit.T)[rows[kept], cols[kept]]
+        mean = float(cosines.mean()) if cosines.size else None
+        skipped = int(np.count_nonzero(~kept))
         layers.append(LayerSmoothing(depth, mean, n, skipped))
     return SmoothingProfile(layers=layers)
 
@@ -84,27 +82,21 @@ class LocalityReport:
         return self.passes == self.trials
 
 
-def _default_layer(adjacency, x, hard, local_weights):
-    slices = extract_subgraphs(adjacency, x, hard)
-    locals_ = [local_conv(s, local_weights[s.cluster_id]) for s in slices]
-    x_next, _ = coarsen(slices, locals_, hard, adjacency)
-    return locals_, x_next
-
-
 def certify_locality(
     graph: Graph,
     params: ModelParams,
     trials: int,
     rng: np.random.Generator,
-    layer_impl: Callable = _default_layer,
+    layer_impl: Callable = sshpool_layer,
 ) -> LocalityReport:
     """Certify that no information crosses cluster boundaries.
 
     Each trial perturbs one node's post-convolution features and, with the
-    hard assignment frozen, requires bitwise-identical local embeddings for
-    every other cluster and bitwise-identical coarsened rows for every
-    other coarse node. ``layer_impl`` is injectable so tests can prove the
-    certifier catches a leaky implementation.
+    first pooling layer's hard assignment frozen, requires bitwise-identical
+    local embedding rows for every node of every other cluster and
+    bitwise-identical coarsened rows for every other coarse node.
+    ``layer_impl`` (called like :func:`sshpool_layer`) is injectable so tests
+    can prove the certifier catches a leaky implementation.
     """
     if trials < 1:
         raise ContractError(f"trials must be >= 1, got {trials}")
@@ -114,29 +106,28 @@ def certify_locality(
     base_x = x.data
 
     layer0 = params.pool_layers[0]
-    c_eff = min(layer0.assign.cols, graph.n)
-    logits = base_x @ layer0.assign.data[:, :c_eff]
-    winners = logits.argmax(axis=1)
-    hard = np.zeros((graph.n, c_eff))
-    hard[np.arange(graph.n), winners] = 1.0
-    hard_t = Tensor(hard)
+    clusters = params.config.layer_sizes[0]
+    (_, base_xn), base = layer_impl(graph.adjacency, Tensor(base_x.copy()), layer0, clusters)
+    hard, labels = base.assignment.hard, base.labels
+    base_z = base.local_embedding.data
 
-    base_locals, base_xn = layer_impl(
-        graph.adjacency, Tensor(base_x.copy()), hard_t, layer0.local
-    )
     violations: list[dict] = []
     passes = 0
     for _ in range(trials):
         u = int(rng.integers(graph.n))
         bumped = base_x.copy()
         bumped[u] += rng.normal(scale=1.0, size=base_x.shape[1])
-        new_locals, new_xn = layer_impl(graph.adjacency, Tensor(bumped), hard_t, layer0.local)
-        home = int(winners[u])
+        (_, new_xn), new = layer_impl(
+            graph.adjacency, Tensor(bumped), layer0, clusters, frozen_hard=hard
+        )
+        new_z = new.local_embedding.data
+        home = int(labels[u])
         bad = []
-        for k in range(c_eff):
+        for k in range(hard.cols):
             if k == home:
                 continue
-            if not np.array_equal(base_locals[k].data, new_locals[k].data):
+            rows = labels == k
+            if not np.array_equal(base_z[rows], new_z[rows]):
                 bad.append({"node": u, "cluster": k, "kind": "local_embedding"})
             if not np.array_equal(base_xn.data[k], new_xn.data[k]):
                 bad.append({"node": u, "cluster": k, "kind": "coarse_row"})

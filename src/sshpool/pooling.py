@@ -1,17 +1,19 @@
 """Separated-subgraph hierarchical pooling and the baseline pooling operators.
 
 One pooling layer: project node features and row-softmax them into a soft
-cluster assignment, harden it to a one-hot matrix (detached from the
-gradient tape), split the graph into one induced subgraph per cluster with
-all cross-cluster edges dropped, run an unshared local convolution
-Z_j = (A_j + I) X_j W_j inside each subgraph, then compress every subgraph
-to a single coarsened node: features are the column sums of Z_j, adjacency
-is hard^T A hard with the diagonal zeroed (inter-cluster edge counts).
+cluster assignment, harden it to a one-hot matrix H (detached from the
+gradient tape), mask the adjacency to intra-cluster edges,
+A_mask = A * (H H^T), convolve Y = (A_mask + I) X, apply each node's own
+cluster weight, Z_u = Y_u W_c(u), and compress every cluster to a single
+coarsened node: features are the sums of its rows of Z, adjacency is
+H^T A H with the diagonal zeroed (inter-cluster edge counts). Restricted to
+cluster j's nodes this is exactly the per-subgraph convolution
+Z_j = (A_j + I) X_j W_j, computed for the whole graph at once.
 
-Because the subgraphs share no edges, perturbing one node's features can
-only move embeddings inside its own cluster; every other cluster's output
-is bit-identical. That locality is the point of the construction and is
-certified in :mod:`sshpool.diagnostics`.
+Because the mask drops every cross-cluster edge, perturbing one node's
+features can only move embeddings inside its own cluster; every other
+cluster's output is bit-identical. That locality is the point of the
+construction and is certified in :mod:`sshpool.diagnostics`.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .tensor import (
     Tensor,
+    _record,
     add,
-    concat_rows,
     eye,
     matmul,
     mean_rows,
     row_softmax,
     sum_rows,
     take_cols,
-    take_rows,
     transpose,
 )
 
@@ -45,33 +46,16 @@ class AssignmentPair:
 
 
 @dataclass
-class SubgraphSlice:
-    """The induced subgraph of one cluster.
+class LayerTrace:
+    """Everything one pooling layer produced, for inspection and tests.
 
-    ``node_ids`` are the original node indices assigned to this cluster, in
-    ascending order; ``sub_adjacency`` keeps only edges internal to the
-    cluster. ``mapping`` is the all-ones column that compresses the slice
-    to one coarsened node.
+    ``labels[u]`` is node u's cluster; ``local_embedding`` is the n x d
+    matrix Z whose row u is node u's embedding inside its cluster.
     """
 
-    cluster_id: int
-    node_ids: tuple[int, ...]
-    sub_adjacency: Tensor
-    sub_features: Tensor
-    mapping: Tensor
-
-    @property
-    def size(self) -> int:
-        return len(self.node_ids)
-
-
-@dataclass
-class LayerTrace:
-    """Everything one pooling layer produced, for inspection and tests."""
-
     assignment: AssignmentPair
-    slices: list[SubgraphSlice]
-    local_embeddings: list[Tensor]
+    labels: np.ndarray
+    local_embedding: Tensor
     coarse_features: Tensor
     coarse_adjacency: Tensor
     edges_in: int
@@ -83,7 +67,15 @@ class LayerTrace:
 
     @property
     def cluster_sizes(self) -> list[int]:
-        return [s.size for s in self.slices]
+        return np.bincount(self.labels, minlength=self.assignment.hard.cols).tolist()
+
+    @property
+    def clusters(self) -> list[list[int]]:
+        """Member node ids per cluster, ascending; empty clusters give []."""
+        return [
+            np.flatnonzero(self.labels == j).tolist()
+            for j in range(self.assignment.hard.cols)
+        ]
 
 
 @dataclass
@@ -131,77 +123,83 @@ def harden(soft: Tensor) -> Tensor:
     return Tensor(hard)
 
 
-def extract_subgraphs(adjacency: Tensor, x: Tensor, hard: Tensor) -> list[SubgraphSlice]:
-    """Split the graph into one induced subgraph per cluster.
+def extract_subgraphs(adjacency: Tensor, hard: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster labels and the intra-cluster adjacency A * (H H^T).
 
-    Slice j holds exactly the nodes with a 1 in column j, in ascending
-    original order; cross-cluster edges are dropped. Clusters that received
-    no nodes yield empty slices, which downstream ops accept.
+    ``labels[u]`` is the column of node u's 1 in ``hard``; the masked
+    adjacency keeps exactly the edges whose ends share a cluster. Both are
+    constants.
     """
-    if hard.rows != x.rows or adjacency.rows != x.rows:
+    if hard.rows != adjacency.rows:
         raise ShapeError(
-            f"extract_subgraphs: adjacency {adjacency.shape}, features {x.shape}, "
-            f"assignment {hard.shape} disagree on node count"
+            f"extract_subgraphs: adjacency {adjacency.shape} and assignment "
+            f"{hard.shape} disagree on node count"
         )
-    slices = []
-    for j in range(hard.cols):
-        ids = np.nonzero(hard.data[:, j] > 0.5)[0]
-        sub_a = adjacency.data[np.ix_(ids, ids)]
-        slices.append(
-            SubgraphSlice(
-                cluster_id=j,
-                node_ids=tuple(int(i) for i in ids),
-                sub_adjacency=Tensor(sub_a),
-                sub_features=take_rows(x, ids),
-                mapping=Tensor(np.ones((len(ids), 1))),
-            )
-        )
-    return slices
+    labels = hard.data.argmax(axis=1)
+    if not np.array_equal(hard.data, np.eye(hard.cols)[labels]):
+        raise ContractError("hard assignment rows must be one-hot")
+    # (H H^T)[u, v] = 1 exactly when u and v share a cluster.
+    return labels, adjacency.data * (labels[:, None] == labels[None, :])
 
 
-def local_conv(slice_: SubgraphSlice, w_local: Tensor) -> Tensor:
-    """Unshared local convolution Z = (A_sub + I) X_sub W.
+def local_conv(
+    x: Tensor, a_mask: np.ndarray, labels: np.ndarray, weights: list[Tensor]
+) -> Tensor:
+    """Unshared local convolution Z_u = ((A_mask + I) X)_u W_labels[u].
 
-    No degree normalisation and no activation; an empty slice yields a
-    0 x d embedding.
+    No degree normalisation and no activation. Only occupied clusters are
+    touched, one plain product per cluster, so an empty cluster's weight
+    receives no gradient at all (``grad_or_zero`` reads that as zero).
+    Backward: dW_j = Y_j^T G_j and dX = (A_mask + I)^T dY with
+    dY_j = G_j W_j^T, where the subscript j takes cluster j's rows.
     """
-    n = slice_.size
-    a_tilde = Tensor(slice_.sub_adjacency.data + np.eye(n))
-    return matmul(matmul(a_tilde, slice_.sub_features), w_local)
+    m = a_mask + np.eye(x.rows)
+    y = m @ x.data
+    groups = [(int(j), np.flatnonzero(labels == j)) for j in np.unique(labels)]
+    z = np.empty((x.rows, weights[0].cols))
+    for j, ids in groups:
+        z[ids] = y[ids] @ weights[j].data
+    out = Tensor(z)
+
+    def rule(g, push, x=x, m=m, y=y, groups=groups, weights=weights):
+        dy = np.empty_like(y)
+        for j, ids in groups:
+            g_j = g[ids]
+            dy[ids] = g_j @ weights[j].data.T
+            push(weights[j], y[ids].T @ g_j)
+        push(x, m.T @ dy)
+
+    return _record(out, rule)
 
 
 def coarsen(
-    slices: list[SubgraphSlice],
-    local_embeddings: list[Tensor],
+    z: Tensor,
+    labels: np.ndarray,
     hard: Tensor,
     adjacency: Tensor,
     keep_self_loops: bool = False,
 ) -> tuple[Tensor, Tensor]:
-    """Compress each subgraph to one coarsened node.
+    """Compress each cluster to one coarsened node.
 
-    Row j of the coarsened features is the column sum of Z_j (an empty
-    cluster contributes a zero row). The coarsened adjacency is
-    hard^T A hard; its diagonal (intra-cluster edge mass) is zeroed unless
-    ``keep_self_loops`` is set, since the next layer re-adds self-loops
-    itself. Off-diagonal entries count inter-cluster edges.
+    Row j of the coarsened features is the sum of cluster j's rows of Z,
+    added in ascending node order (an empty cluster gives a zero row). The
+    coarsened adjacency is hard^T A hard; its diagonal (intra-cluster edge
+    mass) is zeroed unless ``keep_self_loops`` is set, since the next layer
+    re-adds self-loops itself. Off-diagonal entries count inter-cluster
+    edges.
     """
-    if len(slices) != len(local_embeddings):
-        raise ContractError(
-            f"{len(slices)} slices but {len(local_embeddings)} local embeddings"
-        )
-    width = local_embeddings[0].cols if local_embeddings else 0
-    rows = []
-    for slice_, z in zip(slices, local_embeddings):
-        if slice_.size == 0:
-            rows.append(Tensor(np.zeros((1, width))))
-        else:
-            rows.append(sum_rows(z))
-    x_next = concat_rows(rows)
+    if z.rows != len(labels):
+        raise ContractError(f"{z.rows} embedding rows but {len(labels)} labels")
+    x_next = np.zeros((hard.cols, z.cols))
+    np.add.at(x_next, labels, z.data)
+
+    def rule(g, push, z=z, labels=labels):
+        push(z, g[labels])
 
     a_next = hard.data.T @ adjacency.data @ hard.data
     if not keep_self_loops:
         np.fill_diagonal(a_next, 0.0)
-    return x_next, Tensor(a_next)
+    return _record(Tensor(x_next), rule), Tensor(a_next)
 
 
 def sshpool_layer(
@@ -212,7 +210,7 @@ def sshpool_layer(
     keep_self_loops: bool = False,
     frozen_hard: Tensor | None = None,
 ) -> tuple[tuple[Tensor, Tensor], LayerTrace]:
-    """One full pooling layer: assign, harden, split, convolve, coarsen.
+    """One full pooling layer: assign, harden, mask, convolve, coarsen.
 
     The effective cluster count is min(clusters, node count), so coarsened
     graphs never grow. ``frozen_hard`` substitutes a fixed assignment
@@ -230,20 +228,18 @@ def sshpool_layer(
     if hard.shape != (n, c_eff):
         raise ShapeError(f"hard assignment {hard.shape} does not match ({n}, {c_eff})")
 
-    slices = extract_subgraphs(adjacency, x, hard)
-    locals_ = [local_conv(s, params.local[s.cluster_id]) for s in slices]
-    x_next, a_next = coarsen(slices, locals_, hard, adjacency, keep_self_loops)
+    labels, a_mask = extract_subgraphs(adjacency, hard)
+    z = local_conv(x, a_mask, labels, params.local)
+    x_next, a_next = coarsen(z, labels, hard, adjacency, keep_self_loops)
 
-    edges_in = int(adjacency.data.sum()) // 2
-    edges_kept = sum(int(s.sub_adjacency.data.sum()) // 2 for s in slices)
     trace = LayerTrace(
         assignment=AssignmentPair(soft=soft, hard=hard),
-        slices=slices,
-        local_embeddings=locals_,
+        labels=labels,
+        local_embedding=z,
         coarse_features=x_next,
         coarse_adjacency=a_next,
-        edges_in=edges_in,
-        edges_kept=edges_kept,
+        edges_in=int(adjacency.data.sum()) // 2,
+        edges_kept=int(a_mask.sum()) // 2,
     )
     return (a_next, x_next), trace
 

@@ -244,27 +244,6 @@ def row_softmax(x: Tensor) -> Tensor:
     return _record(out, rule)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack the rows of ``parts`` in order; all parts share a column count."""
-    if not parts:
-        raise ContractError("concat_rows needs at least one tensor")
-    width = parts[0].cols
-    for p in parts:
-        if p.cols != width:
-            raise ShapeError(
-                f"concat_rows: column counts differ, {parts[0].shape} vs {p.shape}"
-            )
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    offsets = np.cumsum([0] + [p.rows for p in parts])
-
-    def rule(g, push, parts=tuple(parts), offsets=offsets):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if hi > lo:
-                push(p, g[lo:hi])
-
-    return _record(out, rule)
-
-
 def mean_rows(x: Tensor) -> Tensor:
     """Column-wise mean, a 1 x d row; the input must have at least one row."""
     if x.rows == 0:
@@ -294,21 +273,6 @@ def sum_rows(x: Tensor) -> Tensor:
 
     def rule(g, push, x=x):
         push(x, np.repeat(g, x.rows, axis=0))
-
-    return _record(out, rule)
-
-
-def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of ``x`` at ``indices`` (may be empty); backward scatters."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
-        raise ShapeError(f"take_rows: index out of range for shape {x.shape}")
-    out = Tensor(x.data[idx].reshape(len(idx), x.cols))
-
-    def rule(g, push, x=x, idx=idx):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        push(x, gx)
 
     return _record(out, rule)
 

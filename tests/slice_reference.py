@@ -1,0 +1,41 @@
+"""Reference separated-subgraph layer: one induced subgraph at a time.
+
+Plain numpy, written the way the layer is defined: for each cluster j take
+its nodes in ascending order, convolve Z_j = (A_j + I) X_j W_j inside the
+induced subgraph, and sum Z_j's rows in ascending order into coarse row j.
+The fused layer in ``sshpool.pooling`` is checked against it.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass
+class SliceLayer:
+    clusters: list[list[int]]
+    local_embeddings: list[np.ndarray]
+    coarse_features: np.ndarray
+    coarse_adjacency: np.ndarray
+    edges_kept: int
+
+
+def slice_layer(adjacency, x, hard, weights, keep_self_loops=False):
+    """Per-cluster layer on plain arrays; ``weights[j]`` is cluster j's W_j."""
+    c = hard.shape[1]
+    clusters, zs = [], []
+    x_next = np.zeros((c, weights[0].shape[1]))
+    edges_kept = 0
+    for j in range(c):
+        ids = np.nonzero(hard[:, j] > 0.5)[0]
+        a_j = adjacency[np.ix_(ids, ids)]
+        z_j = (a_j + np.eye(ids.size)) @ x[ids] @ weights[j]
+        for row in z_j:
+            x_next[j] = x_next[j] + row
+        edges_kept += int(a_j.sum()) // 2
+        clusters.append(ids.tolist())
+        zs.append(z_j)
+    a_next = hard.T @ adjacency @ hard
+    if not keep_self_loops:
+        np.fill_diagonal(a_next, 0.0)
+    return SliceLayer(clusters, zs, x_next, a_next, edges_kept)

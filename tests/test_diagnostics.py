@@ -10,7 +10,7 @@ from sshpool.diagnostics import (
 )
 from sshpool.errors import ContractError
 from sshpool.model import ModelConfig, ModelParams
-from sshpool.pooling import coarsen, extract_subgraphs, local_conv
+from sshpool.pooling import coarsen, local_conv, sshpool_layer
 
 from conftest import make_graph, random_graph
 
@@ -54,6 +54,34 @@ class TestSmoothingProfile:
         assert entry.skipped_pairs == 2
         assert entry.mean_cosine == pytest.approx(1.0)
 
+    def test_matches_pair_loop(self, rng):
+        def loop_profile(mat):
+            norms = np.linalg.norm(mat, axis=1)
+            total, pairs, skipped = 0.0, 0, 0
+            for i in range(len(mat)):
+                for j in range(i + 1, len(mat)):
+                    if norms[i] == 0.0 or norms[j] == 0.0:
+                        skipped += 1
+                        continue
+                    total += float(mat[i] @ mat[j] / (norms[i] * norms[j]))
+                    pairs += 1
+            return (total / pairs if pairs else None), skipped
+
+        mats = []
+        for _ in range(30):
+            mat = rng.normal(size=(int(rng.integers(2, 40)), int(rng.integers(1, 6))))
+            mat[rng.random(len(mat)) < 0.2] = 0.0
+            mats.append(mat)
+        mats += [np.zeros((3, 2)), np.array([[0.0, 0.0], [1.0, 2.0]])]
+        for mat, entry in zip(mats, smoothing_profile(mats).layers):
+            mean, skipped = loop_profile(mat)
+            assert entry.skipped_pairs == skipped
+            assert entry.nodes == len(mat)
+            if mean is None:
+                assert entry.mean_cosine is None
+            else:
+                assert abs(entry.mean_cosine - mean) <= 1e-12
+
     def test_values_in_range(self, rng):
         mats = [rng.normal(size=(int(rng.integers(2, 9)), 5)) for _ in range(6)]
         for entry in smoothing_profile(mats).layers:
@@ -75,27 +103,17 @@ class TestCertifyLocality:
         assert report.violations == []
 
     def test_corrupted_coarsen_detected(self, rng):
-        # leak: keep cross-cluster edges when slicing, so foreign embeddings move
-        def leaky_layer(adjacency, x, hard, local_weights):
-            slices = extract_subgraphs(adjacency, x, hard)
-            zs = []
-            for s in slices:
-                if s.size:
-                    import numpy as np
-                    from sshpool.tensor import Tensor, matmul
-
-                    rows = np.asarray(s.node_ids)
-                    a_leaky = adjacency.data[rows][:, :]  # full rows: crosses clusters
-                    z = Tensor(
-                        (a_leaky + np.eye(adjacency.rows)[rows])
-                        @ x.data
-                        @ local_weights[s.cluster_id].data
-                    )
-                else:
-                    z = local_conv(s, local_weights[s.cluster_id])
-                zs.append(z)
-            x_next, _ = coarsen(slices, zs, hard, adjacency)
-            return zs, x_next
+        # leak: convolve over the unmasked adjacency, so edges that cross a
+        # cluster boundary carry information into foreign embeddings
+        def leaky_layer(adjacency, x, params, clusters, keep_self_loops=False, frozen_hard=None):
+            (a_next, _), trace = sshpool_layer(
+                adjacency, x, params, clusters, keep_self_loops, frozen_hard
+            )
+            hard, labels = trace.assignment.hard, trace.labels
+            z = local_conv(x, adjacency.data, labels, params.local)
+            x_next, _ = coarsen(z, labels, hard, adjacency, keep_self_loops)
+            trace.local_embedding = z
+            return (a_next, x_next), trace
 
         # seed 0 assigns {0, 5} vs {1, 2, 3, 4}: both clusters non-empty and
         # the path edges 0-1 and 4-5 cross the boundary, so the leak shows

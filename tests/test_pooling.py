@@ -16,15 +16,24 @@ from sshpool.pooling import (
     sshpool_layer,
     sshpool_stack,
 )
-from sshpool.tensor import Tape, Tensor, matmul
+from sshpool.tensor import Tape, Tensor, matmul, sum_rows
 
 from conftest import make_graph, random_graph
+from slice_reference import slice_layer
 
 
 def random_hard(rng, n, c):
     hard = np.zeros((n, c))
     hard[np.arange(n), rng.integers(0, c, size=n)] = 1.0
     return Tensor(hard)
+
+
+def run_steps(adjacency, x, hard, weights, keep_self_loops=False):
+    """extract_subgraphs -> local_conv -> coarsen under a fixed assignment."""
+    labels, a_mask = extract_subgraphs(adjacency, hard)
+    z = local_conv(x, a_mask, labels, weights)
+    x_next, a_next = coarsen(z, labels, hard, adjacency, keep_self_loops)
+    return labels, a_mask, z, x_next, a_next
 
 
 def layer_params(rng, d, c):
@@ -93,62 +102,53 @@ class TestExtractSubgraphs:
     def test_path_graph_clusters(self):
         g = make_graph([(0, 1), (1, 2)], 3, d=2)
         hard = Tensor([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        slices = extract_subgraphs(g.adjacency, g.features, hard)
-        assert slices[0].node_ids == (0, 1)
-        assert slices[0].sub_adjacency.data.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-        assert slices[1].node_ids == (2,)
-        assert slices[1].sub_adjacency.data.tolist() == [[0.0]]
-        # the crossing edge (1, 2) is in neither slice
-        assert sum(s.sub_adjacency.data.sum() for s in slices) == 2.0
+        labels, a_mask = extract_subgraphs(g.adjacency, hard)
+        assert labels.tolist() == [0, 0, 1]
+        assert a_mask.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        # the crossing edge (1, 2) is masked out
+        assert a_mask.sum() == 2.0
 
     def test_single_cluster_keeps_whole_graph(self, rng):
         g = random_graph(rng)
-        hard = Tensor(np.ones((g.n, 1)))
-        (only,) = extract_subgraphs(g.adjacency, g.features, hard)
-        assert only.node_ids == tuple(range(g.n))
-        assert np.array_equal(only.sub_adjacency.data, g.adjacency.data)
+        labels, a_mask = extract_subgraphs(g.adjacency, Tensor(np.ones((g.n, 1))))
+        assert labels.tolist() == [0] * g.n
+        assert np.array_equal(a_mask, g.adjacency.data)
 
     def test_partition_oracle(self, rng):
         for _ in range(25):
             g = random_graph(rng, n_lo=8, n_hi=8)
             hard = random_hard(rng, 8, 3)
-            slices = extract_subgraphs(g.adjacency, g.features, hard)
-            ids = [i for s in slices for i in s.node_ids]
-            assert sorted(ids) == list(range(8))
-            assert len(set(ids)) == 8
-            cluster_of = hard.data.argmax(axis=1)
-            for s in slices:
-                for p, u in enumerate(s.node_ids):
-                    for q, v in enumerate(s.node_ids):
-                        assert s.sub_adjacency.data[p, q] == g.adjacency.data[u, v]
-                    assert cluster_of[u] == s.cluster_id
+            labels, a_mask = extract_subgraphs(g.adjacency, hard)
+            assert np.array_equal(hard.data[np.arange(8), labels], np.ones(8))
+            for u in range(8):
+                for v in range(8):
+                    want = g.adjacency.data[u, v] if labels[u] == labels[v] else 0.0
+                    assert a_mask[u, v] == want
 
-    def test_mapping_is_all_ones_column(self, rng):
-        g = random_graph(rng)
-        hard = random_hard(rng, g.n, 2)
-        for s in extract_subgraphs(g.adjacency, g.features, hard):
-            assert s.mapping.shape == (s.size, 1)
-            assert np.all(s.mapping.data == 1.0)
+    def test_rejects_rows_that_are_not_one_hot(self):
+        g = make_graph([(0, 1)], 2, d=2)
+        for bad in ([[1.0, 0.0], [0.0, 0.0]], [[0.5, 0.5], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]]):
+            with pytest.raises(ContractError):
+                extract_subgraphs(g.adjacency, Tensor(bad))
 
 
 class TestLocalConv:
     def test_single_node_identity_weight(self, rng):
         g = make_graph([], 1, features=[[2.0, -1.0]], d=2)
-        (s,) = extract_subgraphs(g.adjacency, g.features, Tensor([[1.0]]))
-        z = local_conv(s, Tensor(np.eye(2)))
+        _, _, z, _, _ = run_steps(g.adjacency, g.features, Tensor([[1.0]]), [Tensor(np.eye(2))])
         assert np.array_equal(z.data, [[2.0, -1.0]])
 
     def test_isolated_nodes_identity(self):
         g = make_graph([], 2, features=[[1.0, 0.0], [0.0, 1.0]], d=2)
-        (s,) = extract_subgraphs(g.adjacency, g.features, Tensor([[1.0], [1.0]]))
-        z = local_conv(s, Tensor(np.eye(2)))
+        _, _, z, _, _ = run_steps(
+            g.adjacency, g.features, Tensor([[1.0], [1.0]]), [Tensor(np.eye(2))]
+        )
         assert np.array_equal(z.data, g.features.data)
 
     def test_triangle_matches_triple_loop(self, rng):
         g = make_graph([(0, 1), (1, 2), (0, 2)], 3, d=4, seed=3)
-        (s,) = extract_subgraphs(g.adjacency, g.features, Tensor(np.ones((3, 1))))
         w = rng.normal(size=(4, 4))
-        z = local_conv(s, Tensor(w)).data
+        _, _, z, _, _ = run_steps(g.adjacency, g.features, Tensor(np.ones((3, 1))), [Tensor(w)])
         a_tilde = g.adjacency.data + np.eye(3)
         want = np.zeros((3, 4))
         for i in range(3):
@@ -156,29 +156,31 @@ class TestLocalConv:
                 for k in range(3):
                     for t in range(4):
                         want[i, j] += a_tilde[i, k] * g.features.data[k, t] * w[t, j]
-        assert np.allclose(z, want, rtol=1e-12)
+        assert np.allclose(z.data, want, rtol=1e-12)
 
     def test_empty_slice_yields_zero_rows(self, rng):
+        # cluster 1 owns no rows of Z, and its weight receives no gradient
         g = make_graph([(0, 1)], 2, d=3)
         hard = Tensor([[1.0, 0.0], [1.0, 0.0]])
-        slices = extract_subgraphs(g.adjacency, g.features, hard)
-        z = local_conv(slices[1], Tensor(rng.normal(size=(3, 3))))
-        assert z.data.shape == (0, 3)
+        weights = [Tensor(rng.normal(size=(3, 3)), requires_grad=True) for _ in range(2)]
+        with Tape() as tape:
+            labels, _, z, x_next, _ = run_steps(g.adjacency, g.features, hard, weights)
+            objective = sum_rows(matmul(x_next, Tensor(np.ones((3, 1)))))
+        tape.backward(objective)
+        assert z.data[labels == 1].shape == (0, 3)
+        assert weights[0].grad is not None
+        assert weights[1].grad is None
+        assert np.array_equal(weights[1].grad_or_zero(), np.zeros((3, 3)))
 
 
 class TestCoarsen:
-    def run_layer(self, g, hard, weights):
-        slices = extract_subgraphs(g.adjacency, g.features, hard)
-        zs = [local_conv(s, weights[s.cluster_id]) for s in slices]
-        return slices, zs, coarsen(slices, zs, hard, g.adjacency)
-
     def test_identity_coarsening(self, rng):
         g = random_graph(rng, n_lo=5, n_hi=5)
         perm = rng.permutation(5)
         hard = np.zeros((5, 5))
         hard[np.arange(5), perm] = 1.0
         weights = [Tensor(np.eye(4)) for _ in range(5)]
-        _, _, (x_next, a_next) = self.run_layer(g, Tensor(hard), weights)
+        *_, x_next, a_next = run_steps(g.adjacency, g.features, Tensor(hard), weights)
         assert np.array_equal(x_next.data, hard.T @ g.features.data)
         assert np.array_equal(a_next.data, hard.T @ g.adjacency.data @ hard)
 
@@ -186,14 +188,14 @@ class TestCoarsen:
         g = make_graph([(0, 1), (1, 2), (2, 3)], 4, d=2)
         hard = Tensor([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         weights = [Tensor(np.eye(2)), Tensor(np.eye(2))]
-        _, _, (_, a_next) = self.run_layer(g, hard, weights)
+        *_, a_next = run_steps(g.adjacency, g.features, hard, weights)
         assert a_next.data.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_empty_cluster_zero_row_and_col(self, rng):
         g = make_graph([(0, 1)], 2, d=3)
         hard = Tensor([[1.0, 0.0], [1.0, 0.0]])
         weights = [Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 3)))]
-        _, _, (x_next, a_next) = self.run_layer(g, hard, weights)
+        *_, x_next, a_next = run_steps(g.adjacency, g.features, hard, weights)
         assert np.array_equal(x_next.data[1], np.zeros(3))
         assert np.all(a_next.data[1] == 0) and np.all(a_next.data[:, 1] == 0)
 
@@ -203,10 +205,10 @@ class TestCoarsen:
             c = int(rng.integers(1, 5))
             hard = random_hard(rng, g.n, c)
             weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(c)]
-            slices, zs, (x_next, a_next) = self.run_layer(g, hard, weights)
-            for j, (s, z) in enumerate(zip(slices, zs)):
+            labels, _, z, x_next, a_next = run_steps(g.adjacency, g.features, hard, weights)
+            for j in range(c):
                 acc = np.zeros(4)
-                for r in range(s.size):
+                for r in np.flatnonzero(labels == j):
                     acc = acc + z.data[r]
                 assert np.array_equal(x_next.data[j], acc)
             # pairwise inter-cluster edge counting
@@ -224,16 +226,15 @@ class TestCoarsen:
             c = int(rng.integers(1, 5))
             hard = random_hard(rng, g.n, c)
             weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(c)]
-            slices, _, (_, a_next) = self.run_layer(g, hard, weights)
-            intra = sum(int(s.sub_adjacency.data.sum()) // 2 for s in slices)
+            _, a_mask, _, _, a_next = run_steps(g.adjacency, g.features, hard, weights)
+            intra = int(a_mask.sum()) // 2
             assert a_next.data.sum() + 2 * intra == 2 * g.num_edges
 
     def test_keep_self_loops_flag(self, rng):
         g = make_graph([(0, 1)], 2, d=2)
         hard = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        slices = extract_subgraphs(g.adjacency, g.features, hard)
-        zs = [local_conv(s, Tensor(np.eye(2))) for s in slices]
-        _, a_keep = coarsen(slices, zs, hard, g.adjacency, keep_self_loops=True)
+        weights = [Tensor(np.eye(2)), Tensor(np.eye(2))]
+        *_, a_keep = run_steps(g.adjacency, g.features, hard, weights, keep_self_loops=True)
         assert np.array_equal(a_keep.data, hard.data.T @ g.adjacency.data @ hard.data)
 
 
@@ -266,9 +267,7 @@ class TestLayerAndStack:
         # replay the five steps by hand
         soft = soft_assign(g.features, params.assign)
         hard = harden(soft)
-        slices = extract_subgraphs(g.adjacency, g.features, hard)
-        zs = [local_conv(s, params.local[s.cluster_id]) for s in slices]
-        x_want, a_want = coarsen(slices, zs, hard, g.adjacency)
+        *_, x_want, a_want = run_steps(g.adjacency, g.features, hard, params.local)
         assert np.array_equal(x_next.data, x_want.data)
         assert np.array_equal(a_next.data, a_want.data)
         assert np.array_equal(trace.assignment.hard.data, hard.data)
@@ -313,22 +312,18 @@ class TestLayerAndStack:
             c = int(rng.integers(2, 4))
             hard = random_hard(rng, g.n, c)
             weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(c)]
-            slices = extract_subgraphs(g.adjacency, g.features, hard)
-            zs = [local_conv(s, weights[s.cluster_id]) for s in slices]
-            x_next, _ = coarsen(slices, zs, hard, g.adjacency)
+            labels, _, z, x_next, _ = run_steps(g.adjacency, g.features, hard, weights)
 
             u = int(rng.integers(g.n))
             bumped = g.features.data.copy()
             bumped[u] += rng.normal(size=4)
-            xb = Tensor(bumped)
-            slices_b = extract_subgraphs(g.adjacency, xb, hard)
-            zs_b = [local_conv(s, weights[s.cluster_id]) for s in slices_b]
-            x_next_b, _ = coarsen(slices_b, zs_b, hard, g.adjacency)
-            home = int(hard.data[u].argmax())
+            _, _, z_b, x_next_b, _ = run_steps(g.adjacency, Tensor(bumped), hard, weights)
+            home = labels[u]
             for k in range(c):
                 if k == home:
                     continue
-                assert np.array_equal(zs[k].data, zs_b[k].data)
+                rows = labels == k
+                assert np.array_equal(z.data[rows], z_b.data[rows])
                 assert np.array_equal(x_next.data[k], x_next_b.data[k])
 
     def test_stack_gradients_match_finite_differences(self, rng):
@@ -432,9 +427,94 @@ class TestPartitionProperty:
         while trials < 1000:
             g = random_graph(rng, n_lo=3, n_hi=10)
             c = int(rng.integers(1, 6))
-            hard = random_hard(rng, g.n, c)
-            slices = extract_subgraphs(g.adjacency, g.features, hard)
-            ids = [i for s in slices for i in s.node_ids]
+            # the layer caps its clusters at the node count
+            hard = random_hard(rng, g.n, min(c, g.n))
+            params = layer_params(rng, 4, c)
+            _, trace = sshpool_layer(g.adjacency, g.features, params, c, frozen_hard=hard)
+            ids = [i for members in trace.clusters for i in members]
             assert sorted(ids) == list(range(g.n))
+            assert trace.cluster_sizes == [len(m) for m in trace.clusters]
             assert np.all(hard.data.sum(axis=1) == 1.0)
             trials += 1
+
+
+class TestAgainstSliceReference:
+    """The fused layer against the per-cluster reference in slice_reference."""
+
+    def test_random_graphs(self, rng):
+        for trial in range(200):
+            g = random_graph(rng, n_lo=1, n_hi=14)
+            c = int(rng.integers(1, 7))
+            params = layer_params(rng, 4, c)
+            keep = bool(trial % 3 == 0)
+            frozen = random_hard(rng, g.n, min(c, g.n)) if trial % 2 else None
+            (a_next, x_next), trace = sshpool_layer(
+                g.adjacency, g.features, params, c, keep, frozen_hard=frozen
+            )
+            hard = trace.assignment.hard.data
+            ref = slice_layer(
+                g.adjacency.data, g.features.data, hard, [w.data for w in params.local], keep
+            )
+            assert np.allclose(x_next.data, ref.coarse_features, rtol=1e-12, atol=1e-12)
+            for members, z_j in zip(ref.clusters, ref.local_embeddings):
+                assert np.allclose(
+                    trace.local_embedding.data[members], z_j, rtol=1e-12, atol=1e-12
+                )
+            assert np.array_equal(a_next.data, ref.coarse_adjacency)
+            assert trace.clusters == ref.clusters
+            assert trace.edges_kept == ref.edges_kept
+
+
+class TestLayerFiniteDifferences:
+    """Central differences of the fused layer w.r.t. x and every local weight."""
+
+    def check(self, g, clusters, rng, frozen=None):
+        params = layer_params(rng, 4, clusters)
+        x = Tensor(g.features.data.copy(), requires_grad=True)
+        with Tape() as tape:
+            (_, x_next), trace = sshpool_layer(g.adjacency, x, params, clusters, frozen_hard=frozen)
+            r = rng.normal(size=(1, x_next.rows))
+            c = rng.normal(size=(x_next.cols, 1))
+            objective = matmul(Tensor(r), matmul(x_next, Tensor(c)))
+        tape.backward(objective)
+        hard = trace.assignment.hard
+
+        def probe():
+            (_, x_e), _ = sshpool_layer(g.adjacency, x, params, clusters, frozen_hard=hard)
+            return float((r @ x_e.data @ c)[0, 0])
+
+        step = 1e-5
+        for tensor in [x, *params.local]:
+            analytic = tensor.grad_or_zero().reshape(-1)
+            flat = tensor.data.reshape(-1)
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + step
+                up = probe()
+                flat[idx] = orig - step
+                down = probe()
+                flat[idx] = orig
+                numeric = (up - down) / (2 * step)
+                denom = max(abs(analytic[idx]), abs(numeric), 1e-6)
+                assert abs(analytic[idx] - numeric) / denom <= 1e-6
+        occupied = set(trace.labels.tolist())
+        for j, w in enumerate(params.local):
+            assert (w.grad is not None) == (j in occupied)
+        return trace
+
+    def test_empty_and_singleton_clusters(self, rng):
+        g = make_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)], 5, d=4, seed=5)
+        hard = np.zeros((5, 4))
+        hard[np.arange(5), [0, 0, 3, 0, 2]] = 1.0
+        trace = self.check(g, 4, rng, frozen=Tensor(hard))
+        assert trace.cluster_sizes == [3, 0, 1, 1]
+
+    def test_one_node(self, rng):
+        g = make_graph([], 1, d=4, seed=6)
+        trace = self.check(g, 3, rng)
+        assert trace.cluster_sizes == [1]
+
+    def test_fewer_nodes_than_clusters(self, rng):
+        g = make_graph([(0, 1), (1, 2)], 3, d=4, seed=7)
+        trace = self.check(g, 6, rng)
+        assert trace.assignment.hard.shape == (3, 3)

@@ -9,7 +9,6 @@ from sshpool.tensor import (
     Tensor,
     add,
     backward,
-    concat_rows,
     cross_entropy_with_logits,
     dropout,
     matmul,
@@ -19,7 +18,6 @@ from sshpool.tensor import (
     scale,
     sum_rows,
     take_cols,
-    take_rows,
     transpose,
 )
 
@@ -96,17 +94,6 @@ class TestElementwiseOps:
     def test_relu(self):
         assert relu(Tensor([[-1.0, 2.0]])).data.tolist() == [[0.0, 2.0]]
 
-    def test_concat_rows_ordering(self, rng):
-        a = rng.normal(size=(2, 3))
-        b = rng.normal(size=(1, 3))
-        got = concat_rows([Tensor(a), Tensor(b)]).data
-        assert got.shape == (3, 3)
-        assert np.array_equal(got[:2], a) and np.array_equal(got[2:], b)
-
-    def test_concat_rows_width_mismatch(self):
-        with pytest.raises(ShapeError):
-            concat_rows([Tensor(np.ones((1, 2))), Tensor(np.ones((1, 3)))])
-
     def test_add_broadcast_row(self, rng):
         a = rng.normal(size=(3, 2))
         b = rng.normal(size=(1, 2))
@@ -129,11 +116,10 @@ class TestElementwiseOps:
             acc = acc + x[r]
         assert np.array_equal(sum_rows(Tensor(x)).data[0], acc)
 
-    def test_take_rows_and_cols(self, rng):
+    def test_take_cols(self, rng):
         x = rng.normal(size=(5, 4))
-        assert np.array_equal(take_rows(Tensor(x), [3, 1]).data, x[[3, 1]])
         assert np.array_equal(take_cols(Tensor(x), [0, 2]).data, x[:, [0, 2]])
-        assert take_rows(Tensor(x), []).data.shape == (0, 4)
+        assert take_cols(Tensor(x), []).data.shape == (5, 0)
 
 
 class TestDropout:
@@ -291,17 +277,10 @@ class TestFiniteDifferences:
     def test_transpose(self, rng):
         check_op(lambda t: transpose(t[0]), [rng.normal(size=(3, 8))], rng)
 
-    def test_concat_rows(self, rng):
-        check_op(lambda t: concat_rows(list(t)),
-                 [rng.normal(size=(2, 4)), rng.normal(size=(3, 4))], rng)
-
     def test_scale_mean_sum(self, rng):
         check_op(lambda t: scale(t[0], -1.7), [rng.normal(size=(4, 4))], rng)
         check_op(lambda t: mean_rows(t[0]), [rng.normal(size=(6, 3))], rng)
         check_op(lambda t: sum_rows(t[0]), [rng.normal(size=(6, 3))], rng)
-
-    def test_take_rows_with_duplicates(self, rng):
-        check_op(lambda t: take_rows(t[0], [0, 2, 2, 4]), [rng.normal(size=(5, 3))], rng)
 
     def test_take_cols(self, rng):
         check_op(lambda t: take_cols(t[0], [1, 3]), [rng.normal(size=(4, 5))], rng)
