@@ -17,7 +17,7 @@ from .pooling import (
     sshpool_stack,
 )
 from .tensor import Tape, Tensor
-from .trainer import TrainConfig, adam_step, cross_validate, train_fold
+from .trainer import TrainConfig, adam_step, cross_validate
 
 __all__ = [
     "AssignmentPair",
@@ -48,5 +48,4 @@ __all__ = [
     "soft_assign",
     "sshpool_layer",
     "sshpool_stack",
-    "train_fold",
 ]

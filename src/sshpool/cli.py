@@ -24,11 +24,17 @@ from .data import Dataset, Graph, load_tu_dataset, graph_stats, stratified_subse
 from .diagnostics import certify_locality, compare_smoothing
 from .errors import ContractError, IngestError
 from .gradcheck import check_model_gradients, fixture_graph_and_params
-from .model import ModelConfig, ModelParams, forward, layer_sizes_from_ratio, loss, predict
+from .model import ModelConfig, ModelParams, forward, layer_sizes_from_ratio
 from .tensor import Tensor
-from .trainer import TrainConfig, cross_validate, sweep_depth, sweep_ratio, train_graphs
+from .trainer import (
+    TrainConfig,
+    cross_validate,
+    evaluate,
+    sweep_depth,
+    sweep_ratio,
+    train_graphs,
+)
 
-# One row per option: (config-file key, type converter, default).
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -47,67 +53,38 @@ def _to_float_list(text: str) -> list[float]:
     return [float(tok) for tok in str(text).split(",") if tok.strip()]
 
 
-_CONVERTERS = {
-    "data": str,
-    "name": str,
-    "feature_mode": str,
-    "out": str,
-    "ckpt": str,
-    "hidden_dim": int,
-    "layer_sizes": _to_int_list,
-    "layer_base": int,
-    "ratio": float,
-    "depth": int,
-    "dropout": float,
-    "variant": str,
-    "attention": _to_bool,
-    "gconv_layers": int,
-    "keep_coarse_self_loops": _to_bool,
-    "lr": float,
-    "epochs": int,
-    "batch_size": int,
-    "folds": int,
-    "repeats": int,
-    "seed": int,
-    "workers": int,
-    "limit_graphs": int,
-    "graph_index": int,
-    "trials": int,
-    "graphs": int,
-    "tolerance": float,
-    "step": float,
-    "depths": _to_int_list,
-    "ratios": _to_float_list,
-}
-
-_DEFAULTS = {
-    "feature_mode": None,
-    "out": None,
-    "hidden_dim": 128,
-    "layer_sizes": None,
-    "layer_base": 128,
-    "ratio": 0.25,
-    "depth": 3,
-    "dropout": 0.5,
-    "variant": "sshpool",
-    "attention": True,
-    "gconv_layers": 1,
-    "keep_coarse_self_loops": False,
-    "lr": 1e-3,
-    "epochs": 100,
-    "batch_size": 32,
-    "folds": 10,
-    "repeats": 10,
-    "seed": 0,
-    "workers": 1,
-    "limit_graphs": None,
-    "graph_index": 0,
-    "trials": 100,
-    "graphs": 50,
-    "tolerance": 1e-4,
-    "step": 1e-5,
-    "depths": [1, 2, 3],
-    "ratios": [0.5, 0.25, 0.125],
+# One row per option: config-file key (the argparse dest) -> (type
+# converter, default). A default of None means "unset".
+_OPTIONS = {
+    "data": (str, None),
+    "name": (str, None),
+    "feature_mode": (str, None),
+    "out": (str, None),
+    "ckpt": (str, None),
+    "hidden_dim": (int, 128),
+    "layer_sizes": (_to_int_list, None),
+    "layer_base": (int, 128),
+    "ratio": (float, 0.25),
+    "depth": (int, 3),
+    "dropout": (float, 0.5),
+    "variant": (str, "sshpool"),
+    "attention": (_to_bool, True),
+    "gconv_layers": (int, 1),
+    "keep_coarse_self_loops": (_to_bool, False),
+    "lr": (float, 1e-3),
+    "epochs": (int, 100),
+    "batch_size": (int, 32),
+    "folds": (int, 10),
+    "repeats": (int, 10),
+    "seed": (int, 0),
+    "limit_graphs": (int, None),
+    "graph_index": (int, 0),
+    "trials": (int, 100),
+    "graphs": (int, 50),
+    "tolerance": (float, 1e-4),
+    "step": (float, 1e-5),
+    "depths": (_to_int_list, [1, 2, 3]),
+    "ratios": (_to_float_list, [0.5, 0.25, 0.125]),
 }
 
 
@@ -127,10 +104,10 @@ def read_config_file(path: str) -> dict:
             raise ContractError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONVERTERS:
+        if key not in _OPTIONS:
             raise ContractError(f"{path}:{lineno}: unknown option {key!r}")
         try:
-            values[key] = _CONVERTERS[key](value.strip())
+            values[key] = _OPTIONS[key][0](value.strip())
         except (ValueError, TypeError):
             raise ContractError(
                 f"{path}:{lineno}: bad value {value.strip()!r} for {key!r}"
@@ -141,7 +118,7 @@ def read_config_file(path: str) -> dict:
 def _resolve(ns: argparse.Namespace) -> argparse.Namespace:
     """Apply flag > config file > default precedence to every option."""
     file_values = read_config_file(ns.config) if getattr(ns, "config", None) else {}
-    for key, default in _DEFAULTS.items():
+    for key, (_, default) in _OPTIONS.items():
         if not hasattr(ns, key):
             continue
         if getattr(ns, key) is None:
@@ -182,8 +159,6 @@ def _add_train_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--folds", type=int, default=None)
     p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for interface compatibility; execution is sequential")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -223,8 +198,6 @@ def _model_config(ns: argparse.Namespace, dataset: Dataset) -> ModelConfig:
 
 
 def _train_config(ns: argparse.Namespace) -> TrainConfig:
-    if ns.workers < 1:
-        raise ContractError(f"workers must be >= 1, got {ns.workers}")
     return TrainConfig(
         lr=ns.lr,
         epochs=ns.epochs,
@@ -285,18 +258,11 @@ def cmd_train(ns: argparse.Namespace) -> int:
 def cmd_eval(ns: argparse.Namespace) -> int:
     params = ModelParams.load(ns.ckpt)
     dataset = _load_dataset(ns)
-    total, correct = 0.0, 0
-    for g in dataset.graphs:
-        logits, _ = forward(g, params, training=False)
-        total += loss(logits, g.label).item()
-        correct += int(predict(logits) == g.label)
+    count = len(dataset.graphs)
+    mean_loss, accuracy = evaluate(dataset, list(range(count)), params)
     print(
         json.dumps(
-            {
-                "accuracy": correct / len(dataset.graphs),
-                "mean_loss": total / len(dataset.graphs),
-                "graphs": len(dataset.graphs),
-            },
+            {"accuracy": accuracy, "mean_loss": mean_loss, "graphs": count},
             sort_keys=True,
         )
     )

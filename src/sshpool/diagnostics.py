@@ -30,21 +30,10 @@ class LayerSmoothing:
     nodes: int
     skipped_pairs: int
 
-    def to_dict(self) -> dict:
-        return {
-            "layer": self.layer,
-            "mean_cosine": self.mean_cosine,
-            "nodes": self.nodes,
-            "skipped_pairs": self.skipped_pairs,
-        }
-
 
 @dataclass
 class SmoothingProfile:
     layers: list[LayerSmoothing]
-
-    def to_rows(self) -> list[dict]:
-        return [entry.to_dict() for entry in self.layers]
 
 
 def smoothing_profile(embeddings: Sequence[np.ndarray]) -> SmoothingProfile:

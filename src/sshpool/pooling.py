@@ -1,8 +1,8 @@
 """Separated-subgraph hierarchical pooling and the baseline pooling operators.
 
 One pooling layer: project node features and row-softmax them into a soft
-cluster assignment, harden it to a one-hot matrix H (detached from the
-gradient tape), mask the adjacency to intra-cluster edges,
+cluster assignment, harden it to a one-hot matrix H (both are constants,
+computed off the gradient tape), mask the adjacency to intra-cluster edges,
 A_mask = A * (H H^T), convolve Y = (A_mask + I) X, apply each node's own
 cluster weight, Z_u = Y_u W_c(u), and compress every cluster to a single
 coarsened node: features are the sums of its rows of Z, adjacency is
@@ -31,8 +31,8 @@ from .tensor import (
     matmul,
     mean_rows,
     row_softmax,
+    softmax_rows,
     sum_rows,
-    take_cols,
     transpose,
 )
 
@@ -106,10 +106,14 @@ class PoolLayerParams:
 
 
 def soft_assign(x: Tensor, w_assign: Tensor) -> Tensor:
-    """Row-stochastic cluster membership: row_softmax(x @ w_assign)."""
+    """Row-stochastic cluster membership softmax(x @ w_assign), a constant.
+
+    Only its row argmax is used, and no gradient flows through the argmax,
+    so nothing is recorded on the tape.
+    """
     if w_assign.cols < 1:
         raise ContractError("soft_assign needs at least one cluster column")
-    return row_softmax(matmul(x, w_assign))
+    return Tensor(softmax_rows(x.data @ w_assign.data))
 
 
 def harden(soft: Tensor) -> Tensor:
@@ -220,10 +224,12 @@ def sshpool_layer(
         raise ContractError(f"cluster count must be >= 1, got {clusters}")
     n = x.rows
     c_eff = min(clusters, n)
-    w_assign = params.assign
-    if c_eff < w_assign.cols:
-        w_assign = take_cols(w_assign, range(c_eff))
-    soft = soft_assign(x, w_assign)
+    w_assign = params.assign.data
+    if c_eff < w_assign.shape[1]:
+        # The product's rounding depends on the operand's memory order; a
+        # column-major copy gives the same bits as a ``take_cols`` gather.
+        w_assign = np.asfortranarray(w_assign[:, :c_eff])
+    soft = soft_assign(x, Tensor(w_assign))
     hard = frozen_hard if frozen_hard is not None else harden(soft)
     if hard.shape != (n, c_eff):
         raise ShapeError(f"hard assignment {hard.shape} does not match ({n}, {c_eff})")
@@ -295,7 +301,7 @@ def baseline_diffpool_layer(
     A_next = S^T A S, both differentiable through S. Comparison baseline
     only; the hard path above is the method under study.
     """
-    s = soft_assign(x, w_assign)
+    s = row_softmax(matmul(x, w_assign))
     # (A + I); A may itself sit on the tape when stacking layers.
     a_self = add(adjacency, eye(adjacency.rows))
     st = transpose(s)

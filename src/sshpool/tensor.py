@@ -67,10 +67,6 @@ class Tensor:
             return np.zeros_like(self.data)
         return self.grad
 
-    def detach(self) -> "Tensor":
-        """A constant copy that shares no history with any tape."""
-        return Tensor(self.data.copy())
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a 1x1 tensor, got {self.data.shape}")
@@ -78,10 +74,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def zeros(rows: int, cols: int) -> Tensor:
-    return Tensor(np.zeros((rows, cols)))
 
 
 def eye(n: int) -> Tensor:
@@ -157,11 +149,6 @@ class Tape:
             t.grad = g.copy() if t.grad is None else t.grad + g
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    """Run the reverse pass of ``tape`` from the scalar ``loss``."""
-    tape.backward(loss)
-
-
 def _record(out: Tensor, rule: BackwardRule) -> Tensor:
     tape = _active_tape()
     if tape is not None:
@@ -226,15 +213,20 @@ def transpose(x: Tensor) -> Tensor:
     return _record(out, rule)
 
 
-def row_softmax(x: Tensor) -> Tensor:
-    """Softmax over each row, stabilised by per-row max subtraction.
+def softmax_rows(a: np.ndarray) -> np.ndarray:
+    """Softmax over each row of a plain array, stabilised by per-row max
+    subtraction; the forward of :func:`row_softmax`, with no tape record."""
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
-    Output rows sum to 1; backward applies the softmax Jacobian-vector
-    product row by row: dx = s * (g - sum(g * s, row)).
+
+def row_softmax(x: Tensor) -> Tensor:
+    """Softmax over each row; output rows sum to 1.
+
+    Backward applies the softmax Jacobian-vector product row by row:
+    dx = s * (g - sum(g * s, row)).
     """
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = softmax_rows(x.data)
     out = Tensor(s)
 
     def rule(g, push, x=x, s=s):

@@ -9,14 +9,19 @@ seeds, configs) triple fully determines every reported number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, FoldPlan, make_folds
+from .data import Dataset, make_folds
 from .errors import ContractError
 from .model import ModelConfig, ModelParams, forward, layer_sizes_from_ratio, loss, predict
 from .tensor import Tape
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -24,9 +29,6 @@ class TrainConfig:
     lr: float = 1e-3
     epochs: int = 100
     batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     folds: int = 10
     repeats: int = 10
@@ -40,17 +42,7 @@ class TrainConfig:
             raise ContractError(f"batch size must be >= 1, got {self.batch_size}")
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "seed": self.seed,
-            "folds": self.folds,
-            "repeats": self.repeats,
-        }
+        return asdict(self)
 
 
 class AdamState:
@@ -70,7 +62,7 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update over every parameter."""
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     for name, tensor in params.named().items():
@@ -79,7 +71,7 @@ def adam_step(
         g = grads[name]
         m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        tensor.data = tensor.data - config.lr * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+        tensor.data = tensor.data - config.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 def _seed_for(*entropy: int) -> np.random.SeedSequence:
@@ -188,25 +180,6 @@ def train_graphs(
     )
 
 
-def train_fold(
-    dataset: Dataset,
-    plan: FoldPlan,
-    fold: int,
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    repeat: int = 0,
-) -> FoldResult:
-    return train_graphs(
-        dataset,
-        plan.train_indices(fold),
-        plan.test_indices(fold),
-        model_config,
-        train_config,
-        repeat=repeat,
-        fold=fold,
-    )
-
-
 @dataclass
 class RunReport:
     dataset: str
@@ -272,7 +245,15 @@ def cross_validate(
         fold_seed = int(_seed_for(train_config.seed, repeat).generate_state(1)[0])
         plan = make_folds(dataset, train_config.folds, seed=fold_seed)
         for fold in range(train_config.folds):
-            result = train_fold(dataset, plan, fold, model_config, train_config, repeat)
+            result = train_graphs(
+                dataset,
+                plan.train_indices(fold),
+                plan.test_indices(fold),
+                model_config,
+                train_config,
+                repeat=repeat,
+                fold=fold,
+            )
             result.params = None  # keep reports light; checkpoints are separate
             results.append(result)
     mean, se = mean_and_std_error([r.final_accuracy for r in results])

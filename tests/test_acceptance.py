@@ -314,7 +314,6 @@ class TestDeterminism:
                 "--folds", "2",
                 "--repeats", "1",
                 "--seed", "13",
-                "--workers", "1",
             ]
             assert main(args) == 0
             outs.append(out)

@@ -1,10 +1,11 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from sshpool.cli import main, read_config_file
+from sshpool.cli import _OPTIONS, build_parser, main, read_config_file
 from sshpool.data import load_tu_dataset, graph_stats
 from sshpool.synth import write_tu_corpus
 
@@ -229,6 +230,30 @@ class TestConfigFile:
         report = json.loads(open(os.path.join(out, "report.json")).read())
         assert report["train_config"]["epochs"] == 1
         assert report["model_config"]["hidden_dim"] == 4  # from the file
+
+    def test_ckpt_from_file_exit_3_like_flag(self, tmp_path):
+        missing = str(tmp_path / "nowhere" / "model.ckpt")
+        cfg = tmp_path / "ckpt.cfg"
+        cfg.write_text(f"ckpt = {missing}\n")
+        args = ["diagnose", "smoothing", "--graphs", "2", "--hidden-dim", "8",
+                "--layer-sizes", "4,2", "--ratio", "0.5", "--depth", "2"]
+        assert main(args + ["--ckpt", missing]) == 3
+        assert main(args + ["--config", str(cfg)]) == 3
+
+    def test_option_table_matches_parsers(self):
+        parser = build_parser()
+        (subcommands,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        not_options = {"config", "command", "kind", "func"}
+        dests = {
+            action.dest
+            for sub in subcommands.choices.values()
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        } - not_options
+        assert not dests - set(_OPTIONS), "flags without a table row"
+        assert not set(_OPTIONS) - dests, "table rows that no subcommand parses"
 
     def test_unknown_key_exit_2(self, corpus, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -233,6 +233,21 @@ class TestForward:
             assert np.array_equal(params.named()[name].grad_or_zero(), np.zeros((6, 6)))
         assert params.mlp_w2.grad is not None
 
+    def test_assignment_weights_get_grad_only_in_diffpool(self):
+        g = make_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)], 6, d=4, seed=12)
+        for variant in ("sshpool", "diffpool"):
+            params = ModelParams(small_config(variant=variant), seed=13)
+            with Tape() as tape:
+                logits, _ = forward(g, params)
+                objective = loss(logits, 1)
+            tape.backward(objective)
+            grad = params.named()["pool.0.assign"].grad
+            if variant == "sshpool":
+                # the hard assignment only separates the graph
+                assert grad is None
+            else:
+                assert grad is not None and np.any(grad != 0.0)
+
     def test_feature_dim_mismatch(self, rng):
         params = ModelParams(small_config(), seed=0)
         g = make_graph([(0, 1)], 2, d=7, seed=0)

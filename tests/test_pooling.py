@@ -16,7 +16,7 @@ from sshpool.pooling import (
     sshpool_layer,
     sshpool_stack,
 )
-from sshpool.tensor import Tape, Tensor, matmul, sum_rows
+from sshpool.tensor import Tape, Tensor, matmul, row_softmax, sum_rows, take_cols
 
 from conftest import make_graph, random_graph
 from slice_reference import slice_layer
@@ -64,6 +64,27 @@ class TestSoftAssign:
             for j in range(2):
                 assert got[i, j] == pytest.approx(math.exp(logits[i, j]) / denom, rel=1e-9)
         assert np.allclose(got.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_records_nothing(self, rng):
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        with Tape() as tape:
+            soft_assign(x, w)
+        assert len(tape) == 0
+
+    def test_layer_matches_taped_softmax_bit_for_bit(self, rng):
+        # Hardened labels hang on these bits: an ulp can flip a near-tie.
+        for _ in range(50):
+            g = random_graph(rng, n_lo=2, n_hi=12, d=16)
+            clusters = int(rng.integers(1, 16))
+            params = layer_params(rng, 16, clusters)
+            _, trace = sshpool_layer(g.adjacency, g.features, params, clusters)
+            c_eff = min(clusters, g.n)
+            w = params.assign
+            if c_eff < clusters:
+                w = take_cols(w, range(c_eff))
+            want = row_softmax(matmul(g.features, w)).data
+            assert np.array_equal(trace.assignment.soft.data, want)
 
 
 class TestHarden:
@@ -271,6 +292,15 @@ class TestLayerAndStack:
         assert np.array_equal(x_next.data, x_want.data)
         assert np.array_equal(a_next.data, a_want.data)
         assert np.array_equal(trace.assignment.hard.data, hard.data)
+
+    @pytest.mark.parametrize("clusters", [3, 9])
+    def test_layer_records_local_conv_and_coarsen_only(self, rng, clusters):
+        g = random_graph(rng, n_lo=6, n_hi=6)
+        params = layer_params(rng, 4, clusters)
+        with Tape() as tape:
+            (_, x_next), trace = sshpool_layer(g.adjacency, g.features, params, clusters)
+        outputs = [output for output, _ in tape._records]
+        assert outputs == [trace.local_embedding, x_next]
 
     def test_effective_clusters_capped_at_nodes(self, rng):
         g = random_graph(rng, n_lo=3, n_hi=3)

@@ -8,7 +8,6 @@ from sshpool.tensor import (
     Tape,
     Tensor,
     add,
-    backward,
     cross_entropy_with_logits,
     dropout,
     matmul,
@@ -196,7 +195,7 @@ class TestBackward:
             out = sum_rows(w)
         tape.backward(out)
         first = w.grad.copy()
-        backward(out, tape)
+        tape.backward(out)
         assert np.array_equal(w.grad, 2 * first)
 
     def test_nested_tape_rejected(self):

@@ -13,7 +13,6 @@ from sshpool.trainer import (
     mean_and_std_error,
     sweep_depth,
     sweep_ratio,
-    train_fold,
     train_graphs,
 )
 
@@ -131,7 +130,7 @@ class TestTrainFold:
         cfg = tiny_model_config(ds)
         tc = TrainConfig(epochs=2, folds=2, repeats=1, seed=0)
         plan = make_folds(ds, 2, seed=0)
-        result = train_fold(ds, plan, 0, cfg, tc)
+        result = train_graphs(ds, plan.train_indices(0), plan.test_indices(0), cfg, tc)
         assert result.final_accuracy == 1.0
 
     def test_deterministic_loss_curves(self):
@@ -139,8 +138,8 @@ class TestTrainFold:
         cfg = tiny_model_config(ds, dropout=0.3)
         tc = TrainConfig(epochs=3, folds=2, repeats=1, seed=11)
         plan = make_folds(ds, 2, seed=11)
-        a = train_fold(ds, plan, 0, cfg, tc)
-        b = train_fold(ds, plan, 0, cfg, tc)
+        a = train_graphs(ds, plan.train_indices(0), plan.test_indices(0), cfg, tc)
+        b = train_graphs(ds, plan.train_indices(0), plan.test_indices(0), cfg, tc)
         assert a.curve == b.curve
 
     def test_no_test_fold_leakage(self):
@@ -148,7 +147,7 @@ class TestTrainFold:
         cfg = tiny_model_config(ds)
         tc = TrainConfig(epochs=2, folds=2, repeats=1, seed=5)
         plan = make_folds(ds, 2, seed=5)
-        result = train_fold(ds, plan, 0, cfg, tc)
+        result = train_graphs(ds, plan.train_indices(0), plan.test_indices(0), cfg, tc)
         assert set(result.updated_indices) == set(plan.train_indices(0))
         assert not set(result.updated_indices) & set(plan.test_indices(0))
 
