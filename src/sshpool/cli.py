@@ -126,9 +126,18 @@ def _resolve(ns: argparse.Namespace) -> argparse.Namespace:
     return ns
 
 
-def _add_dataset_opts(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--data", required=required, help="dataset directory (TU layout)")
-    p.add_argument("--name", required=required, help="dataset name prefix")
+def _require(ns: argparse.Namespace, *keys: str) -> None:
+    """Reject options still unset after ``_resolve``; flags are not marked
+    required, so a config file can supply them."""
+    for key in keys:
+        if getattr(ns, key) is None:
+            flag = "--" + key.replace("_", "-")
+            raise ContractError(f"{flag} is required: pass {flag} or set {key!r} in --config")
+
+
+def _add_dataset_opts(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", help="dataset directory (TU layout)")
+    p.add_argument("--name", help="dataset name prefix")
     p.add_argument("--feature-mode", dest="feature_mode", default=None,
                    choices=["node-label-one-hot", "degree-one-hot", "constant"])
     p.add_argument("--limit-graphs", dest="limit_graphs", type=int, default=None,
@@ -168,6 +177,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _load_dataset(ns: argparse.Namespace) -> Dataset:
+    _require(ns, "data", "name")
     if not os.path.isdir(ns.data):
         raise IngestError(f"missing dataset directory: {ns.data}")
     dataset = load_tu_dataset(ns.data, ns.name, ns.feature_mode)
@@ -256,6 +266,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
+    _require(ns, "ckpt")
     params = ModelParams.load(ns.ckpt)
     dataset = _load_dataset(ns)
     count = len(dataset.graphs)
@@ -270,6 +281,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_pool_trace(ns: argparse.Namespace) -> int:
+    _require(ns, "ckpt")
     params = ModelParams.load(ns.ckpt)
     if params.config.variant != "sshpool":
         raise ContractError(
@@ -424,13 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p_eval.add_argument("--ckpt", required=True)
+    p_eval.add_argument("--ckpt")
     _add_dataset_opts(p_eval)
     _add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_trace = sub.add_parser("pool-trace", help="per-layer coarsening trace as JSON lines")
-    p_trace.add_argument("--ckpt", required=True)
+    p_trace.add_argument("--ckpt")
     p_trace.add_argument("--graph-index", dest="graph_index", type=int, default=None)
     _add_dataset_opts(p_trace)
     _add_common(p_trace)
@@ -464,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--ckpt", default=None)
     p_diag.add_argument("--trials", type=int, default=None)
     p_diag.add_argument("--graphs", type=int, default=None)
-    _add_dataset_opts(p_diag, required=False)
+    _add_dataset_opts(p_diag)
     _add_model_opts(p_diag)
     _add_common(p_diag)
     p_diag.set_defaults(func=cmd_diagnose)

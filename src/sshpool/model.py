@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Graph
-from .errors import ContractError, ShapeError
+from .errors import ContractError, IngestError, ShapeError
 from .pooling import (
     CoarseningTrace,
     PoolLayerParams,
@@ -25,16 +25,15 @@ from .pooling import (
 )
 from .tensor import (
     Tensor,
+    _record,
     add,
     cross_entropy_with_logits,
     dropout,
     matmul,
     mean_rows,
     relu,
-    row_softmax,
-    scale,
+    softmax_rows,
     take_cols,
-    transpose,
 )
 
 VARIANTS = ("sshpool", "diffpool", "global_sum", "global_mean")
@@ -191,23 +190,38 @@ class ModelParams:
     def load(cls, path: str) -> "ModelParams":
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        version = payload.get("version")
+        version = payload.get("version") if isinstance(payload, dict) else None
         if version != CHECKPOINT_VERSION:
             raise ContractError(
                 f"checkpoint version {version!r} unsupported, want {CHECKPOINT_VERSION!r}"
             )
-        config = ModelConfig.from_dict(payload["config"])
+        try:
+            config = ModelConfig.from_dict(_field(payload, "config", path))
+        except (KeyError, TypeError) as exc:
+            raise IngestError(f"checkpoint {path}: bad config: {exc!r}") from None
         params = cls(config, seed=0)  # structure only; values overwritten below
-        stored = payload["params"]
+        stored = _field(payload, "params", path)
         if set(stored) != set(params._named):
             raise ContractError("checkpoint parameter names do not match the config")
         for name, t in params._named.items():
-            entry = stored[name]
-            shape = tuple(entry["shape"])
+            where = f"{path}: {name}"
+            shape = tuple(_field(stored[name], "shape", where))
+            values = _field(stored[name], "data", where)
             if shape != t.shape:
-                raise ShapeError(f"checkpoint {name}: shape {shape} != expected {t.shape}")
-            t.data = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+                raise IngestError(f"checkpoint {where}: shape {shape} != expected {t.shape}")
+            if len(values) != t.data.size:
+                raise IngestError(
+                    f"checkpoint {where}: {len(values)} values for shape {shape}"
+                )
+            t.data = np.asarray(values, dtype=np.float64).reshape(shape)
         return params
+
+
+def _field(entry, key: str, where: str):
+    """``entry[key]`` of a checkpoint payload, or ``IngestError`` if absent."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise IngestError(f"checkpoint {where}: missing {key!r}")
+    return entry[key]
 
 
 def global_conv(adjacency: Tensor, x: Tensor, weight: Tensor) -> Tensor:
@@ -227,15 +241,40 @@ def attention_fuse(
     """Scaled dot-product attention with queries from the pooled feature.
 
     Keys and values come from the initial embedding, so the fused output
-    re-reads the pre-pooling representation.
+    re-reads the pre-pooling representation:
+    softmax(P W_q (X0 W_k)^T / sqrt(d)) X0 W_v, as one tape record.
+
+    The backward runs the rules of the op-by-op composition (``matmul``,
+    ``transpose``, ``scale``, ``row_softmax``) on the same operands, and
+    pushes the v branch, then k, then q, as that composition's tape would;
+    so gradients, and their accumulation into ``x0``, keep their bits.
     """
     if x0.cols != pooled.cols:
         raise ShapeError(f"attention: widths differ, {x0.shape} vs {pooled.shape}")
-    q = matmul(pooled, w_q)
-    k = matmul(x0, w_k)
-    v = matmul(x0, w_v)
-    scores = scale(matmul(q, transpose(k)), 1.0 / np.sqrt(x0.cols))
-    return matmul(row_softmax(scores), v)
+    c = 1.0 / np.sqrt(x0.cols)
+    q = pooled.data @ w_q.data
+    # A contiguous copy, as ``transpose`` makes: the product's rounding
+    # depends on the operand's memory order.
+    k_t = (x0.data @ w_k.data).T.copy()
+    v = x0.data @ w_v.data
+    s = softmax_rows(q @ k_t * c)
+    out = Tensor(s @ v)
+
+    def rule(g, push):
+        ds = g @ v.T
+        dv = s.T @ g
+        dot = (ds * s).sum(axis=1, keepdims=True)
+        d_scores = s * (ds - dot) * c
+        dq = d_scores @ k_t.T
+        dk = (q.T @ d_scores).T
+        push(x0, dv @ w_v.data.T)
+        push(w_v, x0.data.T @ dv)
+        push(x0, dk @ w_k.data.T)
+        push(w_k, x0.data.T @ dk)
+        push(pooled, dq @ w_q.data.T)
+        push(w_q, pooled.data.T @ dq)
+
+    return _record(out, rule)
 
 
 def classify(

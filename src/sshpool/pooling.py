@@ -121,10 +121,12 @@ def harden(soft: Tensor) -> Tensor:
 
     The result is a constant: gradients do not flow through the argmax.
     """
-    winners = soft.data.argmax(axis=1)
-    hard = np.zeros_like(soft.data)
-    hard[np.arange(soft.rows), winners] = 1.0
-    return Tensor(hard)
+    return Tensor(np.eye(soft.cols)[soft.data.argmax(axis=1)])
+
+
+def _intra_cluster(adjacency: Tensor, labels: np.ndarray) -> np.ndarray:
+    """A * (H H^T): (H H^T)[u, v] = 1 exactly when u and v share a cluster."""
+    return adjacency.data * (labels[:, None] == labels[None, :])
 
 
 def extract_subgraphs(adjacency: Tensor, hard: Tensor) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +144,7 @@ def extract_subgraphs(adjacency: Tensor, hard: Tensor) -> tuple[np.ndarray, np.n
     labels = hard.data.argmax(axis=1)
     if not np.array_equal(hard.data, np.eye(hard.cols)[labels]):
         raise ContractError("hard assignment rows must be one-hot")
-    # (H H^T)[u, v] = 1 exactly when u and v share a cluster.
-    return labels, adjacency.data * (labels[:, None] == labels[None, :])
+    return labels, _intra_cluster(adjacency, labels)
 
 
 def local_conv(
@@ -153,11 +154,12 @@ def local_conv(
 
     No degree normalisation and no activation. Only occupied clusters are
     touched, one plain product per cluster, so an empty cluster's weight
-    receives no gradient at all (``grad_or_zero`` reads that as zero).
+    receives no gradient at all.
     Backward: dW_j = Y_j^T G_j and dX = (A_mask + I)^T dY with
     dY_j = G_j W_j^T, where the subscript j takes cluster j's rows.
     """
-    m = a_mask + np.eye(x.rows)
+    m = a_mask.copy()
+    m.flat[:: x.rows + 1] += 1.0
     y = m @ x.data
     groups = [(int(j), np.flatnonzero(labels == j)) for j in np.unique(labels)]
     z = np.empty((x.rows, weights[0].cols))
@@ -230,11 +232,16 @@ def sshpool_layer(
         # column-major copy gives the same bits as a ``take_cols`` gather.
         w_assign = np.asfortranarray(w_assign[:, :c_eff])
     soft = soft_assign(x, Tensor(w_assign))
-    hard = frozen_hard if frozen_hard is not None else harden(soft)
-    if hard.shape != (n, c_eff):
-        raise ShapeError(f"hard assignment {hard.shape} does not match ({n}, {c_eff})")
-
-    labels, a_mask = extract_subgraphs(adjacency, hard)
+    if frozen_hard is None:
+        # ``harden`` with its labels kept: the one-hot form holds by construction.
+        labels = soft.data.argmax(axis=1)
+        hard = Tensor(np.eye(c_eff)[labels])
+        a_mask = _intra_cluster(adjacency, labels)
+    else:
+        hard = frozen_hard
+        if hard.shape != (n, c_eff):
+            raise ShapeError(f"hard assignment {hard.shape} does not match ({n}, {c_eff})")
+        labels, a_mask = extract_subgraphs(adjacency, hard)
     z = local_conv(x, a_mask, labels, params.local)
     x_next, a_next = coarsen(z, labels, hard, adjacency, keep_self_loops)
 

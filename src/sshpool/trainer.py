@@ -46,21 +46,30 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moments per parameter plus the shared step counter."""
+    """First/second moments per parameter plus the shared step counter.
 
-    def __init__(self, params: ModelParams):
-        self.m = {n: np.zeros_like(t.data) for n, t in params.named().items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.named().items()}
+    A parameter's moments are created, as zeros, on its first gradient.
+    Before that they would be exact zeros and its update exactly zero, so
+    it has no entry and ``adam_step`` skips it.
+    """
+
+    def __init__(self):
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
 
 def adam_step(
     params: ModelParams,
-    grads: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray | None],
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update over every parameter."""
+    """One bias-corrected Adam update over every parameter.
+
+    ``grads`` names every parameter; ``None`` means no gradient reached it,
+    which is read as a zero gradient.
+    """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**state.t
@@ -69,6 +78,13 @@ def adam_step(
         if name not in grads:
             raise ContractError(f"missing gradient for parameter {name}")
         g = grads[name]
+        if name not in state.m:
+            if g is None:
+                continue
+            state.m[name] = np.zeros_like(tensor.data)
+            state.v[name] = np.zeros_like(tensor.data)
+        elif g is None:
+            g = 0.0
         m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         tensor.data = tensor.data - config.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
@@ -129,7 +145,7 @@ def train_graphs(
         for s in _seed_for(train_config.seed, repeat, fold).spawn(3)
     )
     params = ModelParams(model_config, seed=int(init_seed))
-    state = AdamState(params)
+    state = AdamState()
     shuffle_rng = np.random.default_rng(shuffle_seed)
     dropout_rng = np.random.default_rng(drop_seed)
 
@@ -153,7 +169,8 @@ def train_graphs(
                 epoch_correct += int(predict(logits) == g.label)
                 touched.add(i)
             grads = {
-                name: t.grad_or_zero() / len(batch) for name, t in params.named().items()
+                name: None if t.grad is None else t.grad / len(batch)
+                for name, t in params.named().items()
             }
             adam_step(params, grads, state, train_config)
         params.zero_grad()

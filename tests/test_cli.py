@@ -126,6 +126,13 @@ class TestEvalAndTrace:
         assert first["cluster_sizes"] == [1]
         assert first["clusters"] == [[0]]
 
+    def test_eval_checkpoint_without_config_exit_3(self, corpus, tmp_path, capsys):
+        ckpt = tmp_path / "bare.ckpt"
+        ckpt.write_text('{"version": "sshpool-ckpt-v1"}\n')
+        code = main(["eval", "--ckpt", str(ckpt), "--data", corpus, "--name", "synth"])
+        assert code == 3
+        assert "'config'" in capsys.readouterr().err
+
     def test_pool_trace_index_out_of_range_exit_2(self, corpus, trained):
         code = main(
             ["pool-trace", "--ckpt", os.path.join(trained, "model.ckpt"),
@@ -239,6 +246,35 @@ class TestConfigFile:
                 "--layer-sizes", "4,2", "--ratio", "0.5", "--depth", "2"]
         assert main(args + ["--ckpt", missing]) == 3
         assert main(args + ["--config", str(cfg)]) == 3
+
+    def test_dataset_from_file_matches_flags(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "data.cfg"
+        cfg.write_text(f"data = {corpus}\nname = synth\n")
+        assert main(["stats", "--data", corpus, "--name", "synth"]) == 0
+        from_flags = capsys.readouterr().out
+        assert main(["stats", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == from_flags
+
+    def test_ckpt_from_file_matches_flag(self, corpus, trained, tmp_path, capsys):
+        ckpt = os.path.join(trained, "model.ckpt")
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"ckpt = {ckpt}\ndata = {corpus}\nname = synth\n")
+        assert main(["eval", "--ckpt", ckpt, "--data", corpus, "--name", "synth"]) == 0
+        from_flags = capsys.readouterr().out
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == from_flags
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [(["stats"], "--data"), (["eval", "--data", ".", "--name", "x"], "--ckpt")],
+    )
+    def test_missing_required_option_exit_2(self, tmp_path, capsys, args, flag):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("# nothing set\n")
+        assert main(args) == 2
+        assert main(args + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and repr(flag[2:]) in err
 
     def test_option_table_matches_parsers(self):
         parser = build_parser()

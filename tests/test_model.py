@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sshpool.errors import ContractError, ShapeError
+from sshpool.errors import ContractError, IngestError, ShapeError
 from sshpool.gradcheck import check_model_gradients, fixture_graph_and_params
 from sshpool.model import (
     ModelConfig,
@@ -17,7 +17,7 @@ from sshpool.model import (
     predict,
 )
 from sshpool.pooling import sshpool_stack
-from sshpool.tensor import Tape, Tensor
+from sshpool.tensor import Tape, Tensor, matmul, relu, row_softmax, scale, transpose
 
 from conftest import make_graph, random_graph
 
@@ -121,6 +121,79 @@ class TestAttention:
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
         assert np.allclose(got, attn @ (x0 @ wv), rtol=1e-10)
+
+    def test_one_tape_record(self, rng):
+        x0, pooled, wq, wk, wv = (
+            Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((5, 4), (2, 4), (4, 4), (4, 4), (4, 4))
+        )
+        with Tape() as tape:
+            out = attention_fuse(x0, pooled, wq, wk, wv)
+        assert [output for output, _ in tape._records] == [out]
+
+    def test_gradients_match_finite_differences(self, rng):
+        leaves = [
+            Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((5, 4), (3, 4), (4, 4), (4, 4), (4, 4))
+        ]
+        r = rng.normal(size=(1, 3))
+        c = rng.normal(size=(4, 1))
+        with Tape() as tape:
+            out = attention_fuse(*leaves)
+            objective = matmul(Tensor(r), matmul(out, Tensor(c)))
+        tape.backward(objective)
+
+        def eval_loss():
+            return float((r @ attention_fuse(*leaves).data @ c)[0, 0])
+
+        step = 1e-5
+        for tensor in leaves:  # x0, pooled, W_q, W_k, W_v
+            flat = tensor.data.reshape(-1)
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + step
+                up = eval_loss()
+                flat[idx] = orig - step
+                down = eval_loss()
+                flat[idx] = orig
+                numeric = (up - down) / (2 * step)
+                a = tensor.grad.reshape(-1)[idx]
+                assert abs(a - numeric) / max(abs(a), abs(numeric), 1e-6) <= 1e-4
+
+    def test_gradients_match_op_by_op_composition_bit_for_bit(self, rng):
+        def composed(x0, pooled, w_q, w_k, w_v):
+            q = matmul(pooled, w_q)
+            k = matmul(x0, w_k)
+            v = matmul(x0, w_v)
+            scores = scale(matmul(q, transpose(k)), 1.0 / np.sqrt(x0.cols))
+            return matmul(row_softmax(scores), v)
+
+        a = Tensor(rng.normal(size=(6, 5)))
+        b = Tensor(rng.normal(size=(3, 5)))
+        r, c, e = rng.normal(size=(1, 3)), rng.normal(size=(8, 1)), rng.normal(size=(2, 6))
+        grads, outputs = [], []
+        for attend in (attention_fuse, composed):
+            seed = np.random.default_rng(7)
+            w0, w1, wq, wk, wv = (
+                Tensor(seed.normal(size=shape), requires_grad=True)
+                for shape in ((5, 8), (5, 8), (8, 8), (8, 8), (8, 8))
+            )
+            with Tape() as tape:
+                # x0 also feeds paths recorded before and after the attention,
+                # so the order of its four gradient pushes shows in the bits.
+                x0 = relu(matmul(a, w0))
+                before = matmul(Tensor(e[:1]), matmul(x0, Tensor(c)))
+                pooled = matmul(b, w1)
+                out = attend(x0, pooled, wq, wk, wv)
+                after = matmul(Tensor(e[1:]), matmul(x0, Tensor(c)))
+                objective = matmul(matmul(Tensor(r), matmul(out, Tensor(c))), before)
+                objective = matmul(objective, after)
+            tape.backward(objective)
+            outputs.append(out.data)
+            grads.append([w.grad for w in (w0, w1, wq, wk, wv)])
+        assert np.array_equal(outputs[0], outputs[1])
+        for fused, reference in zip(*grads):
+            assert np.array_equal(fused, reference)
 
     def test_width_mismatch(self, rng):
         with pytest.raises(ShapeError):
@@ -323,4 +396,32 @@ class TestCheckpoint:
         payload["version"] = "other"
         open(path, "w").write(json.dumps(payload))
         with pytest.raises(ContractError):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p.pop("config"),
+            lambda p: p.pop("params"),
+            lambda p: p["params"]["attn.query"].pop("shape"),
+            lambda p: p["params"]["attn.query"].pop("data"),
+            lambda p: p["params"]["attn.query"]["data"].pop(),
+            lambda p: p["params"]["attn.query"].update(shape=[1, 36]),
+            lambda p: p["config"].pop("layer_sizes"),
+            lambda p: p["config"].update(no_such_field=1),
+        ],
+        ids=[
+            "no-config", "no-params", "no-shape", "no-data", "short-data",
+            "wrong-shape", "config-missing-field", "config-unknown-field",
+        ],
+    )
+    def test_malformed_payload_is_ingest_error(self, tmp_path, damage):
+        import json
+
+        path = str(tmp_path / "model.ckpt")
+        ModelParams(small_config(), seed=0).save(path)
+        payload = json.loads(open(path).read())
+        damage(payload)
+        open(path, "w").write(json.dumps(payload))
+        with pytest.raises(IngestError):
             ModelParams.load(path)

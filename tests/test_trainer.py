@@ -65,7 +65,7 @@ class TestAdam:
         from sshpool.tensor import Tensor
 
         params = FlatParams({"w": Tensor(np.ones((2, 2)), requires_grad=True)})
-        state = AdamState(params)
+        state = AdamState()
         cfg = TrainConfig(epochs=1, repeats=1, folds=2)
         adam_step(params, {"w": np.zeros((2, 2))}, state, cfg)
         assert np.array_equal(params.named()["w"].data, np.ones((2, 2)))
@@ -76,7 +76,7 @@ class TestAdam:
 
         for g in (3.7, -0.002):
             params = FlatParams({"w": Tensor(np.array([[1.0]]), requires_grad=True)})
-            state = AdamState(params)
+            state = AdamState()
             cfg = TrainConfig(lr=1e-3, epochs=1, repeats=1, folds=2)
             adam_step(params, {"w": np.array([[g]])}, state, cfg)
             update = params.named()["w"].data[0, 0] - 1.0
@@ -86,7 +86,7 @@ class TestAdam:
         from sshpool.tensor import Tensor
 
         params = FlatParams({"w": Tensor(np.array([[2.0]]), requires_grad=True)})
-        state = AdamState(params)
+        state = AdamState()
         cfg = TrainConfig(lr=0.05, epochs=1, repeats=1, folds=2)
         oracle = ScalarAdamOracle(lr=0.05)
         theta = 2.0
@@ -97,11 +97,58 @@ class TestAdam:
             theta = oracle.step(theta, 2.0 * theta)
             assert params.named()["w"].data[0, 0] == pytest.approx(theta, rel=1e-12)
 
+    def test_lazy_moments_match_eager_zeros_bit_for_bit(self):
+        from sshpool.tensor import Tensor
+
+        def eager_step(data, grads, m, v, t, lr):
+            """Adam with zero moments from the start and a zero matrix for a
+            missing gradient, as every parameter was once updated."""
+            b1, b2, eps = 0.9, 0.999, 1e-8
+            for name in data:
+                g = grads[name] if grads[name] is not None else np.zeros_like(data[name])
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                data[name] = data[name] - lr * (m[name] / (1.0 - b1**t)) / (
+                    np.sqrt(v[name] / (1.0 - b2**t)) + eps
+                )
+
+        rng = np.random.default_rng(3)
+        shapes = {"a": (3, 2), "b": (2, 2), "late": (4, 1), "never": (2, 3)}
+        start = {n: rng.normal(size=s) for n, s in shapes.items()}
+        params = FlatParams({n: Tensor(d.copy(), requires_grad=True) for n, d in start.items()})
+        state = AdamState()
+        cfg = TrainConfig(lr=0.01, epochs=1, repeats=1, folds=2)
+        data = {n: d.copy() for n, d in start.items()}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        first_late = 7
+        for step in range(1, 21):
+            grads = {
+                n: rng.normal(size=s) if rng.random() < 0.6 else None
+                for n, s in shapes.items()
+            }
+            grads["never"] = None
+            if step < first_late:
+                grads["late"] = None
+            elif step == first_late:
+                grads["late"] = rng.normal(size=shapes["late"])
+            before = params.named()["late"].data
+            adam_step(params, grads, state, cfg)
+            eager_step(data, grads, m, v, step, cfg.lr)
+            for name in shapes:
+                assert np.array_equal(params.named()[name].data, data[name]), (name, step)
+            assert ("late" in state.m) == (step >= first_late)
+            if step > first_late and grads["late"] is None:
+                # moments exist, so a missing gradient still moves it
+                assert not np.array_equal(params.named()["late"].data, before)
+        assert "never" not in state.m
+        assert np.array_equal(params.named()["never"].data, start["never"])
+
     def test_missing_grad_names_parameter(self):
         from sshpool.tensor import Tensor
 
         params = FlatParams({"w": Tensor(np.ones((1, 1)), requires_grad=True)})
-        state = AdamState(params)
+        state = AdamState()
         cfg = TrainConfig(epochs=1, repeats=1, folds=2)
         with pytest.raises(ContractError) as err:
             adam_step(params, {}, state, cfg)
@@ -158,6 +205,31 @@ class TestTrainFold:
         result = train_graphs(ds, list(range(8)), [], cfg, tc)
         train_rows = [r for r in result.curve if r["split"] == "train"]
         assert train_rows[-1]["loss"] < train_rows[0]["loss"]
+
+
+    def test_forward_once_per_graph_and_adam_step_once_per_batch(self, monkeypatch):
+        # The benchmark counts graphs and optimiser steps by wrapping
+        # ``forward`` and ``adam_step``; this pins the call structure it reads.
+        import sshpool.trainer as trainer_module
+
+        calls = {"train": 0, "eval": 0, "steps": 0}
+        real_forward, real_step = trainer_module.forward, trainer_module.adam_step
+
+        def forward(graph, params, training=False, rng=None):
+            calls["train" if training else "eval"] += 1
+            return real_forward(graph, params, training=training, rng=rng)
+
+        def adam_step(*args):
+            calls["steps"] += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(trainer_module, "forward", forward)
+        monkeypatch.setattr(trainer_module, "adam_step", adam_step)
+        ds = triangle_dataset(10, seed=0)
+        train_idx, test_idx = list(range(7)), [7, 8, 9]
+        tc = TrainConfig(epochs=3, batch_size=3, folds=2, repeats=1, seed=2)
+        train_graphs(ds, train_idx, test_idx, tiny_model_config(ds, dropout=0.3), tc)
+        assert calls == {"train": 3 * 7, "eval": 3 * 3, "steps": 3 * 3}
 
 
 class TestCrossValidate:
