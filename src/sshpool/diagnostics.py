@@ -98,7 +98,7 @@ def certify_locality(
     clusters = params.config.layer_sizes[0]
     (_, base_xn), base = layer_impl(graph.adjacency, Tensor(base_x.copy()), layer0, clusters)
     hard, labels = base.assignment.hard, base.labels
-    base_z = base.local_embedding.data
+    base_z = base.local_embedding
 
     violations: list[dict] = []
     passes = 0
@@ -109,7 +109,7 @@ def certify_locality(
         (_, new_xn), new = layer_impl(
             graph.adjacency, Tensor(bumped), layer0, clusters, frozen_hard=hard
         )
-        new_z = new.local_embedding.data
+        new_z = new.local_embedding
         home = int(labels[u])
         bad = []
         for k in range(hard.cols):

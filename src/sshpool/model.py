@@ -201,19 +201,25 @@ class ModelParams:
             raise IngestError(f"checkpoint {path}: bad config: {exc!r}") from None
         params = cls(config, seed=0)  # structure only; values overwritten below
         stored = _field(payload, "params", path)
-        if set(stored) != set(params._named):
-            raise ContractError("checkpoint parameter names do not match the config")
+        if not isinstance(stored, dict) or set(stored) != set(params._named):
+            raise IngestError(f"checkpoint {path}: parameter names do not match the config")
         for name, t in params._named.items():
             where = f"{path}: {name}"
-            shape = tuple(_field(stored[name], "shape", where))
+            shape = _field(stored[name], "shape", where)
             values = _field(stored[name], "data", where)
-            if shape != t.shape:
-                raise IngestError(f"checkpoint {where}: shape {shape} != expected {t.shape}")
-            if len(values) != t.data.size:
+            if not isinstance(shape, list) or tuple(shape) != t.shape:
+                raise IngestError(f"checkpoint {where}: shape {shape!r} != expected {t.shape}")
+            try:
+                arr = np.asarray(values) if isinstance(values, list) else None
+            except ValueError:  # ragged nesting
+                arr = None
+            if arr is None or arr.dtype.kind not in "fi" or arr.shape != (t.data.size,):
                 raise IngestError(
-                    f"checkpoint {where}: {len(values)} values for shape {shape}"
+                    f"checkpoint {where}: 'data' is not a list of {t.data.size} numbers"
                 )
-            t.data = np.asarray(values, dtype=np.float64).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise IngestError(f"checkpoint {where}: non-finite value")
+            t.data = arr.astype(np.float64).reshape(t.shape)
         return params
 
 

@@ -51,15 +51,24 @@ class LayerTrace:
 
     ``labels[u]`` is node u's cluster; ``local_embedding`` is the n x d
     matrix Z whose row u is node u's embedding inside its cluster.
+    ``adjacency`` is the layer's input and ``a_mask`` its intra-cluster part.
     """
 
     assignment: AssignmentPair
     labels: np.ndarray
-    local_embedding: Tensor
+    local_embedding: np.ndarray
     coarse_features: Tensor
     coarse_adjacency: Tensor
-    edges_in: int
-    edges_kept: int
+    adjacency: Tensor
+    a_mask: np.ndarray
+
+    @property
+    def edges_in(self) -> int:
+        return int(self.adjacency.data.sum()) // 2
+
+    @property
+    def edges_kept(self) -> int:
+        return int(self.a_mask.sum()) // 2
 
     @property
     def edges_dropped(self) -> int:
@@ -116,12 +125,18 @@ def soft_assign(x: Tensor, w_assign: Tensor) -> Tensor:
     return Tensor(softmax_rows(x.data @ w_assign.data))
 
 
+def _one_hot(labels: np.ndarray, cols: int) -> np.ndarray:
+    hard = np.zeros((len(labels), cols))
+    hard[np.arange(len(labels)), labels] = 1.0
+    return hard
+
+
 def harden(soft: Tensor) -> Tensor:
     """One-hot per row at the row argmax, ties to the lowest column index.
 
     The result is a constant: gradients do not flow through the argmax.
     """
-    return Tensor(np.eye(soft.cols)[soft.data.argmax(axis=1)])
+    return Tensor(_one_hot(soft.data.argmax(axis=1), soft.cols))
 
 
 def _intra_cluster(adjacency: Tensor, labels: np.ndarray) -> np.ndarray:
@@ -142,70 +157,88 @@ def extract_subgraphs(adjacency: Tensor, hard: Tensor) -> tuple[np.ndarray, np.n
             f"{hard.shape} disagree on node count"
         )
     labels = hard.data.argmax(axis=1)
-    if not np.array_equal(hard.data, np.eye(hard.cols)[labels]):
+    if not np.array_equal(hard.data, _one_hot(labels, hard.cols)):
         raise ContractError("hard assignment rows must be one-hot")
     return labels, _intra_cluster(adjacency, labels)
 
 
+def _ascending_sum(rows: np.ndarray, out: np.ndarray) -> None:
+    """Write the column sums of ``rows``, added strictly top to bottom, to ``out``.
+
+    numpy's axis-0 sum adds whole rows in order, except for a single
+    column, which it sums pairwise; ``cumsum`` is sequential there.
+    """
+    if rows.shape[1] > 1:
+        np.add.reduce(rows, axis=0, out=out)
+    else:
+        out[:] = np.cumsum(rows, axis=0)[-1]
+
+
 def local_conv(
-    x: Tensor, a_mask: np.ndarray, labels: np.ndarray, weights: list[Tensor]
-) -> Tensor:
-    """Unshared local convolution Z_u = ((A_mask + I) X)_u W_labels[u].
+    x: Tensor, a_mask: np.ndarray, labels: np.ndarray, weights: list[Tensor], clusters: int
+) -> tuple[Tensor, np.ndarray]:
+    """Convolve every cluster and compress it to one coarse row, as one record.
 
-    No degree normalisation and no activation. Only occupied clusters are
-    touched, one plain product per cluster, so an empty cluster's weight
-    receives no gradient at all.
-    Backward: dW_j = Y_j^T G_j and dX = (A_mask + I)^T dY with
-    dY_j = G_j W_j^T, where the subscript j takes cluster j's rows.
+    Z_u = ((A_mask + I) X)_u W_labels[u], with no degree normalisation and
+    no activation; coarse row j is the sum of cluster j's rows of Z, added
+    in ascending node order (an empty cluster gives a zero row). A stable
+    sort of the labels gives each occupied cluster a contiguous run of its
+    node ids, ascending, so a cluster costs one product and one sum, and an
+    empty cluster's weight receives no gradient at all.
+    Backward: with G_j coarse gradient row j repeated over cluster j's
+    rows, dW_j = Y_j^T G_j and dX = (A_mask + I)^T dY with dY_j = G_j W_j^T.
+
+    Returns the ``clusters`` x d coarse features, on the tape, and Z in
+    node order, a constant for inspection.
     """
+    n = x.rows
     m = a_mask.copy()
-    m.flat[:: x.rows + 1] += 1.0
-    y = m @ x.data
-    groups = [(int(j), np.flatnonzero(labels == j)) for j in np.unique(labels)]
-    z = np.empty((x.rows, weights[0].cols))
-    for j, ids in groups:
-        z[ids] = y[ids] @ weights[j].data
-    out = Tensor(z)
+    m.flat[:: n + 1] += 1.0
+    order = labels.argsort(kind="stable")
+    counts = np.bincount(labels, minlength=clusters)
+    y = (m @ x.data)[order]
+    z = np.empty((n, weights[0].cols))
+    x_next = np.zeros((clusters, z.shape[1]))
+    runs = []
+    stop = 0
+    for j, size in enumerate(counts.tolist()):
+        if size:
+            start, stop = stop, stop + size
+            run = z[start:stop]
+            np.matmul(y[start:stop], weights[j].data, out=run)
+            _ascending_sum(run, x_next[j])
+            runs.append((j, start, stop))
+    # Sums start from +0.0, as a scatter-add into zeros does, so a -0.0 that
+    # a BLAS build may return for a product never reaches a coarse row.
+    x_next += 0.0
 
-    def rule(g, push, x=x, m=m, y=y, groups=groups, weights=weights):
+    def rule(g, push, x=x, m=m, y=y, order=order, counts=counts, runs=runs, weights=weights):
+        g_runs = np.repeat(g, counts, axis=0)
         dy = np.empty_like(y)
-        for j, ids in groups:
-            g_j = g[ids]
-            dy[ids] = g_j @ weights[j].data.T
-            push(weights[j], y[ids].T @ g_j)
-        push(x, m.T @ dy)
+        for j, start, stop in runs:
+            g_j = g_runs[start:stop]
+            np.matmul(g_j, weights[j].data.T, out=dy[start:stop])
+            push(weights[j], y[start:stop].T @ g_j)
+        dy_nodes = np.empty_like(dy)
+        dy_nodes[order] = dy
+        push(x, m.T @ dy_nodes)
 
-    return _record(out, rule)
+    z_nodes = np.empty_like(z)
+    z_nodes[order] = z
+    return _record(Tensor(x_next), rule), z_nodes
 
 
-def coarsen(
-    z: Tensor,
-    labels: np.ndarray,
-    hard: Tensor,
-    adjacency: Tensor,
-    keep_self_loops: bool = False,
-) -> tuple[Tensor, Tensor]:
-    """Compress each cluster to one coarsened node.
+def coarsen(hard: Tensor, adjacency: Tensor, keep_self_loops: bool = False) -> Tensor:
+    """Coarsened adjacency hard^T A hard, a constant.
 
-    Row j of the coarsened features is the sum of cluster j's rows of Z,
-    added in ascending node order (an empty cluster gives a zero row). The
-    coarsened adjacency is hard^T A hard; its diagonal (intra-cluster edge
-    mass) is zeroed unless ``keep_self_loops`` is set, since the next layer
-    re-adds self-loops itself. Off-diagonal entries count inter-cluster
-    edges.
+    Off-diagonal entries count inter-cluster edges; the diagonal
+    (intra-cluster edge mass) is zeroed unless ``keep_self_loops`` is set,
+    since the next layer re-adds self-loops itself.
     """
-    if z.rows != len(labels):
-        raise ContractError(f"{z.rows} embedding rows but {len(labels)} labels")
-    x_next = np.zeros((hard.cols, z.cols))
-    np.add.at(x_next, labels, z.data)
-
-    def rule(g, push, z=z, labels=labels):
-        push(z, g[labels])
-
     a_next = hard.data.T @ adjacency.data @ hard.data
     if not keep_self_loops:
         np.fill_diagonal(a_next, 0.0)
-    return _record(Tensor(x_next), rule), Tensor(a_next)
+    return Tensor(a_next)
 
 
 def sshpool_layer(
@@ -235,15 +268,15 @@ def sshpool_layer(
     if frozen_hard is None:
         # ``harden`` with its labels kept: the one-hot form holds by construction.
         labels = soft.data.argmax(axis=1)
-        hard = Tensor(np.eye(c_eff)[labels])
+        hard = Tensor(_one_hot(labels, c_eff))
         a_mask = _intra_cluster(adjacency, labels)
     else:
         hard = frozen_hard
         if hard.shape != (n, c_eff):
             raise ShapeError(f"hard assignment {hard.shape} does not match ({n}, {c_eff})")
         labels, a_mask = extract_subgraphs(adjacency, hard)
-    z = local_conv(x, a_mask, labels, params.local)
-    x_next, a_next = coarsen(z, labels, hard, adjacency, keep_self_loops)
+    x_next, z = local_conv(x, a_mask, labels, params.local, c_eff)
+    a_next = coarsen(hard, adjacency, keep_self_loops)
 
     trace = LayerTrace(
         assignment=AssignmentPair(soft=soft, hard=hard),
@@ -251,8 +284,8 @@ def sshpool_layer(
         local_embedding=z,
         coarse_features=x_next,
         coarse_adjacency=a_next,
-        edges_in=int(adjacency.data.sum()) // 2,
-        edges_kept=int(a_mask.sum()) // 2,
+        adjacency=adjacency,
+        a_mask=a_mask,
     )
     return (a_next, x_next), trace
 

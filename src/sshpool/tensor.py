@@ -195,11 +195,11 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-    out = Tensor(np.where(mask, x.data, 0.0))
+    """max(x, 0) that keeps NaN, so a diverged run reaches the loss as NaN."""
+    out = Tensor(np.maximum(x.data, 0.0))
 
-    def rule(g, push, x=x, mask=mask):
-        push(x, g * mask)
+    def rule(g, push, x=x, a=x.data):
+        push(x, g * (a > 0.0))
 
     return _record(out, rule)
 

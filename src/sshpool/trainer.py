@@ -9,6 +9,7 @@ seeds, configs) triple fully determines every reported number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -164,8 +165,13 @@ def train_graphs(
                 with Tape() as tape:
                     logits, _ = forward(g, params, training=True, rng=dropout_rng)
                     objective = loss(logits, g.label)
+                value = objective.item()
+                if not math.isfinite(value):
+                    raise ContractError(
+                        f"non-finite training loss {value} at epoch {epoch}, graph {i}"
+                    )
                 tape.backward(objective)
-                epoch_losses.append(objective.item())
+                epoch_losses.append(value)
                 epoch_correct += int(predict(logits) == g.label)
                 touched.add(i)
             grads = {

@@ -124,6 +124,104 @@ class TestLoadTU:
             load_tu_dataset(str(tmp_path), "r")
 
 
+# (file suffix, edit of its text, expected error class); non-integer A
+# tokens, ids past the end and cross-graph edges are covered in TestLoadTU.
+MALFORMED = {
+    "truncated-A-line": ("A", lambda t: t + "4,\n", ParseError),
+    "A-line-one-token": ("A", lambda t: t + "4\n", ParseError),
+    "A-three-tokens": ("A", lambda t: t + "4, 5, 6\n", ParseError),
+    "non-integer-indicator": ("graph_indicator", lambda t: t.replace("2", "two", 1), ParseError),
+    "non-integer-label": ("graph_labels", lambda t: "x\n" + t, ParseError),
+    "node-id-zero": ("A", lambda t: t + "0, 1\n", IntegrityError),
+    "negative-node-id": ("A", lambda t: t + "-1, 2\n", IntegrityError),
+    "indicator-gap": ("graph_indicator", lambda t: t.replace("2", "3"), IntegrityError),
+    "indicator-zero": ("graph_indicator", lambda t: t.replace("1", "0", 1), IntegrityError),
+    "empty-indicator": ("graph_indicator", lambda t: "\n", IngestError),
+    "too-few-labels": ("graph_labels", lambda t: t.splitlines()[0] + "\n", IntegrityError),
+    "too-many-labels": ("graph_labels", lambda t: t + "1\n", IntegrityError),
+    "too-few-node-labels": ("node_labels", lambda t: t.split("\n", 1)[1], IntegrityError),
+}
+
+
+class TestMalformedTU:
+    """Broken TU files fail with the loader's error classes (exit 3), never
+    with a traceback; degenerate but valid graphs load and run."""
+
+    @staticmethod
+    def corpus(tmp_path):
+        # graph 1: nodes 1-3 (a triangle), graph 2: nodes 4-6 (a path)
+        return write_tu(
+            tmp_path, "bad", [(TRIANGLE, 3, 1), ([(0, 1), (1, 2)], 3, 2)],
+            node_labels=[[1, 2, 1], [2, 2, 1]],
+        )
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_each_defect_has_its_error_class(self, tmp_path, case):
+        suffix, edit, error = MALFORMED[case]
+        path = self.corpus(tmp_path) / f"bad_{suffix}.txt"
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(error):
+            load_tu_dataset(str(tmp_path), "bad")
+
+    def test_random_corruption_is_ingest_error_or_loads(self, tmp_path):
+        rng = np.random.default_rng(4)
+        alphabet = list("0123456789, -x\n")
+        suffixes = ["A", "graph_indicator", "graph_labels", "node_labels"]
+        outcomes = {"loaded": 0, "rejected": 0}
+        for trial in range(300):
+            directory = self.corpus(tmp_path / str(trial))
+            path = directory / f"bad_{suffixes[trial % 4]}.txt"
+            text = path.read_text()
+            cut = int(rng.integers(len(text) + 1))
+            kind = trial // 4 % 3
+            if kind == 0:  # truncate
+                text = text[:cut]
+            elif kind == 1:  # insert a character
+                text = text[:cut] + str(rng.choice(alphabet)) + text[cut:]
+            else:  # delete a character
+                text = text[:cut] + text[cut + 1 :]
+            path.write_text(text)
+            try:
+                ds = load_tu_dataset(str(directory), "bad")
+            except IngestError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["loaded"] += 1
+            for g in ds.graphs:
+                a = g.adjacency.data
+                assert np.array_equal(a, a.T) and not np.diag(a).any()
+        assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0
+
+    @pytest.mark.parametrize("method", ["sshpool", "sshpool_non", "diffpool", "global_sum"])
+    def test_degenerate_graphs_load_and_give_finite_logits(self, tmp_path, method):
+        from sshpool.model import ModelConfig, ModelParams, forward
+        from sshpool.trainer import TrainConfig, train_graphs
+
+        graphs = [
+            ([], 1, 1),  # one node
+            ([], 4, 2),  # no edges
+            ([(0, 0), (0, 1), (1, 1)], 2, 1),  # self-loop lines
+            ([(0, 1), (1, 0), (0, 1), (1, 2)], 3, 2),  # duplicate edges
+        ]
+        write_tu(tmp_path, "deg", graphs)
+        ds = load_tu_dataset(str(tmp_path), "deg")
+        assert [g.n for g in ds.graphs] == [1, 4, 2, 3]
+        assert [g.num_edges for g in ds.graphs] == [0, 0, 1, 2]
+        variant = "sshpool" if method == "sshpool_non" else method
+        config = ModelConfig(
+            feature_dim_in=ds.feature_dim, num_classes=ds.num_classes, hidden_dim=8,
+            layer_sizes=(8, 2), assignment_ratio=0.25, depth=2, dropout=0.0,
+            variant=variant, attention_enabled=method != "sshpool_non",
+        )
+        params = ModelParams(config, seed=0)
+        for g in ds.graphs:
+            logits, _ = forward(g, params)
+            assert logits.shape == (1, 2) and np.isfinite(logits.data).all()
+        tc = TrainConfig(epochs=2, batch_size=2, folds=2, repeats=1, seed=0)
+        result = train_graphs(ds, [0, 1, 2, 3], [], config, tc)
+        assert all(np.isfinite(row["loss"]) for row in result.curve)
+
+
 class TestFolds:
     def test_one_graph_per_fold(self):
         ds = triangle_dataset(10, seed=0)

@@ -10,7 +10,7 @@ from sshpool.diagnostics import (
 )
 from sshpool.errors import ContractError
 from sshpool.model import ModelConfig, ModelParams
-from sshpool.pooling import coarsen, local_conv, sshpool_layer
+from sshpool.pooling import local_conv, sshpool_layer
 
 from conftest import make_graph, random_graph
 
@@ -109,10 +109,9 @@ class TestCertifyLocality:
             (a_next, _), trace = sshpool_layer(
                 adjacency, x, params, clusters, keep_self_loops, frozen_hard
             )
-            hard, labels = trace.assignment.hard, trace.labels
-            z = local_conv(x, adjacency.data, labels, params.local)
-            x_next, _ = coarsen(z, labels, hard, adjacency, keep_self_loops)
-            trace.local_embedding = z
+            x_next, trace.local_embedding = local_conv(
+                x, adjacency.data, trace.labels, params.local, trace.assignment.hard.cols
+            )
             return (a_next, x_next), trace
 
         # seed 0 assigns {0, 5} vs {1, 2, 3, 4}: both clusters non-empty and

@@ -409,10 +409,19 @@ class TestCheckpoint:
             lambda p: p["params"]["attn.query"].update(shape=[1, 36]),
             lambda p: p["config"].pop("layer_sizes"),
             lambda p: p["config"].update(no_such_field=1),
+            lambda p: p["params"]["attn.query"].update(shape=6),
+            lambda p: p["params"]["attn.query"].update(data=1.5),
+            lambda p: p["params"]["attn.query"]["data"].__setitem__(0, "x"),
+            lambda p: p["params"]["attn.query"]["data"].__setitem__(0, [0.0, 1.0]),
+            lambda p: p["params"].pop("attn.query"),
+            lambda p: p["params"].update(extra={"shape": [1, 1], "data": [0.0]}),
+            lambda p: p["params"]["attn.query"]["data"].__setitem__(0, float("nan")),
         ],
         ids=[
             "no-config", "no-params", "no-shape", "no-data", "short-data",
             "wrong-shape", "config-missing-field", "config-unknown-field",
+            "shape-not-list", "data-not-list", "data-string", "data-ragged", "missing-param",
+            "extra-param", "nan-value",
         ],
     )
     def test_malformed_payload_is_ingest_error(self, tmp_path, damage):

@@ -93,6 +93,12 @@ class TestElementwiseOps:
     def test_relu(self):
         assert relu(Tensor([[-1.0, 2.0]])).data.tolist() == [[0.0, 2.0]]
 
+    def test_relu_keeps_nan_and_gives_positive_zero(self):
+        out = relu(Tensor([[np.nan, -0.0, -np.inf, np.inf, 0.0]])).data[0]
+        assert np.isnan(out[0])
+        assert out[1:].tolist() == [0.0, 0.0, np.inf, 0.0]
+        assert not np.signbit(out[1:]).any()
+
     def test_add_broadcast_row(self, rng):
         a = rng.normal(size=(3, 2))
         b = rng.normal(size=(1, 2))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from sshpool.trainer import (
 )
 
 from conftest import make_graph
+
+DESK_CORPUS = os.path.join(os.path.dirname(__file__), "_desk_corpus")
 
 
 def tiny_model_config(ds, **overrides):
@@ -206,6 +210,23 @@ class TestTrainFold:
         train_rows = [r for r in result.curve if r["split"] == "train"]
         assert train_rows[-1]["loss"] < train_rows[0]["loss"]
 
+
+    def test_non_finite_loss_names_epoch_and_graph(self):
+        # NaN features reach the loss through ReLU; training stops at graph 5
+        ds = triangle_dataset(8, seed=0)
+        ds.graphs[5].features.data[0, 0] = np.nan
+        tc = TrainConfig(epochs=2, batch_size=8, folds=2, repeats=1, seed=0)
+        with pytest.raises(ContractError, match="epoch 1, graph 5"):
+            train_graphs(ds, list(range(8)), [], tiny_model_config(ds), tc)
+
+    def test_diverged_run_raises_instead_of_finite_losses(self):
+        from sshpool.data import load_tu_dataset, stratified_subset
+
+        ds = stratified_subset(load_tu_dataset(DESK_CORPUS, "chordal"), 24, seed=0)
+        cfg = tiny_model_config(ds, hidden_dim=16, layer_sizes=(8, 2), assignment_ratio=0.25)
+        tc = TrainConfig(lr=1e300, epochs=3, batch_size=8, folds=2, repeats=1, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(ContractError, match="non-finite"):
+            train_graphs(ds, list(range(24)), [], cfg, tc)
 
     def test_forward_once_per_graph_and_adam_step_once_per_batch(self, monkeypatch):
         # The benchmark counts graphs and optimiser steps by wrapping
