@@ -1,6 +1,6 @@
 """Graph classification with separated-subgraph hierarchical pooling."""
 
-from .data import Dataset, FoldPlan, Graph, graph_stats, load_tu_dataset, make_folds
+from .data import Dataset, Edges, FoldPlan, Graph, graph_stats, load_tu_dataset, make_folds
 from .model import ModelConfig, ModelParams, forward, loss, predict
 from .pooling import (
     AssignmentPair,
@@ -23,6 +23,7 @@ __all__ = [
     "AssignmentPair",
     "CoarseningTrace",
     "Dataset",
+    "Edges",
     "FoldPlan",
     "Graph",
     "ModelConfig",

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .data import Dataset, Graph, load_tu_dataset, graph_stats, stratified_subset
+from .data import Dataset, Graph, atomic_open, graph_stats, load_tu_dataset, stratified_subset
 from .diagnostics import certify_locality, compare_smoothing
 from .errors import ContractError, IngestError
 from .gradcheck import check_model_gradients, fixture_graph_and_params
@@ -219,13 +219,13 @@ def _train_config(ns: argparse.Namespace) -> TrainConfig:
 
 
 def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def _write_csv(path: str, header: list[str], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)

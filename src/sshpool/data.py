@@ -10,7 +10,9 @@ files are ignored; the model consumes unweighted adjacency only.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,12 +25,43 @@ FEATURE_MODES = ("node-label-one-hot", "degree-one-hot", "constant")
 DEGREE_CAP = 63
 
 
+class Edges:
+    """The nonzero entries of an n x n matrix as a list, no position repeated.
+
+    Entry k holds ``weight[k]`` at row ``dst[k]`` and column ``src[k]``;
+    ``flat[k] = dst[k] * n + src[k]``. ``from_dense`` lists them in
+    row-major order.
+    """
+
+    def __init__(self, n: int, dst: np.ndarray, src: np.ndarray, flat: np.ndarray,
+                 weight: np.ndarray):
+        self.n, self.dst, self.src, self.flat, self.weight = n, dst, src, flat, weight
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "Edges":
+        n, values = a.shape[0], a.reshape(-1)
+        flat = values.nonzero()[0]
+        return cls(n, flat // n, flat % n, flat, values[flat])
+
+    def select(self, keep: np.ndarray) -> "Edges":
+        """The entries where the boolean ``keep`` is set."""
+        return Edges(self.n, self.dst[keep], self.src[keep], self.flat[keep], self.weight[keep])
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix: the weights scattered into +0.0 everywhere else."""
+        out = np.zeros((self.n, self.n))
+        out.put(self.flat, self.weight)
+        return out
+
+
 @dataclass
 class Graph:
     """One classification sample: adjacency, node features, class index.
 
     Adjacency is symmetric 0/1 with a zero diagonal; self-loops are added
     only inside convolutions. Neither matrix participates in gradients.
+    ``edges`` and ``gcn_norm`` are derived from the adjacency on first use
+    and kept; both are O(n + E), so no n x n matrix is cached.
     """
 
     adjacency: Tensor
@@ -48,9 +81,41 @@ class Graph:
     def n(self) -> int:
         return self.adjacency.rows
 
+    @cached_property
+    def edges(self) -> Edges:
+        """A's nonzeros, row-major; the adjacency becomes read-only.
+
+        Checks the adjacency contract once: 0/1 entries, a zero diagonal,
+        symmetry (square is checked on construction).
+        """
+        a = self.adjacency.data
+        edges = Edges.from_dense(a)
+        if not np.all(edges.weight == 1.0):
+            raise ContractError("adjacency entries must be 0 or 1")
+        if np.any(edges.dst == edges.src):
+            raise ContractError("adjacency diagonal must be zero")
+        if not np.array_equal(np.sort(edges.src * edges.n + edges.dst), edges.flat):
+            raise ContractError("adjacency must be symmetric")
+        a.flags.writeable = False
+        return edges
+
+    @cached_property
+    def gcn_norm(self) -> Edges:
+        """The nonzeros of D^-1/2 (A + I) D^-1/2, D the degrees of A + I.
+
+        Entry (u, v) is inv[u] * inv[v], inv = 1 / sqrt(degree): the same
+        bits as the dense ``(A + I) * inv[:, None] * inv[None, :]``, whose
+        degrees are exact integer sums.
+        """
+        e, n, loops = self.edges, self.n, np.arange(self.n)
+        inv_sqrt = 1.0 / np.sqrt(np.bincount(e.dst, minlength=n) + 1.0)
+        dst = np.concatenate([e.dst, loops])
+        src = np.concatenate([e.src, loops])
+        return Edges(n, dst, src, dst * n + src, inv_sqrt[dst] * inv_sqrt[src])
+
     @property
     def num_edges(self) -> int:
-        return int(self.adjacency.data.sum()) // 2
+        return self.edges.flat.size // 2
 
 
 @dataclass
@@ -92,6 +157,24 @@ class FoldPlan:
 def _read_lines(path: str) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read().splitlines()
+
+
+@contextmanager
+def atomic_open(path: str, newline: str = "\n"):
+    """Write text to a temp file beside ``path``, then move it into place.
+
+    ``os.replace`` swaps the finished file in at once; a write that raises
+    leaves any earlier file at ``path`` as it was and removes the temp file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _parse_int(token: str, path: str, lineno: int) -> int:
@@ -294,7 +377,7 @@ def graph_stats(dataset: Dataset) -> dict:
     """Exact corpus summary used by the ``stats`` command."""
     sizes = [g.n for g in dataset.graphs]
     total_nodes = sum(sizes)
-    total_degree = sum(float(g.adjacency.data.sum()) for g in dataset.graphs)
+    total_degree = 2 * sum(g.num_edges for g in dataset.graphs)
     histogram = [0] * dataset.num_classes
     for g in dataset.graphs:
         histogram[g.label] += 1

@@ -91,12 +91,12 @@ def certify_locality(
         raise ContractError(f"trials must be >= 1, got {trials}")
     x = graph.features
     for w in params.gconv:
-        x = global_conv(graph.adjacency, x, w)
+        x = global_conv(graph, x, w)
     base_x = x.data
 
     layer0 = params.pool_layers[0]
     clusters = params.config.layer_sizes[0]
-    (_, base_xn), base = layer_impl(graph.adjacency, Tensor(base_x.copy()), layer0, clusters)
+    (_, base_xn), base = layer_impl(graph.edges, Tensor(base_x.copy()), layer0, clusters)
     hard, labels = base.assignment.hard, base.labels
     base_z = base.local_embedding
 
@@ -107,7 +107,7 @@ def certify_locality(
         bumped = base_x.copy()
         bumped[u] += rng.normal(scale=1.0, size=base_x.shape[1])
         (_, new_xn), new = layer_impl(
-            graph.adjacency, Tensor(bumped), layer0, clusters, frozen_hard=hard
+            graph.edges, Tensor(bumped), layer0, clusters, frozen_hard=hard
         )
         new_z = new.local_embedding
         home = int(labels[u])
@@ -151,14 +151,11 @@ def compare_smoothing(
     ref_profiles: list[SmoothingProfile] = []
     for graph in graphs:
         _, trace = forward(graph, params, training=False)
-        x = graph.features
-        for w in params.gconv:
-            x = global_conv(graph.adjacency, x, w)
-        pool_profiles.append(smoothing_profile(trace.feature_sequence(x0=x)))
-        ref_seq = [x.data]
-        h = x
+        pool_profiles.append(smoothing_profile(trace.feature_sequence()))
+        ref_seq = [trace.x0]
+        h = Tensor(trace.x0)
         for w in ref_weights:
-            h = global_conv(graph.adjacency, h, w)
+            h = global_conv(graph, h, w)
             ref_seq.append(h.data)
         ref_profiles.append(smoothing_profile(ref_seq))
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Graph
+from .data import Graph, atomic_open
 from .errors import ContractError, IngestError, ShapeError
 from .pooling import (
     CoarseningTrace,
@@ -182,7 +182,7 @@ class ModelParams:
                 for name, t in self._named.items()
             },
         }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path) as fh:
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
 
@@ -230,15 +230,13 @@ def _field(entry, key: str, where: str):
     return entry[key]
 
 
-def global_conv(adjacency: Tensor, x: Tensor, weight: Tensor) -> Tensor:
+def global_conv(graph: Graph, x: Tensor, weight: Tensor) -> Tensor:
     """One symmetric-normalised convolution: ReLU(D^-1/2 (A+I) D^-1/2 X W).
 
-    The self-loop keeps every degree >= 1, so the normaliser always exists.
+    The self-loop keeps every degree >= 1, so the normaliser always exists;
+    its nonzeros are cached on the graph and scattered into a dense operand.
     """
-    a_tilde = adjacency.data + np.eye(adjacency.rows)
-    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    norm = Tensor(a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :])
-    return relu(matmul(matmul(norm, x), weight))
+    return relu(matmul(matmul(Tensor(graph.gcn_norm.dense()), x), weight))
 
 
 def attention_fuse(
@@ -309,6 +307,8 @@ def forward(
 ) -> tuple[Tensor, CoarseningTrace]:
     """Full pipeline for one graph; returns 1 x num_classes logits and the trace.
 
+    The trace's ``x0`` is the global convolution's output, the pooling input.
+
     ``frozen_assignments`` replaces the per-layer hard assignments (used by
     gradient checks, which must not let the argmax flip mid-perturbation).
     """
@@ -320,13 +320,13 @@ def forward(
         )
     x = graph.features
     for w in params.gconv:
-        x = global_conv(graph.adjacency, x, w)
+        x = global_conv(graph, x, w)
     x0 = x
 
     trace = CoarseningTrace(layers=[])
     if config.variant == "sshpool":
         pooled, trace = sshpool_stack(
-            graph.adjacency,
+            graph.edges,
             x0,
             params.pool_layers,
             config.layer_sizes,
@@ -351,6 +351,7 @@ def forward(
         else pooled
     )
     logits = classify(fused, params, training, rng)
+    trace.x0 = x0.data
     return logits, trace
 
 

@@ -10,6 +10,10 @@ H^T A H with the diagonal zeroed (inter-cluster edge counts). Restricted to
 cluster j's nodes this is exactly the per-subgraph convolution
 Z_j = (A_j + I) X_j W_j, computed for the whole graph at once.
 
+Adjacencies travel as :class:`~sshpool.data.Edges` lists: the mask and the
+coarse adjacency are O(E) selections and sums over them, and a dense n x n
+matrix is built only as the operand of the convolution's products.
+
 Because the mask drops every cross-cluster edge, perturbing one node's
 features can only move embeddings inside its own cluster; every other
 cluster's output is bit-identical. That locality is the point of the
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Edges
 from .errors import ContractError, ShapeError
 from .tensor import (
     Tensor,
@@ -51,7 +56,8 @@ class LayerTrace:
 
     ``labels[u]`` is node u's cluster; ``local_embedding`` is the n x d
     matrix Z whose row u is node u's embedding inside its cluster.
-    ``adjacency`` is the layer's input and ``a_mask`` its intra-cluster part.
+    ``edges`` is the layer's input adjacency and ``kept`` its intra-cluster
+    part; ``adjacency`` and ``a_mask`` are their dense forms.
     """
 
     assignment: AssignmentPair
@@ -59,16 +65,24 @@ class LayerTrace:
     local_embedding: np.ndarray
     coarse_features: Tensor
     coarse_adjacency: Tensor
-    adjacency: Tensor
-    a_mask: np.ndarray
+    edges: Edges
+    kept: Edges
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        return self.edges.dense()
+
+    @property
+    def a_mask(self) -> np.ndarray:
+        return self.kept.dense()
 
     @property
     def edges_in(self) -> int:
-        return int(self.adjacency.data.sum()) // 2
+        return int(self.edges.weight.sum()) // 2
 
     @property
     def edges_kept(self) -> int:
-        return int(self.a_mask.sum()) // 2
+        return int(self.kept.weight.sum()) // 2
 
     @property
     def edges_dropped(self) -> int:
@@ -89,14 +103,17 @@ class LayerTrace:
 
 @dataclass
 class CoarseningTrace:
+    """Per-layer traces; ``x0``, the pooling input, is set by ``model.forward``."""
+
     layers: list[LayerTrace]
+    x0: np.ndarray | None = None
 
     def hard_assignments(self) -> list[Tensor]:
         return [entry.assignment.hard for entry in self.layers]
 
-    def feature_sequence(self, x0: Tensor | None = None) -> list[np.ndarray]:
-        """Node-embedding matrices layer by layer, optionally led by ``x0``."""
-        seq = [] if x0 is None else [x0.data]
+    def feature_sequence(self) -> list[np.ndarray]:
+        """Node-embedding matrices layer by layer, led by ``x0`` when set."""
+        seq = [] if self.x0 is None else [self.x0]
         seq.extend(entry.coarse_features.data for entry in self.layers)
         return seq
 
@@ -139,21 +156,21 @@ def harden(soft: Tensor) -> Tensor:
     return Tensor(_one_hot(soft.data.argmax(axis=1), soft.cols))
 
 
-def _intra_cluster(adjacency: Tensor, labels: np.ndarray) -> np.ndarray:
+def _intra_cluster(adjacency: Edges, labels: np.ndarray) -> Edges:
     """A * (H H^T): (H H^T)[u, v] = 1 exactly when u and v share a cluster."""
-    return adjacency.data * (labels[:, None] == labels[None, :])
+    return adjacency.select(labels[adjacency.dst] == labels[adjacency.src])
 
 
-def extract_subgraphs(adjacency: Tensor, hard: Tensor) -> tuple[np.ndarray, np.ndarray]:
+def extract_subgraphs(adjacency: Edges, hard: Tensor) -> tuple[np.ndarray, Edges]:
     """Cluster labels and the intra-cluster adjacency A * (H H^T).
 
     ``labels[u]`` is the column of node u's 1 in ``hard``; the masked
     adjacency keeps exactly the edges whose ends share a cluster. Both are
     constants.
     """
-    if hard.rows != adjacency.rows:
+    if hard.rows != adjacency.n:
         raise ShapeError(
-            f"extract_subgraphs: adjacency {adjacency.shape} and assignment "
+            f"extract_subgraphs: adjacency of {adjacency.n} nodes and assignment "
             f"{hard.shape} disagree on node count"
         )
     labels = hard.data.argmax(axis=1)
@@ -175,16 +192,18 @@ def _ascending_sum(rows: np.ndarray, out: np.ndarray) -> None:
 
 
 def local_conv(
-    x: Tensor, a_mask: np.ndarray, labels: np.ndarray, weights: list[Tensor], clusters: int
+    x: Tensor, a_mask: Edges, labels: np.ndarray, weights: list[Tensor], clusters: int
 ) -> tuple[Tensor, np.ndarray]:
     """Convolve every cluster and compress it to one coarse row, as one record.
 
     Z_u = ((A_mask + I) X)_u W_labels[u], with no degree normalisation and
-    no activation; coarse row j is the sum of cluster j's rows of Z, added
-    in ascending node order (an empty cluster gives a zero row). A stable
-    sort of the labels gives each occupied cluster a contiguous run of its
-    node ids, ascending, so a cluster costs one product and one sum, and an
-    empty cluster's weight receives no gradient at all.
+    no activation; ``a_mask`` is the intra-cluster edge list, scattered
+    with the identity into the dense operand of both products. Coarse row
+    j is the sum of cluster j's rows of Z, added in ascending node order
+    (an empty cluster gives a zero row). A stable sort of the labels gives
+    each occupied cluster a contiguous run of its node ids, ascending, so a
+    cluster costs one product and one sum, and an empty cluster's weight
+    receives no gradient at all.
     Backward: with G_j coarse gradient row j repeated over cluster j's
     rows, dW_j = Y_j^T G_j and dX = (A_mask + I)^T dY with dY_j = G_j W_j^T.
 
@@ -192,8 +211,9 @@ def local_conv(
     node order, a constant for inspection.
     """
     n = x.rows
-    m = a_mask.copy()
-    m.flat[:: n + 1] += 1.0
+    m = a_mask.dense()
+    diagonal = m.reshape(-1)[:: n + 1]
+    diagonal += 1.0
     order = labels.argsort(kind="stable")
     counts = np.bincount(labels, minlength=clusters)
     y = (m @ x.data)[order]
@@ -228,32 +248,39 @@ def local_conv(
     return _record(Tensor(x_next), rule), z_nodes
 
 
-def coarsen(hard: Tensor, adjacency: Tensor, keep_self_loops: bool = False) -> Tensor:
-    """Coarsened adjacency hard^T A hard, a constant.
+def coarsen(
+    labels: np.ndarray, adjacency: Edges, clusters: int, keep_self_loops: bool = False
+) -> Tensor:
+    """Coarsened adjacency H^T A H for H = one-hot(labels), a constant.
 
-    Off-diagonal entries count inter-cluster edges; the diagonal
-    (intra-cluster edge mass) is zeroed unless ``keep_self_loops`` is set,
-    since the next layer re-adds self-loops itself.
+    Entry (i, j) sums the weights of the edges from cluster i to cluster j;
+    the weights are whole numbers, so the sums are exact and equal the
+    dense product's. Off-diagonal entries count inter-cluster edges; the
+    diagonal (intra-cluster edge mass) is zeroed unless ``keep_self_loops``
+    is set, since the next layer re-adds self-loops itself.
     """
-    a_next = hard.data.T @ adjacency.data @ hard.data
+    pairs = labels[adjacency.dst] * clusters
+    pairs += labels[adjacency.src]
+    a_next = np.bincount(pairs, weights=adjacency.weight, minlength=clusters * clusters)
     if not keep_self_loops:
-        np.fill_diagonal(a_next, 0.0)
-    return Tensor(a_next)
+        a_next[:: clusters + 1] = 0.0
+    return Tensor(a_next.reshape(clusters, clusters))
 
 
 def sshpool_layer(
-    adjacency: Tensor,
+    adjacency: Edges,
     x: Tensor,
     params: PoolLayerParams,
     clusters: int,
     keep_self_loops: bool = False,
     frozen_hard: Tensor | None = None,
-) -> tuple[tuple[Tensor, Tensor], LayerTrace]:
+) -> tuple[tuple[Edges, Tensor], LayerTrace]:
     """One full pooling layer: assign, harden, mask, convolve, coarsen.
 
     The effective cluster count is min(clusters, node count), so coarsened
     graphs never grow. ``frozen_hard`` substitutes a fixed assignment
-    (used by gradient checks and locality probes).
+    (used by gradient checks and locality probes). Returns the coarse
+    adjacency's edge list and the coarse features.
     """
     if clusters < 1:
         raise ContractError(f"cluster count must be >= 1, got {clusters}")
@@ -276,7 +303,7 @@ def sshpool_layer(
             raise ShapeError(f"hard assignment {hard.shape} does not match ({n}, {c_eff})")
         labels, a_mask = extract_subgraphs(adjacency, hard)
     x_next, z = local_conv(x, a_mask, labels, params.local, c_eff)
-    a_next = coarsen(hard, adjacency, keep_self_loops)
+    a_next = coarsen(labels, adjacency, c_eff, keep_self_loops)
 
     trace = LayerTrace(
         assignment=AssignmentPair(soft=soft, hard=hard),
@@ -284,14 +311,14 @@ def sshpool_layer(
         local_embedding=z,
         coarse_features=x_next,
         coarse_adjacency=a_next,
-        adjacency=adjacency,
-        a_mask=a_mask,
+        edges=adjacency,
+        kept=a_mask,
     )
-    return (a_next, x_next), trace
+    return (Edges.from_dense(a_next.data), x_next), trace
 
 
 def sshpool_stack(
-    adjacency: Tensor,
+    adjacency: Edges,
     x: Tensor,
     layers: list[PoolLayerParams],
     layer_sizes: tuple[int, ...],

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sshpool.cli import main
-from sshpool.data import load_tu_dataset, stratified_subset
+from sshpool.data import Edges, load_tu_dataset, stratified_subset
 from sshpool.diagnostics import certify_locality
 from sshpool.gradcheck import check_model_gradients, fixture_graph_and_params
 from sshpool.model import ModelConfig, ModelParams
@@ -80,10 +80,10 @@ class TestCoarseningOracle:
             hard = random_hard(rng, n, c)
             weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(c)]
 
-            a_t, x_t, h_t = Tensor(adj), Tensor(feats), Tensor(hard)
-            labels, a_mask = extract_subgraphs(a_t, h_t)
+            a_e, x_t, h_t = Edges.from_dense(adj), Tensor(feats), Tensor(hard)
+            labels, a_mask = extract_subgraphs(a_e, h_t)
             x_next, z = local_conv(x_t, a_mask, labels, weights, c)
-            a_next = coarsen(h_t, a_t)
+            a_next = coarsen(labels, a_e, c)
 
             # brute force: per-cluster embedding sums, ascending node order
             for j in range(c):
@@ -153,12 +153,12 @@ class TestPartitionAndIdentityInvariants:
             n = adj.shape[0]
             c = int(rng.integers(1, 6))
             hard = random_hard(rng, n, c)
-            a_t, x_t, h_t = Tensor(adj), Tensor(feats), Tensor(hard)
+            a_e, x_t, h_t = Edges.from_dense(adj), Tensor(feats), Tensor(hard)
 
             assert np.all(hard.sum(axis=1) == 1.0)
             assert np.all((hard == 0.0) | (hard == 1.0))
 
-            labels, a_mask = extract_subgraphs(a_t, h_t)
+            labels, a_mask = extract_subgraphs(a_e, h_t)
             members = [[u for u in range(n) if labels[u] == j] for j in range(c)]
             ids = [i for m in members for i in m]
             assert sorted(ids) == list(range(n))
@@ -167,7 +167,7 @@ class TestPartitionAndIdentityInvariants:
             for m in members:
                 a_m = adj[np.ix_(m, m)] + np.eye(len(m))
                 assert np.allclose(z[m], a_m @ feats[m], rtol=1e-12, atol=1e-12)
-            a_next = coarsen(h_t, a_t)
+            a_next = coarsen(labels, a_e, c)
             intra = sum(int(adj[np.ix_(m, m)].sum()) // 2 for m in members)
             assert a_next.data.sum() + 2 * intra == adj.sum()
             checked += 1
@@ -179,10 +179,10 @@ class TestPartitionAndIdentityInvariants:
             perm = rng.permutation(n)
             hard = np.zeros((n, n))
             hard[np.arange(n), perm] = 1.0
-            a_t, x_t, h_t = Tensor(adj), Tensor(feats), Tensor(hard)
-            labels, a_mask = extract_subgraphs(a_t, h_t)
+            a_e, x_t, h_t = Edges.from_dense(adj), Tensor(feats), Tensor(hard)
+            labels, a_mask = extract_subgraphs(a_e, h_t)
             x_next, _ = local_conv(x_t, a_mask, labels, [Tensor(np.eye(4))] * n, n)
-            a_next = coarsen(h_t, a_t)
+            a_next = coarsen(labels, a_e, n)
             assert np.array_equal(x_next.data, hard.T @ feats)
             assert np.array_equal(a_next.data, hard.T @ adj @ hard)
         emit("partition/identity invariants", True,

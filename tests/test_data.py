@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from sshpool.data import (
+    Graph,
+    atomic_open,
     graph_stats,
     load_tu_dataset,
     make_folds,
@@ -12,8 +14,9 @@ from sshpool.data import (
 )
 from sshpool.errors import ContractError, IngestError, IntegrityError, ParseError
 from sshpool.synth import triangle_dataset, write_tu_corpus
+from sshpool.tensor import Tensor
 
-from conftest import write_tu
+from conftest import make_graph, random_graph, write_tu
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
@@ -220,6 +223,71 @@ class TestMalformedTU:
         tc = TrainConfig(epochs=2, batch_size=2, folds=2, repeats=1, seed=0)
         result = train_graphs(ds, [0, 1, 2, 3], [], config, tc)
         assert all(np.isfinite(row["loss"]) for row in result.curve)
+
+
+class TestGraphStructure:
+    @pytest.mark.parametrize(
+        "entries, broken",
+        [
+            ({(0, 1): 2.0, (1, 0): 2.0}, "0 or 1"),
+            ({(0, 1): 0.5, (1, 0): 0.5}, "0 or 1"),
+            ({(0, 1): np.nan, (1, 0): np.nan}, "0 or 1"),
+            ({(0, 1): 1.0, (1, 0): 1.0, (2, 2): 1.0}, "diagonal"),
+            ({(0, 1): 1.0}, "symmetric"),
+            ({(0, 1): 1.0, (2, 1): 1.0}, "symmetric"),
+        ],
+        ids=["two", "half", "nan", "self-loop", "one-way", "mismatched"],
+    )
+    def test_contract_violation_names_the_property(self, entries, broken):
+        adj = np.zeros((3, 3))
+        for (u, v), w in entries.items():
+            adj[u, v] = w
+        g = Graph(adjacency=Tensor(adj), features=Tensor(np.ones((3, 1))), label=0)
+        with pytest.raises(ContractError, match=broken):
+            g.edges
+
+    def test_non_square_rejected_on_construction(self):
+        with pytest.raises(ContractError, match="square"):
+            Graph(adjacency=Tensor(np.zeros((2, 3))), features=Tensor(np.ones((2, 1))), label=0)
+
+    def test_adjacency_read_only_once_derived(self):
+        g = make_graph([(0, 1), (1, 2)], 3)
+        g.adjacency.data[0, 2] = 0.0  # still writable before first use
+        edges = g.edges
+        with pytest.raises(ValueError):
+            g.adjacency.data[0, 2] = 1.0
+        assert g.edges is edges
+        assert edges.flat.tolist() == [1, 3, 5, 7]
+
+    def test_structure_is_linear_in_nodes_and_edges(self, rng):
+        for _ in range(20):
+            g = random_graph(rng, n_lo=1, n_hi=30)
+            e = g.edges.flat.size
+            for part in (g.edges, g.gcn_norm):
+                for arr in (part.dst, part.src, part.flat, part.weight):
+                    assert arr.ndim == 1 and arr.size <= g.n + e
+            assert g.num_edges == int(g.adjacency.data.sum()) // 2
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        with atomic_open(str(path)) as fh:
+            fh.write("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(str(path)) as fh:
+                fh.write("half of the new")
+                raise RuntimeError("disk full")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_success_replaces_file(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text("old\n")
+        with atomic_open(str(path), newline="") as fh:
+            fh.write("new\r\n")
+        assert path.read_bytes() == b"new\r\n"
+        assert os.listdir(tmp_path) == ["curves.csv"]
 
 
 class TestFolds:

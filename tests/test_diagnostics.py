@@ -110,7 +110,7 @@ class TestCertifyLocality:
                 adjacency, x, params, clusters, keep_self_loops, frozen_hard
             )
             x_next, trace.local_embedding = local_conv(
-                x, adjacency.data, trace.labels, params.local, trace.assignment.hard.cols
+                x, adjacency, trace.labels, params.local, trace.assignment.hard.cols
             )
             return (a_next, x_next), trace
 
@@ -146,6 +146,25 @@ class TestCompareSmoothing:
         a = compare_smoothing(graphs, params, seed=0)
         b = compare_smoothing(graphs, params, seed=0)
         assert a == b
+
+    def test_initial_convolution_runs_once_per_graph(self, rng, monkeypatch):
+        from sshpool import diagnostics, model
+
+        calls = []
+        conv = model.global_conv
+
+        def counting(graph, x, weight):
+            calls.append(weight)
+            return conv(graph, x, weight)
+
+        monkeypatch.setattr(model, "global_conv", counting)
+        monkeypatch.setattr(diagnostics, "global_conv", counting)
+        graphs = [random_graph(rng, d=4) for _ in range(3)]
+        params = ModelParams(probe_config(clusters=(4, 2)), seed=1)
+        compare_smoothing(graphs, params, seed=0)
+        # one forward convolution plus one per reference layer, per graph
+        assert len(calls) == 3 * (1 + 2)
+        assert sum(w is params.gconv[0] for w in calls) == 3
 
     def test_single_node_graphs_give_undefined_entries(self, rng):
         graphs = [make_graph([], 1, d=4, seed=i) for i in range(2)]

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from sshpool import data
 from sshpool.errors import ContractError, IngestError, ShapeError
 from sshpool.gradcheck import check_model_gradients, fixture_graph_and_params
 from sshpool.model import (
@@ -68,23 +70,23 @@ class TestConfig:
 class TestGlobalConv:
     def test_single_node(self):
         g = make_graph([], 1, features=[[3.0, -2.0]], d=2)
-        out = global_conv(g.adjacency, g.features, Tensor(np.eye(2)))
+        out = global_conv(g, g.features, Tensor(np.eye(2)))
         assert out.data.tolist() == [[3.0, 0.0]]
 
     def test_isolated_nodes_transform_independently(self, rng):
         f = rng.normal(size=(2, 3))
         g = make_graph([], 2, features=f, d=3)
         w = rng.normal(size=(3, 3))
-        both = global_conv(g.adjacency, g.features, Tensor(w)).data
+        both = global_conv(g, g.features, Tensor(w)).data
         for i in range(2):
             gi = make_graph([], 1, features=f[i : i + 1], d=3)
-            alone = global_conv(gi.adjacency, gi.features, Tensor(w)).data
+            alone = global_conv(gi, gi.features, Tensor(w)).data
             assert np.allclose(both[i], alone[0], rtol=1e-12)
 
     def test_triangle_matches_dense_oracle(self, rng):
         g = make_graph([(0, 1), (1, 2), (0, 2)], 3, d=3, seed=5)
         w = rng.normal(size=(3, 4))
-        got = global_conv(g.adjacency, g.features, Tensor(w)).data
+        got = global_conv(g, g.features, Tensor(w)).data
         a_tilde = g.adjacency.data + np.eye(3)
         d_inv = np.diag(1.0 / np.sqrt(a_tilde.sum(axis=1)))
         want = np.maximum(d_inv @ a_tilde @ d_inv @ g.features.data @ w, 0.0)
@@ -275,8 +277,8 @@ class TestForward:
         params = ModelParams(cfg, seed=4)
         g = make_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)], 6, d=4, seed=6)
         logits, _ = forward(g, params)
-        x0 = global_conv(g.adjacency, g.features, params.gconv[0])
-        pooled, _ = sshpool_stack(g.adjacency, x0, params.pool_layers, cfg.layer_sizes)
+        x0 = global_conv(g, g.features, params.gconv[0])
+        pooled, _ = sshpool_stack(g.edges, x0, params.pool_layers, cfg.layer_sizes)
         fused = attention_fuse(x0, pooled, params.attn_q, params.attn_k, params.attn_v)
         want = classify(fused, params)
         assert np.array_equal(logits.data, want.data)
@@ -337,6 +339,25 @@ class TestForward:
             assert np.all(np.isfinite(logits.data))
             assert trace.layers == []
 
+    def test_structure_derived_once_across_forwards(self, rng, monkeypatch):
+        g = random_graph(rng, n_lo=8, n_hi=12, d=4)
+        derived = []
+        from_dense = data.Edges.from_dense
+
+        def counting(a):
+            derived.append(a is g.adjacency.data)
+            return from_dense(a)
+
+        monkeypatch.setattr(data.Edges, "from_dense", counting)
+        params = ModelParams(small_config(), seed=5)
+        first, _ = forward(g, params)
+        edges, norm = g.edges, g.gcn_norm
+        for _ in range(3):
+            again, _ = forward(g, params)
+            assert np.array_equal(again.data, first.data)
+        assert derived.count(True) == 1
+        assert g.edges is edges and g.gcn_norm is norm
+
     def test_permutation_with_frozen_assignments(self, rng):
         g = make_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)], 5, d=4, seed=12)
         cfg = small_config(layer_sizes=(2,), depth=1, assignment_ratio=0.5)
@@ -350,8 +371,8 @@ class TestForward:
         adj_p = p.T @ g.adjacency.data @ p
         feat_p = np.zeros_like(g.features.data)
         feat_p[perm] = g.features.data
-        g_p = make_graph([], 5, features=feat_p, d=4)
-        g_p.adjacency.data[:] = adj_p
+        g_p = make_graph(list(zip(*np.nonzero(adj_p))), 5, features=feat_p, d=4)
+        assert np.array_equal(g_p.adjacency.data, adj_p)
         hard_p = np.zeros_like(hard)
         hard_p[perm] = hard
         logits_p, _ = forward(g_p, params, frozen_assignments=[Tensor(hard_p)])
@@ -384,6 +405,23 @@ class TestCheckpoint:
         a, _ = forward(g, params)
         b, _ = forward(g, loaded)
         assert np.array_equal(a.data, b.data)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import json
+
+        path = tmp_path / "model.ckpt"
+        ModelParams(small_config(), seed=1).save(str(path))
+        before = path.read_bytes()
+
+        def half_then_fail(payload, fh, **kwargs):
+            fh.write('{"config": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", half_then_fail)
+        with pytest.raises(OSError):
+            ModelParams(small_config(), seed=2).save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_version_checked(self, tmp_path):
         cfg = small_config()

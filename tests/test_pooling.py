@@ -32,8 +32,8 @@ def run_steps(adjacency, x, hard, weights, keep_self_loops=False):
     """extract_subgraphs -> local_conv -> coarsen under a fixed assignment."""
     labels, a_mask = extract_subgraphs(adjacency, hard)
     x_next, z = local_conv(x, a_mask, labels, weights, hard.cols)
-    a_next = coarsen(hard, adjacency, keep_self_loops)
-    return labels, a_mask, z, x_next, a_next
+    a_next = coarsen(labels, adjacency, hard.cols, keep_self_loops)
+    return labels, a_mask.dense(), z, x_next, a_next
 
 
 def layer_params(rng, d, c):
@@ -78,7 +78,7 @@ class TestSoftAssign:
             g = random_graph(rng, n_lo=2, n_hi=12, d=16)
             clusters = int(rng.integers(1, 16))
             params = layer_params(rng, 16, clusters)
-            _, trace = sshpool_layer(g.adjacency, g.features, params, clusters)
+            _, trace = sshpool_layer(g.edges, g.features, params, clusters)
             c_eff = min(clusters, g.n)
             w = params.assign
             if c_eff < clusters:
@@ -123,7 +123,8 @@ class TestExtractSubgraphs:
     def test_path_graph_clusters(self):
         g = make_graph([(0, 1), (1, 2)], 3, d=2)
         hard = Tensor([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        labels, a_mask = extract_subgraphs(g.adjacency, hard)
+        labels, a_mask = extract_subgraphs(g.edges, hard)
+        a_mask = a_mask.dense()
         assert labels.tolist() == [0, 0, 1]
         assert a_mask.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         # the crossing edge (1, 2) is masked out
@@ -131,15 +132,16 @@ class TestExtractSubgraphs:
 
     def test_single_cluster_keeps_whole_graph(self, rng):
         g = random_graph(rng)
-        labels, a_mask = extract_subgraphs(g.adjacency, Tensor(np.ones((g.n, 1))))
+        labels, a_mask = extract_subgraphs(g.edges, Tensor(np.ones((g.n, 1))))
         assert labels.tolist() == [0] * g.n
-        assert np.array_equal(a_mask, g.adjacency.data)
+        assert np.array_equal(a_mask.dense(), g.adjacency.data)
 
     def test_partition_oracle(self, rng):
         for _ in range(25):
             g = random_graph(rng, n_lo=8, n_hi=8)
             hard = random_hard(rng, 8, 3)
-            labels, a_mask = extract_subgraphs(g.adjacency, hard)
+            labels, a_mask = extract_subgraphs(g.edges, hard)
+            a_mask = a_mask.dense()
             assert np.array_equal(hard.data[np.arange(8), labels], np.ones(8))
             for u in range(8):
                 for v in range(8):
@@ -150,26 +152,26 @@ class TestExtractSubgraphs:
         g = make_graph([(0, 1)], 2, d=2)
         for bad in ([[1.0, 0.0], [0.0, 0.0]], [[0.5, 0.5], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]]):
             with pytest.raises(ContractError):
-                extract_subgraphs(g.adjacency, Tensor(bad))
+                extract_subgraphs(g.edges, Tensor(bad))
 
 
 class TestLocalConv:
     def test_single_node_identity_weight(self, rng):
         g = make_graph([], 1, features=[[2.0, -1.0]], d=2)
-        _, _, z, _, _ = run_steps(g.adjacency, g.features, Tensor([[1.0]]), [Tensor(np.eye(2))])
+        _, _, z, _, _ = run_steps(g.edges, g.features, Tensor([[1.0]]), [Tensor(np.eye(2))])
         assert np.array_equal(z, [[2.0, -1.0]])
 
     def test_isolated_nodes_identity(self):
         g = make_graph([], 2, features=[[1.0, 0.0], [0.0, 1.0]], d=2)
         _, _, z, _, _ = run_steps(
-            g.adjacency, g.features, Tensor([[1.0], [1.0]]), [Tensor(np.eye(2))]
+            g.edges, g.features, Tensor([[1.0], [1.0]]), [Tensor(np.eye(2))]
         )
         assert np.array_equal(z, g.features.data)
 
     def test_triangle_matches_triple_loop(self, rng):
         g = make_graph([(0, 1), (1, 2), (0, 2)], 3, d=4, seed=3)
         w = rng.normal(size=(4, 4))
-        _, _, z, _, _ = run_steps(g.adjacency, g.features, Tensor(np.ones((3, 1))), [Tensor(w)])
+        _, _, z, _, _ = run_steps(g.edges, g.features, Tensor(np.ones((3, 1))), [Tensor(w)])
         a_tilde = g.adjacency.data + np.eye(3)
         want = np.zeros((3, 4))
         for i in range(3):
@@ -185,7 +187,7 @@ class TestLocalConv:
         hard = Tensor([[1.0, 0.0], [1.0, 0.0]])
         weights = [Tensor(rng.normal(size=(3, 3)), requires_grad=True) for _ in range(2)]
         with Tape() as tape:
-            labels, _, z, x_next, _ = run_steps(g.adjacency, g.features, hard, weights)
+            labels, _, z, x_next, _ = run_steps(g.edges, g.features, hard, weights)
             objective = sum_rows(matmul(x_next, Tensor(np.ones((3, 1)))))
         tape.backward(objective)
         assert z[labels == 1].shape == (0, 3)
@@ -201,7 +203,7 @@ class TestCoarsen:
         hard = np.zeros((5, 5))
         hard[np.arange(5), perm] = 1.0
         weights = [Tensor(np.eye(4)) for _ in range(5)]
-        *_, x_next, a_next = run_steps(g.adjacency, g.features, Tensor(hard), weights)
+        *_, x_next, a_next = run_steps(g.edges, g.features, Tensor(hard), weights)
         assert np.array_equal(x_next.data, hard.T @ g.features.data)
         assert np.array_equal(a_next.data, hard.T @ g.adjacency.data @ hard)
 
@@ -209,14 +211,14 @@ class TestCoarsen:
         g = make_graph([(0, 1), (1, 2), (2, 3)], 4, d=2)
         hard = Tensor([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         weights = [Tensor(np.eye(2)), Tensor(np.eye(2))]
-        *_, a_next = run_steps(g.adjacency, g.features, hard, weights)
+        *_, a_next = run_steps(g.edges, g.features, hard, weights)
         assert a_next.data.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_empty_cluster_zero_row_and_col(self, rng):
         g = make_graph([(0, 1)], 2, d=3)
         hard = Tensor([[1.0, 0.0], [1.0, 0.0]])
         weights = [Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 3)))]
-        *_, x_next, a_next = run_steps(g.adjacency, g.features, hard, weights)
+        *_, x_next, a_next = run_steps(g.edges, g.features, hard, weights)
         assert np.array_equal(x_next.data[1], np.zeros(3))
         assert np.all(a_next.data[1] == 0) and np.all(a_next.data[:, 1] == 0)
 
@@ -226,7 +228,7 @@ class TestCoarsen:
             c = int(rng.integers(1, 5))
             hard = random_hard(rng, g.n, c)
             weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(c)]
-            labels, _, z, x_next, a_next = run_steps(g.adjacency, g.features, hard, weights)
+            labels, _, z, x_next, a_next = run_steps(g.edges, g.features, hard, weights)
             for j in range(c):
                 acc = np.zeros(4)
                 for r in np.flatnonzero(labels == j):
@@ -249,7 +251,7 @@ class TestCoarsen:
             hard = random_hard(rng, n, 2)
             g = make_graph([], n, features=x, d=1)
             labels, _, z, x_next, _ = run_steps(
-                g.adjacency, g.features, hard, [Tensor([[1.0]]), Tensor([[-3.0]])]
+                g.edges, g.features, hard, [Tensor([[1.0]]), Tensor([[-3.0]])]
             )
             for j in range(2):
                 acc = np.zeros(1)
@@ -263,7 +265,7 @@ class TestCoarsen:
             c = int(rng.integers(1, 5))
             hard = random_hard(rng, g.n, c)
             weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(c)]
-            _, a_mask, _, _, a_next = run_steps(g.adjacency, g.features, hard, weights)
+            _, a_mask, _, _, a_next = run_steps(g.edges, g.features, hard, weights)
             intra = int(a_mask.sum()) // 2
             assert a_next.data.sum() + 2 * intra == 2 * g.num_edges
 
@@ -271,7 +273,7 @@ class TestCoarsen:
         g = make_graph([(0, 1)], 2, d=2)
         hard = Tensor([[1.0, 0.0], [0.0, 1.0]])
         weights = [Tensor(np.eye(2)), Tensor(np.eye(2))]
-        *_, a_keep = run_steps(g.adjacency, g.features, hard, weights, keep_self_loops=True)
+        *_, a_keep = run_steps(g.edges, g.features, hard, weights, keep_self_loops=True)
         assert np.array_equal(a_keep.data, hard.data.T @ g.adjacency.data @ hard.data)
 
 
@@ -279,15 +281,15 @@ class TestLayerAndStack:
     def test_single_node_any_cluster_count(self, rng):
         g = make_graph([], 1, features=[[1.0, 2.0, 3.0]], d=3)
         params = layer_params(rng, 3, 5)
-        (a_next, x_next), trace = sshpool_layer(g.adjacency, g.features, params, 5)
+        (a_next, x_next), trace = sshpool_layer(g.edges, g.features, params, 5)
         assert x_next.shape == (1, 3)
         assert np.array_equal(x_next.data, g.features.data @ params.local[0].data)
-        assert a_next.shape == (1, 1)
+        assert a_next.dense().shape == (1, 1)
 
     def test_one_cluster_column_sum(self, rng):
         g = random_graph(rng, n_lo=4, n_hi=6)
         params = layer_params(rng, 4, 1)
-        (_, x_next), _ = sshpool_layer(g.adjacency, g.features, params, 1)
+        (_, x_next), _ = sshpool_layer(g.edges, g.features, params, 1)
         a_tilde = g.adjacency.data + np.eye(g.n)
         z = a_tilde @ g.features.data @ params.local[0].data
         acc = np.zeros(4)
@@ -300,13 +302,13 @@ class TestLayerAndStack:
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)], 6, d=4, seed=11
         )
         params = layer_params(rng, 4, 2)
-        (a_next, x_next), trace = sshpool_layer(g.adjacency, g.features, params, 2)
+        (a_next, x_next), trace = sshpool_layer(g.edges, g.features, params, 2)
         # replay the five steps by hand
         soft = soft_assign(g.features, params.assign)
         hard = harden(soft)
-        *_, x_want, a_want = run_steps(g.adjacency, g.features, hard, params.local)
+        *_, x_want, a_want = run_steps(g.edges, g.features, hard, params.local)
         assert np.array_equal(x_next.data, x_want.data)
-        assert np.array_equal(a_next.data, a_want.data)
+        assert np.array_equal(a_next.dense(), a_want.data)
         assert np.array_equal(trace.assignment.hard.data, hard.data)
 
     @pytest.mark.parametrize("clusters", [3, 9])
@@ -315,22 +317,22 @@ class TestLayerAndStack:
         g = random_graph(rng, n_lo=6, n_hi=6)
         params = layer_params(rng, 4, clusters)
         with Tape() as tape:
-            (_, x_next), _ = sshpool_layer(g.adjacency, g.features, params, clusters)
+            (_, x_next), _ = sshpool_layer(g.edges, g.features, params, clusters)
         assert [output for output, _ in tape._records] == [x_next]
 
     def test_effective_clusters_capped_at_nodes(self, rng):
         g = random_graph(rng, n_lo=3, n_hi=3)
         params = layer_params(rng, 4, 8)
-        (a_next, x_next), trace = sshpool_layer(g.adjacency, g.features, params, 8)
+        (a_next, x_next), trace = sshpool_layer(g.edges, g.features, params, 8)
         assert x_next.rows == 3
-        assert a_next.shape == (3, 3)
+        assert a_next.dense().shape == (3, 3)
         assert trace.assignment.hard.shape == (3, 3)
 
     def test_stack_depth_one_equals_layer(self, rng):
         g = random_graph(rng, n_lo=5, n_hi=8)
         params = layer_params(rng, 4, 3)
-        (_, x_layer), _ = sshpool_layer(g.adjacency, g.features, params, 3)
-        x_stack, trace = sshpool_stack(g.adjacency, g.features, [params], (3,))
+        (_, x_layer), _ = sshpool_layer(g.edges, g.features, params, 3)
+        x_stack, trace = sshpool_stack(g.edges, g.features, [params], (3,))
         assert np.array_equal(x_layer.data, x_stack.data)
         assert len(trace.layers) == 1
 
@@ -338,8 +340,8 @@ class TestLayerAndStack:
         g = random_graph(rng, n_lo=10, n_hi=12)
         p0 = layer_params(rng, 4, 4)
         p1 = layer_params(rng, 4, 2)
-        x_stack, trace = sshpool_stack(g.adjacency, g.features, [p0, p1], (4, 2))
-        (a1, x1), _ = sshpool_layer(g.adjacency, g.features, p0, 4)
+        x_stack, trace = sshpool_stack(g.edges, g.features, [p0, p1], (4, 2))
+        (a1, x1), _ = sshpool_layer(g.edges, g.features, p0, 4)
         (_, x2), _ = sshpool_layer(a1, x1, p1, 2)
         assert np.array_equal(x_stack.data, x2.data)
         assert x_stack.rows <= 2
@@ -350,7 +352,7 @@ class TestLayerAndStack:
         p0 = layer_params(rng, 4, 2)
         p1 = layer_params(rng, 4, 2)
         with pytest.raises(ContractError):
-            sshpool_stack(g.adjacency, g.features, [p0, p1], (2, 2))
+            sshpool_stack(g.edges, g.features, [p0, p1], (2, 2))
 
     def test_locality_literal_form(self, rng):
         for _ in range(10):
@@ -358,12 +360,12 @@ class TestLayerAndStack:
             c = int(rng.integers(2, 4))
             hard = random_hard(rng, g.n, c)
             weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(c)]
-            labels, _, z, x_next, _ = run_steps(g.adjacency, g.features, hard, weights)
+            labels, _, z, x_next, _ = run_steps(g.edges, g.features, hard, weights)
 
             u = int(rng.integers(g.n))
             bumped = g.features.data.copy()
             bumped[u] += rng.normal(size=4)
-            _, _, z_b, x_next_b, _ = run_steps(g.adjacency, Tensor(bumped), hard, weights)
+            _, _, z_b, x_next_b, _ = run_steps(g.edges, Tensor(bumped), hard, weights)
             home = labels[u]
             for k in range(c):
                 if k == home:
@@ -378,7 +380,7 @@ class TestLayerAndStack:
         p1 = layer_params(rng, 4, 1)
 
         with Tape() as tape:
-            x_out, trace = sshpool_stack(g.adjacency, g.features, [p0, p1], (3, 1))
+            x_out, trace = sshpool_stack(g.edges, g.features, [p0, p1], (3, 1))
             r = Tensor(rng.normal(size=(1, x_out.rows)))
             c = Tensor(rng.normal(size=(x_out.cols, 1)))
             objective = matmul(r, matmul(x_out, c))
@@ -387,7 +389,7 @@ class TestLayerAndStack:
 
         def eval_loss():
             x_e, _ = sshpool_stack(
-                g.adjacency, g.features, [p0, p1], (3, 1), frozen=frozen
+                g.edges, g.features, [p0, p1], (3, 1), frozen=frozen
             )
             return float((r.data @ x_e.data @ c.data)[0, 0])
 
@@ -476,7 +478,7 @@ class TestPartitionProperty:
             # the layer caps its clusters at the node count
             hard = random_hard(rng, g.n, min(c, g.n))
             params = layer_params(rng, 4, c)
-            _, trace = sshpool_layer(g.adjacency, g.features, params, c, frozen_hard=hard)
+            _, trace = sshpool_layer(g.edges, g.features, params, c, frozen_hard=hard)
             ids = [i for members in trace.clusters for i in members]
             assert sorted(ids) == list(range(g.n))
             assert trace.cluster_sizes == [len(m) for m in trace.clusters]
@@ -495,7 +497,7 @@ class TestAgainstSliceReference:
             keep = bool(trial % 3 == 0)
             frozen = random_hard(rng, g.n, min(c, g.n)) if trial % 2 else None
             (a_next, x_next), trace = sshpool_layer(
-                g.adjacency, g.features, params, c, keep, frozen_hard=frozen
+                g.edges, g.features, params, c, keep, frozen_hard=frozen
             )
             hard = trace.assignment.hard.data
             ref = slice_layer(
@@ -506,7 +508,7 @@ class TestAgainstSliceReference:
                 assert np.allclose(
                     trace.local_embedding[members], z_j, rtol=1e-12, atol=1e-12
                 )
-            assert np.array_equal(a_next.data, ref.coarse_adjacency)
+            assert np.array_equal(a_next.dense(), ref.coarse_adjacency)
             assert trace.clusters == ref.clusters
             assert trace.edges_kept == ref.edges_kept
 
@@ -518,7 +520,7 @@ class TestLayerFiniteDifferences:
         params = layer_params(rng, g.features.cols, clusters)
         x = Tensor(g.features.data.copy(), requires_grad=True)
         with Tape() as tape:
-            (_, x_next), trace = sshpool_layer(g.adjacency, x, params, clusters, frozen_hard=frozen)
+            (_, x_next), trace = sshpool_layer(g.edges, x, params, clusters, frozen_hard=frozen)
             r = rng.normal(size=(1, x_next.rows))
             c = rng.normal(size=(x_next.cols, 1))
             objective = matmul(Tensor(r), matmul(x_next, Tensor(c)))
@@ -526,7 +528,7 @@ class TestLayerFiniteDifferences:
         hard = trace.assignment.hard
 
         def probe():
-            (_, x_e), _ = sshpool_layer(g.adjacency, x, params, clusters, frozen_hard=hard)
+            (_, x_e), _ = sshpool_layer(g.edges, x, params, clusters, frozen_hard=hard)
             return float((r @ x_e.data @ c)[0, 0])
 
         step = 1e-5
@@ -571,3 +573,53 @@ class TestLayerFiniteDifferences:
         hard[np.arange(12), [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]] = 1.0
         trace = self.check(g, 3, rng, frozen=Tensor(hard))
         assert trace.cluster_sizes == [11, 1, 0]
+
+
+class TestEdgeListMatchesDenseFormulas:
+    """Mask, coarse adjacency and normaliser from edge lists, bit for bit
+    against the dense formulas, across a 3-layer stack whose coarse levels
+    carry whole-number edge weights."""
+
+    def test_two_hundred_random_graphs(self, rng):
+        for trial in range(200):
+            n = int(rng.integers(1, 41))
+            p = (0.0, 0.05, 0.2, 0.5)[trial % 4]  # p = 0: edgeless
+            upper = np.triu((rng.random((n, n)) < p).astype(float), k=1)
+            g = make_graph(list(zip(*np.nonzero(upper))), n, d=3, seed=trial)
+            a = g.adjacency.data
+
+            a_tilde = a + np.eye(n)
+            inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+            assert np.array_equal(
+                g.gcn_norm.dense(), a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
+            )
+
+            sizes = (9, 4, 2)
+            keep = bool(trial % 2)
+            frozen, rows = [], n
+            for size in sizes:
+                # labels drawn from fewer columns than exist leave clusters empty
+                cols = min(size, rows)
+                labels = rng.integers(0, int(rng.integers(1, cols + 1)), size=rows)
+                frozen.append(Tensor(np.eye(cols)[labels]))
+                rows = cols
+            params = [layer_params(rng, 3, size) for size in sizes]
+            _, trace = sshpool_stack(g.edges, g.features, params, sizes, keep, frozen)
+
+            for depth, entry in enumerate(trace.layers):
+                a_in = entry.adjacency
+                if depth:
+                    assert np.array_equal(a_in, trace.layers[depth - 1].coarse_adjacency.data)
+                else:
+                    assert np.array_equal(a_in, a)
+                labels = entry.labels
+                same = labels[:, None] == labels[None, :]
+                assert np.array_equal(entry.a_mask, a_in * same)
+                hard = entry.assignment.hard.data
+                want = hard.T @ a_in @ hard
+                if not keep:
+                    np.fill_diagonal(want, 0.0)
+                assert np.array_equal(entry.coarse_adjacency.data, want)
+                assert np.signbit(entry.coarse_adjacency.data).sum() == 0
+                assert entry.edges_in == int(a_in.sum()) // 2
+                assert entry.edges_kept == int((a_in * same).sum()) // 2
