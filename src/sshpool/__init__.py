@@ -7,7 +7,6 @@ from .pooling import (
     CoarseningTrace,
     PoolLayerParams,
     baseline_diffpool_layer,
-    baseline_global_pool,
     coarsen,
     extract_subgraphs,
     harden,
@@ -34,7 +33,6 @@ __all__ = [
     "TrainConfig",
     "adam_step",
     "baseline_diffpool_layer",
-    "baseline_global_pool",
     "coarsen",
     "cross_validate",
     "extract_subgraphs",

@@ -25,7 +25,6 @@ from .diagnostics import certify_locality, compare_smoothing
 from .errors import ContractError, IngestError
 from .gradcheck import check_model_gradients, fixture_graph_and_params
 from .model import ModelConfig, ModelParams, forward, layer_sizes_from_ratio
-from .tensor import Tensor
 from .trainer import (
     TrainConfig,
     cross_validate,
@@ -350,14 +349,12 @@ def _random_graph(rng: np.random.Generator, d: int) -> Graph:
     adj = (rng.random((n, n)) < 0.4).astype(float)
     adj = np.triu(adj, k=1)
     adj = adj + adj.T
-    return Graph(
-        adjacency=Tensor(adj),
-        features=Tensor(rng.normal(size=(n, d))),
-        label=0,
-    )
+    return Graph.from_dense(adj, rng.normal(size=(n, d)), label=0)
 
 
 def cmd_diagnose(ns: argparse.Namespace) -> int:
+    if ns.graphs < 1:
+        raise ContractError(f"--graphs must be >= 1, got {ns.graphs}")
     rng = np.random.default_rng(ns.seed)
     if ns.kind == "locality":
         graphs_checked, passes, trials_run = 0, 0, 0

@@ -10,6 +10,7 @@ files are ignored; the model consumes unweighted adjacency only.
 from __future__ import annotations
 
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,39 +57,33 @@ class Edges:
 
 @dataclass
 class Graph:
-    """One classification sample: adjacency, node features, class index.
+    """One classification sample: adjacency edge list, node features, class index.
 
-    Adjacency is symmetric 0/1 with a zero diagonal; self-loops are added
-    only inside convolutions. Neither matrix participates in gradients.
-    ``edges`` and ``gcn_norm`` are derived from the adjacency on first use
-    and kept; both are O(n + E), so no n x n matrix is cached.
+    The adjacency is symmetric 0/1 with a zero diagonal; self-loops are
+    added only inside convolutions. ``edges``, its row-major nonzeros, is
+    the graph's only structure, so everything held is O(n + E).
     """
 
-    adjacency: Tensor
+    edges: Edges
     features: Tensor
     label: int
 
     def __post_init__(self):
-        a = self.adjacency.data
-        if a.shape[0] != a.shape[1]:
-            raise ContractError(f"adjacency must be square, got {a.shape}")
-        if self.features.rows != a.shape[0]:
+        if self.features.rows != self.edges.n:
             raise ContractError(
-                f"feature rows {self.features.rows} != node count {a.shape[0]}"
+                f"feature rows {self.features.rows} != node count {self.edges.n}"
             )
 
-    @property
-    def n(self) -> int:
-        return self.adjacency.rows
+    @classmethod
+    def from_dense(cls, adjacency: np.ndarray, features: np.ndarray, label: int) -> "Graph":
+        """A graph from an n x n adjacency matrix, checked against the contract.
 
-    @cached_property
-    def edges(self) -> Edges:
-        """A's nonzeros, row-major; the adjacency becomes read-only.
-
-        Checks the adjacency contract once: 0/1 entries, a zero diagonal,
-        symmetry (square is checked on construction).
+        ``ContractError`` names the broken property: square, 0/1 entries,
+        zero diagonal or symmetric.
         """
-        a = self.adjacency.data
+        a = np.asarray(adjacency, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ContractError(f"adjacency must be square, got {a.shape}")
         edges = Edges.from_dense(a)
         if not np.all(edges.weight == 1.0):
             raise ContractError("adjacency entries must be 0 or 1")
@@ -96,8 +91,16 @@ class Graph:
             raise ContractError("adjacency diagonal must be zero")
         if not np.array_equal(np.sort(edges.src * edges.n + edges.dst), edges.flat):
             raise ContractError("adjacency must be symmetric")
-        a.flags.writeable = False
-        return edges
+        return cls(edges, Tensor(features), label)
+
+    @property
+    def n(self) -> int:
+        return self.edges.n
+
+    @property
+    def adjacency(self) -> Tensor:
+        """The dense n x n adjacency, a fresh copy on every read."""
+        return Tensor(self.edges.dense())
 
     @cached_property
     def gcn_norm(self) -> Edges:
@@ -116,6 +119,14 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return self.edges.flat.size // 2
+
+
+def degree_one_hot(edges: Edges) -> np.ndarray:
+    """One-hot node degrees bucketed at ``DEGREE_CAP``, an n x (DEGREE_CAP + 1) array."""
+    degree = np.bincount(edges.dst, minlength=edges.n)
+    f = np.zeros((edges.n, DEGREE_CAP + 1))
+    f[np.arange(edges.n), np.minimum(degree, DEGREE_CAP)] = 1.0
+    return f
 
 
 @dataclass
@@ -186,6 +197,33 @@ def _parse_int(token: str, path: str, lineno: int) -> int:
         ) from None
 
 
+def _edge_lists(
+    ends: np.ndarray, indicator: list[int], local_index: list[int], sizes: list[int]
+) -> list[Edges]:
+    """Each graph's row-major edge list from ``ends``, (u, v) pairs of global
+    node ids with u != v in one graph: both directions, repeats merged.
+
+    One sort orders all graphs' entries, keyed ``start[g] + flat``; the
+    lists are slices of arrays they share.
+    """
+    graph_of, local, n = np.array(indicator), np.array(local_index), np.array(sizes)
+    start = np.concatenate(([0], np.cumsum(n * n)))
+    pairs = ends.reshape(-1, 2)
+    dst, src = np.concatenate([pairs, pairs[:, ::-1]]).T
+    g = graph_of[dst]
+    key = np.sort(start[g] + local[dst] * n[g] + local[src])
+    key = key[np.diff(key, prepend=-1) != 0]  # sorted: a repeat follows its first copy
+    g = np.searchsorted(start, key, side="right") - 1
+    flat = key - start[g]
+    dst, src = np.divmod(flat, n[g])
+    weight = np.ones(key.size)
+    bounds = np.searchsorted(key, start).tolist()
+    return [
+        Edges(size, dst[lo:hi], src[lo:hi], flat[lo:hi], weight[lo:hi])
+        for size, lo, hi in zip(sizes, bounds, bounds[1:])
+    ]
+
+
 def load_tu_dataset(directory: str, name: str, feature_mode: str | None = None) -> Dataset:
     """Load a TU-format dataset from ``directory``.
 
@@ -242,7 +280,8 @@ def load_tu_dataset(directory: str, name: str, feature_mode: str | None = None) 
             remap[raw] = len(remap)
         labels.append(remap[raw])
 
-    adj = [np.zeros((sz, sz)) for sz in sizes]
+    # Both ends of every edge line, as global 0-based node ids.
+    ends = array("q")
     a_path = path_of("A")
     n_nodes = len(indicator)
     for lineno, line in enumerate(_read_lines(a_path), start=1):
@@ -265,11 +304,10 @@ def load_tu_dataset(directory: str, name: str, feature_mode: str | None = None) 
                 f"{os.path.basename(a_path)}:{lineno}: edge crosses graphs "
                 f"{indicator[u] + 1} and {indicator[v] + 1}"
             )
-        if u == v:
-            continue  # diagonal stays zero; self-loops live inside convolutions
-        g = indicator[u]
-        adj[g][local_index[u], local_index[v]] = 1.0
-        adj[g][local_index[v], local_index[u]] = 1.0
+        if u != v:  # the diagonal stays zero; self-loops live inside convolutions
+            ends.append(u)
+            ends.append(v)
+    edges = _edge_lists(np.frombuffer(ends, dtype=np.int64), indicator, local_index, sizes)
 
     node_labels: list[int] | None = None
     nl_path = path_of("node_labels")
@@ -298,19 +336,14 @@ def load_tu_dataset(directory: str, name: str, feature_mode: str | None = None) 
             feats[indicator[node]][local_index[node], col[lab]] = 1.0
     elif feature_mode == "degree-one-hot":
         dim = DEGREE_CAP + 1
-        feats = []
-        for a in adj:
-            f = np.zeros((a.shape[0], dim))
-            deg = a.sum(axis=1).astype(int)
-            f[np.arange(a.shape[0]), np.minimum(deg, DEGREE_CAP)] = 1.0
-            feats.append(f)
+        feats = [degree_one_hot(e) for e in edges]
     else:
         dim = 1
         feats = [np.ones((sz, 1)) for sz in sizes]
 
     graphs = [
-        Graph(adjacency=Tensor(a), features=Tensor(f), label=lab)
-        for a, f, lab in zip(adj, feats, labels)
+        Graph(edges=e, features=Tensor(f), label=lab)
+        for e, f, lab in zip(edges, feats, labels)
     ]
     return Dataset(
         name=name,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, Graph
 from .errors import ContractError
-from .model import ModelConfig, ModelParams, forward, global_conv
+from .model import ModelConfig, ModelParams, _glorot, forward, global_conv
 from .pooling import sshpool_layer
 from .tensor import Tensor
 
@@ -142,10 +142,7 @@ def compare_smoothing(
     depth = len(config.layer_sizes)
     rng = np.random.default_rng(seed)
     d = config.hidden_dim
-    limit = np.sqrt(6.0 / (d + d))
-    ref_weights = [
-        Tensor(rng.uniform(-limit, limit, size=(d, d))) for _ in range(depth)
-    ]
+    ref_weights = [_glorot(rng, d, d) for _ in range(depth)]
 
     pool_profiles: list[SmoothingProfile] = []
     ref_profiles: list[SmoothingProfile] = []

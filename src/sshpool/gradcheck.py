@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Graph
 from .model import ModelConfig, ModelParams, forward, loss
-from .tensor import Tape, Tensor
+from .tensor import Tape
 
 
 @dataclass
@@ -47,11 +47,7 @@ def fixture_graph_and_params(
     for i, j in edges:
         adj[i, j] = adj[j, i] = 1.0
     rng = np.random.default_rng(seed)
-    graph = Graph(
-        adjacency=Tensor(adj),
-        features=Tensor(rng.normal(size=(6, 5))),
-        label=1,
-    )
+    graph = Graph.from_dense(adj, rng.normal(size=(6, 5)), label=1)
     config = ModelConfig(
         feature_dim_in=5,
         num_classes=2,

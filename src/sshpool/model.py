@@ -20,7 +20,6 @@ from .pooling import (
     CoarseningTrace,
     PoolLayerParams,
     baseline_diffpool_layer,
-    baseline_global_pool,
     sshpool_stack,
 )
 from .tensor import (
@@ -33,6 +32,7 @@ from .tensor import (
     mean_rows,
     relu,
     softmax_rows,
+    sum_rows,
     take_cols,
 )
 
@@ -341,9 +341,9 @@ def forward(
             a_cur, x_cur = baseline_diffpool_layer(a_cur, x_cur, w_assign, embed)
         pooled = x_cur
     elif config.variant == "global_sum":
-        pooled = baseline_global_pool(x0, "sum")
+        pooled = sum_rows(x0)
     else:
-        pooled = baseline_global_pool(x0, "mean")
+        pooled = mean_rows(x0)
 
     fused = (
         attention_fuse(x0, pooled, params.attn_q, params.attn_k, params.attn_v)

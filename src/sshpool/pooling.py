@@ -32,12 +32,11 @@ from .tensor import (
     Tensor,
     _record,
     add,
+    ascending_sum,
     eye,
     matmul,
-    mean_rows,
     row_softmax,
     softmax_rows,
-    sum_rows,
     transpose,
 )
 
@@ -179,18 +178,6 @@ def extract_subgraphs(adjacency: Edges, hard: Tensor) -> tuple[np.ndarray, Edges
     return labels, _intra_cluster(adjacency, labels)
 
 
-def _ascending_sum(rows: np.ndarray, out: np.ndarray) -> None:
-    """Write the column sums of ``rows``, added strictly top to bottom, to ``out``.
-
-    numpy's axis-0 sum adds whole rows in order, except for a single
-    column, which it sums pairwise; ``cumsum`` is sequential there.
-    """
-    if rows.shape[1] > 1:
-        np.add.reduce(rows, axis=0, out=out)
-    else:
-        out[:] = np.cumsum(rows, axis=0)[-1]
-
-
 def local_conv(
     x: Tensor, a_mask: Edges, labels: np.ndarray, weights: list[Tensor], clusters: int
 ) -> tuple[Tensor, np.ndarray]:
@@ -226,11 +213,8 @@ def local_conv(
             start, stop = stop, stop + size
             run = z[start:stop]
             np.matmul(y[start:stop], weights[j].data, out=run)
-            _ascending_sum(run, x_next[j])
+            ascending_sum(run, x_next[j])
             runs.append((j, start, stop))
-    # Sums start from +0.0, as a scatter-add into zeros does, so a -0.0 that
-    # a BLAS build may return for a product never reaches a coarse row.
-    x_next += 0.0
 
     def rule(g, push, x=x, m=m, y=y, order=order, counts=counts, runs=runs, weights=weights):
         g_runs = np.repeat(g, counts, axis=0)
@@ -348,15 +332,6 @@ def sshpool_stack(
         )
         entries.append(entry)
     return x_cur, CoarseningTrace(layers=entries)
-
-
-def baseline_global_pool(x: Tensor, mode: str) -> Tensor:
-    """Whole-graph readout: column ``sum`` or ``mean`` as a single row."""
-    if mode == "sum":
-        return sum_rows(x)
-    if mode == "mean":
-        return mean_rows(x)
-    raise ContractError(f"global pool mode must be 'sum' or 'mean', got {mode!r}")
 
 
 def baseline_diffpool_layer(

@@ -17,16 +17,7 @@ import os
 
 import numpy as np
 
-from .data import DEGREE_CAP, Dataset, Graph
-from .tensor import Tensor
-
-
-def _degree_features(adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0]
-    f = np.zeros((n, DEGREE_CAP + 1))
-    deg = adj.sum(axis=1).astype(int)
-    f[np.arange(n), np.minimum(deg, DEGREE_CAP)] = 1.0
-    return f
+from .data import DEGREE_CAP, Dataset, Edges, Graph, degree_one_hot
 
 
 def _cycle(n: int) -> np.ndarray:
@@ -52,9 +43,7 @@ def triangle_dataset(num_graphs: int = 20, seed: int = 0) -> Dataset:
         n = int(rng.integers(6, 11))
         label = i % 2
         adj = _clique(n) if label == 1 else _cycle(n)
-        graphs.append(
-            Graph(adjacency=Tensor(adj), features=Tensor(_degree_features(adj)), label=label)
-        )
+        graphs.append(Graph.from_dense(adj, degree_one_hot(Edges.from_dense(adj)), label))
     return Dataset(
         name="synthetic-triangles",
         graphs=graphs,

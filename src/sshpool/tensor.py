@@ -248,20 +248,24 @@ def mean_rows(x: Tensor) -> Tensor:
     return _record(out, rule)
 
 
-def sum_rows(x: Tensor) -> Tensor:
-    """Column-wise sum, a 1 x d row.
+def ascending_sum(rows: np.ndarray, out: np.ndarray) -> None:
+    """Write the column sums of ``rows``, added top to bottom from +0.0, to ``out``.
 
-    Accumulates strictly in ascending row order so the result is
-    bit-identical to a plain sequential loop (numpy's reductions may
-    reassociate additions).
+    numpy's axis-0 sum of a C-ordered array adds whole rows in order to
+    the identity, +0.0, but it sums a single column, or contiguous columns,
+    pairwise; ``cumsum`` is sequential there, and adding +0.0 turns its
+    -0.0 into +0.0, as a loop from zeros does.
     """
-    if x.rows <= 1:
-        out = Tensor(x.data.sum(axis=0, keepdims=True))
+    if rows.shape[0] == 0 or (rows.shape[1] > 1 and rows.flags.c_contiguous):
+        np.add.reduce(rows, axis=0, out=out)
     else:
-        acc = np.zeros((1, x.cols))
-        for r in range(x.rows):
-            np.add(acc, x.data[r], out=acc)
-        out = Tensor(acc)
+        out[...] = np.cumsum(rows, axis=0)[-1] + 0.0
+
+
+def sum_rows(x: Tensor) -> Tensor:
+    """Column-wise sum, a 1 x d row, bit-identical to a sequential loop from zeros."""
+    out = Tensor(np.empty((1, x.cols)))
+    ascending_sum(x.data, out.data[0])
 
     def rule(g, push, x=x):
         push(x, np.repeat(g, x.rows, axis=0))

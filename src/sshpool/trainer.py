@@ -41,6 +41,10 @@ class TrainConfig:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ContractError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.folds < 2:
+            raise ContractError(f"fold count must be >= 2, got {self.folds}")
+        if self.repeats < 1:
+            raise ContractError(f"repeats must be >= 1, got {self.repeats}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sshpool.data import Graph
-from sshpool.tensor import Tensor
 
 
 def make_graph(edges, n, features=None, label=0, d=4, seed=0):
@@ -12,18 +11,14 @@ def make_graph(edges, n, features=None, label=0, d=4, seed=0):
         adj[i, j] = adj[j, i] = 1.0
     if features is None:
         features = np.random.default_rng(seed).normal(size=(n, d))
-    return Graph(adjacency=Tensor(adj), features=Tensor(np.asarray(features, dtype=float)), label=label)
+    return Graph.from_dense(adj, features, label)
 
 
 def random_graph(rng, n_lo=3, n_hi=10, p=0.4, d=4):
     n = int(rng.integers(n_lo, n_hi + 1))
     upper = np.triu((rng.random((n, n)) < p).astype(float), k=1)
     adj = upper + upper.T
-    return Graph(
-        adjacency=Tensor(adj),
-        features=Tensor(rng.normal(size=(n, d))),
-        label=int(rng.integers(2)),
-    )
+    return Graph.from_dense(adj, rng.normal(size=(n, d)), int(rng.integers(2)))
 
 
 def write_tu(directory, name, graphs, node_labels=None):

@@ -118,11 +118,7 @@ class TestLocalityCertification:
             upper = np.triu((rng.random((n, n)) < 0.4).astype(float), k=1)
             from sshpool.data import Graph
 
-            graph = Graph(
-                adjacency=Tensor(upper + upper.T),
-                features=Tensor(rng.normal(size=(n, d_in))),
-                label=0,
-            )
+            graph = Graph.from_dense(upper + upper.T, rng.normal(size=(n, d_in)), 0)
             clusters = int(rng.integers(1, 7))
             config = ModelConfig(
                 feature_dim_in=d_in,

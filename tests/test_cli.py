@@ -70,6 +70,17 @@ class TestTrain:
         args[args.index("--epochs") + 1] = "0"
         assert main(args) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--repeats", "0", "repeats must be >= 1"), ("--folds", "1", "fold count must be >= 2")],
+    )
+    def test_too_few_repeats_or_folds_exit_2(self, corpus, tmp_path, capsys, flag, value, message):
+        args = train_args(corpus, str(tmp_path / "o"))
+        args[args.index(flag) + 1] = value
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_bad_flag_exit_2(self, corpus, tmp_path):
         assert main(["train", "--no-such-flag"]) == 2
 
@@ -204,6 +215,13 @@ class TestDiagnoseCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passes"] == payload["trials"]
+
+    @pytest.mark.parametrize(
+        "kind, graphs", [("locality", "0"), ("locality", "-3"), ("smoothing", "0")]
+    )
+    def test_no_graphs_exit_2(self, capsys, kind, graphs):
+        assert main(["diagnose", kind, "--graphs", graphs, "--seed", "1"]) == 2
+        assert "--graphs must be >= 1" in capsys.readouterr().err
 
     def test_smoothing_without_dataset(self, tmp_path, capsys):
         out = str(tmp_path / "sm")

@@ -1,10 +1,13 @@
 import json
 import os
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sshpool.data import (
+    DEGREE_CAP,
     Graph,
     atomic_open,
     graph_stats,
@@ -14,7 +17,6 @@ from sshpool.data import (
 )
 from sshpool.errors import ContractError, IngestError, IntegrityError, ParseError
 from sshpool.synth import triangle_dataset, write_tu_corpus
-from sshpool.tensor import Tensor
 
 from conftest import make_graph, random_graph, write_tu
 
@@ -27,6 +29,40 @@ TU_DATA_DIR = os.environ.get("TU_DATA_DIR", os.path.join(os.path.dirname(__file_
 
 def tu_available(name):
     return os.path.isfile(os.path.join(TU_DATA_DIR, name, f"{name}_A.txt"))
+
+
+def dense_reference(directory, name):
+    """Each graph's adjacency and degree one-hots built densely, one A line
+    at a time: the loader's former construction."""
+    text = lambda suffix: (directory / f"{name}_{suffix}.txt").read_text()
+    gids = [int(t) - 1 for t in text("graph_indicator").split()]
+    sizes, local = [0] * (max(gids) + 1), []
+    for g in gids:
+        local.append(sizes[g])
+        sizes[g] += 1
+    adj = [np.zeros((n, n)) for n in sizes]
+    for line in text("A").splitlines():
+        if line.strip():
+            u, v = (int(t) - 1 for t in line.split(","))
+            if u != v:
+                adj[gids[u]][local[u], local[v]] = adj[gids[u]][local[v], local[u]] = 1.0
+    feats = []
+    for a in adj:
+        f = np.zeros((a.shape[0], DEGREE_CAP + 1))
+        f[np.arange(a.shape[0]), np.minimum(a.sum(axis=1).astype(int), DEGREE_CAP)] = 1.0
+        feats.append(f)
+    return adj, feats
+
+
+# (A lines, graph indicator lines) of two-graph corpora, written as given.
+EDGE_CASES = {
+    "duplicate-lines": ("1, 2\n1, 2\n2, 1\n2, 3\n4, 5\n5, 4\n4, 5\n", "1\n1\n1\n2\n2\n"),
+    "one-direction": ("1, 2\n1, 3\n2, 3\n5, 4\n", "1\n1\n1\n2\n2\n"),
+    "self-loops": ("1, 1\n1, 2\n2, 2\n3, 3\n4, 4\n4, 5\n", "1\n1\n1\n2\n2\n"),
+    "interleaved-ids": ("5, 1\n3, 5\n4, 2\n1, 3\n6, 2\n", "1\n2\n1\n2\n1\n2\n"),
+    "one-edgeless": ("4, 5\n5, 3\n", "1\n1\n2\n2\n2\n"),
+    "no-edges": ("", "1\n1\n2\n2\n2\n"),
+}
 
 
 class TestLoadTU:
@@ -70,6 +106,44 @@ class TestLoadTU:
             total_nodes += g.n
         lines = (tmp_path / "synth_graph_indicator.txt").read_text().splitlines()
         assert total_nodes == len([l for l in lines if l.strip()])
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES) + ["desk-corpus"])
+    def test_edge_lists_match_dense_construction(self, tmp_path, case):
+        if case == "desk-corpus":
+            directory, name = pathlib.Path(__file__).parent / "_desk_corpus", "chordal"
+        else:
+            directory, name = tmp_path, "e"
+            a_text, indicator = EDGE_CASES[case]
+            (tmp_path / "e_A.txt").write_text(a_text)
+            (tmp_path / "e_graph_indicator.txt").write_text(indicator)
+            (tmp_path / "e_graph_labels.txt").write_text("1\n2\n")
+        ds = load_tu_dataset(str(directory), name)
+        adj, feats = dense_reference(directory, name)
+        assert len(ds.graphs) == len(adj)
+        for g, a, f in zip(ds.graphs, adj, feats):
+            want = Graph.from_dense(a, f, g.label)
+            assert g.n == want.n
+            for field in ("dst", "src", "flat", "weight"):
+                got, expected = getattr(g.edges, field), getattr(want.edges, field)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            assert np.array_equal(g.features.data, want.features.data)
+
+    def test_loading_allocates_no_dense_adjacency(self, tmp_path):
+        n = 2000
+        write_tu(tmp_path, "ring", [([(i, (i + 1) % n) for i in range(n)], n, 1)])
+        tracemalloc.start()
+        try:
+            ds = load_tu_dataset(str(tmp_path), "ring")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 8  # a dense float64 adjacency takes 32 MB
+        g = ds.graphs[0]
+        g.gcn_norm
+        assert set(vars(g)) == {"edges", "features", "label", "gcn_norm"}
+        for part in (g.edges, g.gcn_norm):
+            arrays = [v for v in vars(part).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 4 and all(v.ndim == 1 for v in arrays)
 
     def test_node_label_features(self, tmp_path):
         write_tu(
@@ -242,22 +316,22 @@ class TestGraphStructure:
         adj = np.zeros((3, 3))
         for (u, v), w in entries.items():
             adj[u, v] = w
-        g = Graph(adjacency=Tensor(adj), features=Tensor(np.ones((3, 1))), label=0)
         with pytest.raises(ContractError, match=broken):
-            g.edges
+            Graph.from_dense(adj, np.ones((3, 1)), 0)
 
     def test_non_square_rejected_on_construction(self):
         with pytest.raises(ContractError, match="square"):
-            Graph(adjacency=Tensor(np.zeros((2, 3))), features=Tensor(np.ones((2, 1))), label=0)
+            Graph.from_dense(np.zeros((2, 3)), np.ones((2, 1)), 0)
+        with pytest.raises(ContractError, match="feature rows"):
+            Graph.from_dense(np.zeros((3, 3)), np.ones((2, 1)), 0)
 
-    def test_adjacency_read_only_once_derived(self):
+    def test_adjacency_is_a_fresh_copy_of_the_edges(self):
         g = make_graph([(0, 1), (1, 2)], 3)
-        g.adjacency.data[0, 2] = 0.0  # still writable before first use
-        edges = g.edges
-        with pytest.raises(ValueError):
-            g.adjacency.data[0, 2] = 1.0
-        assert g.edges is edges
-        assert edges.flat.tolist() == [1, 3, 5, 7]
+        a = g.adjacency.data
+        assert a.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        a[0, 2] = 1.0  # editing a copy cannot put the edge list out of step
+        assert g.edges.flat.tolist() == [1, 3, 5, 7]
+        assert g.adjacency.data[0, 2] == 0.0 and g.adjacency.data is not a
 
     def test_structure_is_linear_in_nodes_and_edges(self, rng):
         for _ in range(20):

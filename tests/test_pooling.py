@@ -7,7 +7,6 @@ from sshpool.errors import ContractError
 from sshpool.pooling import (
     PoolLayerParams,
     baseline_diffpool_layer,
-    baseline_global_pool,
     coarsen,
     extract_subgraphs,
     harden,
@@ -412,22 +411,6 @@ class TestLayerAndStack:
 
 
 class TestBaselines:
-    def test_global_pool_examples(self, rng):
-        x = Tensor(np.eye(3))
-        assert baseline_global_pool(x, "sum").data.tolist() == [[1.0, 1.0, 1.0]]
-        row = Tensor([[4.0, 5.0]])
-        assert baseline_global_pool(row, "mean").data.tolist() == [[4.0, 5.0]]
-        y = rng.normal(size=(5, 4))
-        want_sum = np.zeros(4)
-        for r in range(5):
-            want_sum = want_sum + y[r]
-        assert np.array_equal(baseline_global_pool(Tensor(y), "sum").data[0], want_sum)
-        assert np.allclose(baseline_global_pool(Tensor(y), "mean").data[0], want_sum / 5)
-
-    def test_global_pool_bad_mode(self, rng):
-        with pytest.raises(ContractError):
-            baseline_global_pool(Tensor(np.ones((2, 2))), "max")
-
     def test_diffpool_one_hot_limit(self, rng):
         # engineer logits so extreme that softmax is numerically one-hot
         g = make_graph([(0, 1), (1, 2), (2, 3)], 4, d=2, seed=2)

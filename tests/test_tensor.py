@@ -116,10 +116,26 @@ class TestElementwiseOps:
 
     def test_sum_rows_matches_sequential_loop(self, rng):
         x = rng.normal(size=(7, 3)) * 13.7
-        acc = np.zeros(3)
-        for r in range(7):
-            acc = acc + x[r]
-        assert np.array_equal(sum_rows(Tensor(x)).data[0], acc)
+        zeros = -np.zeros((3, 2))
+        zeros[2, 1] = 0.0
+        cases = [x, np.asfortranarray(rng.normal(size=(40, 3))), x[:, 1:2], x[:1], x[:0],
+                 zeros, zeros[:, :1], np.asfortranarray(zeros), rng.normal(size=(5, 4))[:, ::2]]
+        for x in cases:
+            acc = np.zeros(x.shape[1])
+            for r in range(x.shape[0]):
+                acc = acc + x[r]
+            got = sum_rows(Tensor(x)).data[0]
+            assert got.tobytes() == acc.tobytes()  # -0.0 sums to +0.0, as from zeros
+
+    def test_sum_and_mean_rows_examples(self, rng):
+        assert sum_rows(Tensor(np.eye(3))).data.tolist() == [[1.0, 1.0, 1.0]]
+        assert mean_rows(Tensor([[4.0, 5.0]])).data.tolist() == [[4.0, 5.0]]
+        y = rng.normal(size=(5, 4))
+        want_sum = np.zeros(4)
+        for r in range(5):
+            want_sum = want_sum + y[r]
+        assert np.array_equal(sum_rows(Tensor(y)).data[0], want_sum)
+        assert np.allclose(mean_rows(Tensor(y)).data[0], want_sum / 5)
 
     def test_take_cols(self, rng):
         x = rng.normal(size=(5, 4))
