@@ -17,22 +17,24 @@ import csv
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import Dataset, Graph, atomic_open, graph_stats, load_tu_dataset, stratified_subset
+from .data import (
+    FEATURE_MODES,
+    Dataset,
+    Graph,
+    atomic_open,
+    graph_stats,
+    load_tu_dataset,
+    stratified_subset,
+)
 from .diagnostics import certify_locality, compare_smoothing
 from .errors import ContractError, IngestError
 from .gradcheck import check_model_gradients, fixture_graph_and_params
-from .model import ModelConfig, ModelParams, forward, layer_sizes_from_ratio
-from .trainer import (
-    TrainConfig,
-    cross_validate,
-    evaluate,
-    sweep_depth,
-    sweep_ratio,
-    train_graphs,
-)
+from .model import VARIANTS, ModelConfig, ModelParams, forward, layer_sizes_from_ratio
+from .trainer import TrainConfig, cross_validate, evaluate, sweep, train_graphs
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -52,38 +54,50 @@ def _to_float_list(text: str) -> list[float]:
     return [float(tok) for tok in str(text).split(",") if tok.strip()]
 
 
-# One row per option: config-file key (the argparse dest) -> (type
-# converter, default). A default of None means "unset".
+class _Option(NamedTuple):
+    convert: Callable[[str], object]
+    default: object  # None means "unset"
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+# The one declaration of every option: config-file key (the argparse dest,
+# and the flag with "_" written "-") -> converter, default, help. Rows whose
+# converter is ``_to_bool`` become --flag/--no-flag switches.
 _OPTIONS = {
-    "data": (str, None),
-    "name": (str, None),
-    "feature_mode": (str, None),
-    "out": (str, None),
-    "ckpt": (str, None),
-    "hidden_dim": (int, 128),
-    "layer_sizes": (_to_int_list, None),
-    "layer_base": (int, 128),
-    "ratio": (float, 0.25),
-    "depth": (int, 3),
-    "dropout": (float, 0.5),
-    "variant": (str, "sshpool"),
-    "attention": (_to_bool, True),
-    "gconv_layers": (int, 1),
-    "keep_coarse_self_loops": (_to_bool, False),
-    "lr": (float, 1e-3),
-    "epochs": (int, 100),
-    "batch_size": (int, 32),
-    "folds": (int, 10),
-    "repeats": (int, 10),
-    "seed": (int, 0),
-    "limit_graphs": (int, None),
-    "graph_index": (int, 0),
-    "trials": (int, 100),
-    "graphs": (int, 50),
-    "tolerance": (float, 1e-4),
-    "step": (float, 1e-5),
-    "depths": (_to_int_list, [1, 2, 3]),
-    "ratios": (_to_float_list, [0.5, 0.25, 0.125]),
+    "data": _Option(str, None, "dataset directory (TU layout)"),
+    "name": _Option(str, None, "dataset name prefix"),
+    "feature_mode": _Option(str, None, "node features (default: node-label one-hots "
+                            "when the corpus has node labels, else degree one-hots)",
+                            FEATURE_MODES),
+    "limit_graphs": _Option(int, None, "stratified subsample to this many graphs"),
+    "out": _Option(str, None, "output directory (train writes to out/ without it)"),
+    "ckpt": _Option(str, None, "checkpoint file"),
+    "hidden_dim": _Option(int, 128, "hidden width"),
+    "layer_sizes": _Option(_to_int_list, None, "cluster counts per layer, any schedule, "
+                           "e.g. 128,10,8 (default: from --layer-base, --ratio, --depth)"),
+    "layer_base": _Option(int, 128, "first-layer cluster count without --layer-sizes"),
+    "ratio": _Option(float, 0.25, "assignment ratio: each layer has round(ratio * "
+                     "previous) clusters"),
+    "depth": _Option(int, 3, "pooling layers without --layer-sizes"),
+    "dropout": _Option(float, 0.5, "dropout rate"),
+    "variant": _Option(str, "sshpool", "model variant", VARIANTS),
+    "attention": _Option(_to_bool, True, "attention fusion of the layer readouts"),
+    "gconv_layers": _Option(int, 1, "global convolution layers"),
+    "keep_coarse_self_loops": _Option(_to_bool, False, "keep self-loops in coarse adjacencies"),
+    "lr": _Option(float, 1e-3, "Adam learning rate"),
+    "epochs": _Option(int, 100, "training epochs"),
+    "batch_size": _Option(int, 32, "graphs per Adam step"),
+    "folds": _Option(int, 10, "cross-validation folds"),
+    "repeats": _Option(int, 10, "cross-validation repeats"),
+    "seed": _Option(int, 0, "the single source of randomness"),
+    "graph_index": _Option(int, 0, "graph to trace"),
+    "trials": _Option(int, 100, "perturbation trials in total, at least --graphs"),
+    "graphs": _Option(int, 50, "graphs to use"),
+    "tolerance": _Option(float, 1e-4, "largest relative error that passes"),
+    "step": _Option(float, 1e-5, "central-difference step"),
+    "depths": _Option(_to_int_list, [1, 2, 3], "depths to sweep"),
+    "ratios": _Option(_to_float_list, [0.5, 0.25, 0.125], "assignment ratios to sweep"),
 }
 
 
@@ -106,7 +120,7 @@ def read_config_file(path: str) -> dict:
         if key not in _OPTIONS:
             raise ContractError(f"{path}:{lineno}: unknown option {key!r}")
         try:
-            values[key] = _OPTIONS[key][0](value.strip())
+            values[key] = _OPTIONS[key].convert(value.strip())
         except (ValueError, TypeError):
             raise ContractError(
                 f"{path}:{lineno}: bad value {value.strip()!r} for {key!r}"
@@ -117,11 +131,11 @@ def read_config_file(path: str) -> dict:
 def _resolve(ns: argparse.Namespace) -> argparse.Namespace:
     """Apply flag > config file > default precedence to every option."""
     file_values = read_config_file(ns.config) if getattr(ns, "config", None) else {}
-    for key, (_, default) in _OPTIONS.items():
+    for key, option in _OPTIONS.items():
         if not hasattr(ns, key):
             continue
         if getattr(ns, key) is None:
-            setattr(ns, key, file_values.get(key, default))
+            setattr(ns, key, file_values.get(key, option.default))
     return ns
 
 
@@ -132,47 +146,6 @@ def _require(ns: argparse.Namespace, *keys: str) -> None:
         if getattr(ns, key) is None:
             flag = "--" + key.replace("_", "-")
             raise ContractError(f"{flag} is required: pass {flag} or set {key!r} in --config")
-
-
-def _add_dataset_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", help="dataset directory (TU layout)")
-    p.add_argument("--name", help="dataset name prefix")
-    p.add_argument("--feature-mode", dest="feature_mode", default=None,
-                   choices=["node-label-one-hot", "degree-one-hot", "constant"])
-    p.add_argument("--limit-graphs", dest="limit_graphs", type=int, default=None,
-                   help="stratified subsample to this many graphs")
-
-
-def _add_model_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-    p.add_argument("--layer-sizes", dest="layer_sizes", type=_to_int_list, default=None,
-                   help="explicit cluster counts, e.g. 128,32,8")
-    p.add_argument("--layer-base", dest="layer_base", type=int, default=None,
-                   help="first-layer cluster count when --layer-sizes is absent")
-    p.add_argument("--ratio", type=float, default=None, help="assignment ratio")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--variant", default=None,
-                   choices=["sshpool", "diffpool", "global_sum", "global_mean"])
-    p.add_argument("--attention", dest="attention", default=None,
-                   action=argparse.BooleanOptionalAction)
-    p.add_argument("--gconv-layers", dest="gconv_layers", type=int, default=None)
-    p.add_argument("--keep-coarse-self-loops", dest="keep_coarse_self_loops",
-                   default=None, action=argparse.BooleanOptionalAction)
-
-
-def _add_train_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--out", default=None, help="output directory")
 
 
 def _load_dataset(ns: argparse.Namespace) -> Dataset:
@@ -324,10 +297,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     dataset = _load_dataset(ns)
     model_config = _model_config(ns, dataset)
     train_config = _train_config(ns)
-    if ns.kind == "depth":
-        rows = sweep_depth(dataset, ns.depths, model_config, train_config)
-    else:
-        rows = sweep_ratio(dataset, ns.ratios, model_config, train_config)
+    values = getattr(ns, ns.kind + "s")  # --depths or --ratios
+    rows = sweep(dataset, ns.kind, values, model_config, train_config)
     header = [ns.kind, "method", "mean_accuracy", "std_error"]
     if ns.out:
         os.makedirs(ns.out, exist_ok=True)
@@ -352,48 +323,56 @@ def _random_graph(rng: np.random.Generator, d: int) -> Graph:
     return Graph.from_dense(adj, rng.normal(size=(n, d)), label=0)
 
 
-def cmd_diagnose(ns: argparse.Namespace) -> int:
+def _require_graphs(ns: argparse.Namespace) -> None:
     if ns.graphs < 1:
         raise ContractError(f"--graphs must be >= 1, got {ns.graphs}")
-    rng = np.random.default_rng(ns.seed)
-    if ns.kind == "locality":
-        graphs_checked, passes, trials_run = 0, 0, 0
-        violations = []
-        per_graph = max(1, ns.trials // ns.graphs)
-        for _ in range(ns.graphs):
-            d_in = int(rng.integers(3, 8))
-            graph = _random_graph(rng, d_in)
-            hidden = int(rng.integers(4, 10))
-            clusters = int(rng.integers(1, 7))
-            config = ModelConfig(
-                feature_dim_in=d_in,
-                num_classes=2,
-                hidden_dim=hidden,
-                layer_sizes=(clusters,),
-                assignment_ratio=0.5,
-                depth=1,
-                dropout=0.0,
-            )
-            params = ModelParams(config, seed=int(rng.integers(2**31)))
-            report = certify_locality(graph, params, trials=per_graph, rng=rng)
-            graphs_checked += 1
-            passes += report.passes
-            trials_run += report.trials
-            violations.extend(report.violations)
-        print(
-            json.dumps(
-                {
-                    "graphs": graphs_checked,
-                    "trials": trials_run,
-                    "passes": passes,
-                    "violations": violations,
-                },
-                sort_keys=True,
-            )
-        )
-        return 0 if passes == trials_run else 1
 
-    # smoothing: compare the pooled pipeline against a stacked convolution
+
+def cmd_locality(ns: argparse.Namespace) -> int:
+    _require_graphs(ns)
+    if ns.trials < ns.graphs:
+        raise ContractError(f"--trials must be >= --graphs ({ns.graphs}), got {ns.trials}")
+    rng = np.random.default_rng(ns.seed)
+    passes, trials_run = 0, 0
+    violations = []
+    # The first trials % graphs graphs take one extra trial.
+    per_graph, extra = divmod(ns.trials, ns.graphs)
+    for g in range(ns.graphs):
+        d_in = int(rng.integers(3, 8))
+        graph = _random_graph(rng, d_in)
+        hidden = int(rng.integers(4, 10))
+        clusters = int(rng.integers(1, 7))
+        config = ModelConfig(
+            feature_dim_in=d_in,
+            num_classes=2,
+            hidden_dim=hidden,
+            layer_sizes=(clusters,),
+            assignment_ratio=0.5,
+            depth=1,
+            dropout=0.0,
+        )
+        params = ModelParams(config, seed=int(rng.integers(2**31)))
+        report = certify_locality(graph, params, trials=per_graph + (g < extra), rng=rng)
+        passes += report.passes
+        trials_run += report.trials
+        violations.extend(report.violations)
+    print(
+        json.dumps(
+            {
+                "graphs": ns.graphs,
+                "trials": trials_run,
+                "passes": passes,
+                "violations": violations,
+            },
+            sort_keys=True,
+        )
+    )
+    return 0 if passes == trials_run else 1
+
+
+def cmd_smoothing(ns: argparse.Namespace) -> int:
+    """Compare the pooled pipeline against a stacked convolution."""
+    _require_graphs(ns)
     if ns.data:
         dataset = _load_dataset(ns)
     else:
@@ -418,66 +397,69 @@ def cmd_diagnose(ns: argparse.Namespace) -> int:
     return 0
 
 
+_DATASET = ("data", "name", "feature_mode", "limit_graphs")
+_MODEL = (
+    "hidden_dim", "layer_sizes", "layer_base", "ratio", "depth", "dropout",
+    "variant", "attention", "gconv_layers", "keep_coarse_self_loops",
+)
+_TRAINING = _DATASET + _MODEL + ("lr", "epochs", "batch_size", "folds", "repeats", "out")
+
+# Per command: help, then its handler and the options the handler reads,
+# or, for a command with kinds, a table of its kinds in the same form.
+# Every command also takes --seed and --config.
+_COMMANDS = {
+    "train": ("cross-validated training run", cmd_train, _TRAINING),
+    "eval": ("evaluate a checkpoint on a dataset", cmd_eval, ("ckpt",) + _DATASET),
+    "pool-trace": ("per-layer coarsening trace as JSON lines", cmd_pool_trace,
+                   ("ckpt", "graph_index") + _DATASET),
+    "gradcheck": ("finite-difference check of the full model", cmd_gradcheck,
+                  ("variant", "tolerance", "step")),
+    "sweep": ("depth or assignment-ratio sensitivity table", {
+        "depth": ("accuracy versus depth", cmd_sweep, ("depths",) + _TRAINING),
+        "ratio": ("accuracy versus assignment ratio", cmd_sweep, ("ratios",) + _TRAINING),
+    }),
+    "stats": ("dataset summary as JSON", cmd_stats, _DATASET),
+    "diagnose": ("smoothing profiles or locality certification", {
+        "smoothing": ("pooled versus stacked-convolution smoothing profiles", cmd_smoothing,
+                      ("graphs", "ckpt", "out") + _DATASET + _MODEL),
+        "locality": ("certify that no information crosses a cluster boundary",
+                     cmd_locality, ("trials", "graphs")),
+    }),
+}
+
+
+def _add_commands(sub, table: dict) -> None:
+    for name, (help_text, *target) in table.items():
+        p = sub.add_parser(name, help=help_text, description=help_text)
+        if isinstance(target[0], dict):
+            _add_commands(p.add_subparsers(dest="kind", required=True), target[0])
+            continue
+        func, keys = target
+        for key in (*keys, "seed"):
+            option = _OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            text = option.help
+            if option.default is not None:
+                shown = option.default
+                if isinstance(shown, list):
+                    shown = ",".join(map(str, shown))
+                text += f" (default: {shown})"
+            # Every argparse default stays None, so _resolve can tell a flag
+            # from an absent one.
+            if option.convert is _to_bool:
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, help=text)
+            else:
+                p.add_argument(flag, type=option.convert, choices=option.choices, help=text)
+        p.add_argument("--config", help="flat key = value config file")
+        p.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sshpool",
         description="Hierarchical graph pooling: training, tracing, diagnostics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="cross-validated training run")
-    _add_dataset_opts(p_train)
-    _add_model_opts(p_train)
-    _add_train_opts(p_train)
-    _add_common(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p_eval.add_argument("--ckpt")
-    _add_dataset_opts(p_eval)
-    _add_common(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_trace = sub.add_parser("pool-trace", help="per-layer coarsening trace as JSON lines")
-    p_trace.add_argument("--ckpt")
-    p_trace.add_argument("--graph-index", dest="graph_index", type=int, default=None)
-    _add_dataset_opts(p_trace)
-    _add_common(p_trace)
-    p_trace.set_defaults(func=cmd_pool_trace)
-
-    p_grad = sub.add_parser("gradcheck", help="finite-difference check of the full model")
-    p_grad.add_argument("--variant", default=None,
-                        choices=["sshpool", "diffpool", "global_sum", "global_mean"])
-    p_grad.add_argument("--tolerance", type=float, default=None)
-    p_grad.add_argument("--step", type=float, default=None)
-    _add_common(p_grad)
-    p_grad.set_defaults(func=cmd_gradcheck)
-
-    p_sweep = sub.add_parser("sweep", help="depth or assignment-ratio sensitivity table")
-    p_sweep.add_argument("kind", choices=["depth", "ratio"])
-    p_sweep.add_argument("--depths", type=_to_int_list, default=None)
-    p_sweep.add_argument("--ratios", type=_to_float_list, default=None)
-    _add_dataset_opts(p_sweep)
-    _add_model_opts(p_sweep)
-    _add_train_opts(p_sweep)
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_stats = sub.add_parser("stats", help="dataset summary as JSON")
-    _add_dataset_opts(p_stats)
-    _add_common(p_stats)
-    p_stats.set_defaults(func=cmd_stats)
-
-    p_diag = sub.add_parser("diagnose", help="smoothing profiles or locality certification")
-    p_diag.add_argument("kind", choices=["smoothing", "locality"])
-    p_diag.add_argument("--ckpt", default=None)
-    p_diag.add_argument("--trials", type=int, default=None)
-    p_diag.add_argument("--graphs", type=int, default=None)
-    _add_dataset_opts(p_diag)
-    _add_model_opts(p_diag)
-    _add_common(p_diag)
-    p_diag.set_defaults(func=cmd_diagnose)
-
+    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS)
     return parser
 
 

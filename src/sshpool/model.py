@@ -71,13 +71,10 @@ class ModelConfig:
     variant: str = "sshpool"
     global_conv_layers: int = 1
     keep_coarse_self_loops: bool = False
-    mlp_hidden_dim: int | None = None  # defaults to hidden_dim
 
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
-        if self.mlp_hidden_dim is None:
-            self.mlp_hidden_dim = self.hidden_dim
-        if self.hidden_dim < 1 or self.mlp_hidden_dim < 1:
+        if self.hidden_dim < 1:
             raise ContractError(f"hidden_dim must be positive, got {self.hidden_dim}")
         if self.num_classes < 1:
             raise ContractError(f"num_classes must be >= 1, got {self.num_classes}")
@@ -93,12 +90,6 @@ class ModelConfig:
             )
         if any(s < 1 for s in self.layer_sizes):
             raise ContractError(f"layer sizes must be >= 1, got {self.layer_sizes}")
-        for a, b in zip(self.layer_sizes, self.layer_sizes[1:]):
-            if b != round(self.assignment_ratio * a):
-                raise ContractError(
-                    f"layer sizes {self.layer_sizes} inconsistent with "
-                    f"assignment ratio {self.assignment_ratio}"
-                )
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -109,6 +100,7 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
         d["layer_sizes"] = tuple(d["layer_sizes"])
+        d.pop("mlp_hidden_dim", None)  # always hidden_dim; older checkpoints carry it
         return cls(**d)
 
 
@@ -154,10 +146,9 @@ class ModelParams:
         self.attn_q = self._add("attn.query", _glorot(rng, d, d))
         self.attn_k = self._add("attn.key", _glorot(rng, d, d))
         self.attn_v = self._add("attn.value", _glorot(rng, d, d))
-        m = config.mlp_hidden_dim
-        self.mlp_w1 = self._add("mlp.hidden.weight", _glorot(rng, d, m))
-        self.mlp_b1 = self._add("mlp.hidden.bias", Tensor(np.zeros((1, m)), requires_grad=True))
-        self.mlp_w2 = self._add("mlp.out.weight", _glorot(rng, m, config.num_classes))
+        self.mlp_w1 = self._add("mlp.hidden.weight", _glorot(rng, d, d))
+        self.mlp_b1 = self._add("mlp.hidden.bias", Tensor(np.zeros((1, d)), requires_grad=True))
+        self.mlp_w2 = self._add("mlp.out.weight", _glorot(rng, d, config.num_classes))
         self.mlp_b2 = self._add(
             "mlp.out.bias", Tensor(np.zeros((1, config.num_classes)), requires_grad=True)
         )

@@ -320,58 +320,35 @@ def _config_for(
     return ModelConfig.from_dict(d)
 
 
-def sweep_depth(
+def sweep(
     dataset: Dataset,
-    depths: list[int],
+    kind: str,
+    values: list,
     base_config: ModelConfig,
     train_config: TrainConfig,
     methods: tuple[str, ...] = ("sshpool", "sshpool_non", "diffpool"),
 ) -> list[dict]:
-    """Accuracy versus depth, one row per (depth, method), methods in order.
+    """Accuracy versus ``kind`` ("depth" or "ratio"), one row per (value,
+    method), methods in order.
 
-    Each row is a CSV row as ``sshpool sweep depth`` writes it:
-    ``depth, method, mean_accuracy, std_error``.
+    Layer sizes follow the geometric rule from ``base_config``'s first
+    layer; the field not swept keeps ``base_config``'s value. Each row is a
+    CSV row as ``sshpool sweep <kind>`` writes it:
+    ``<kind>, method, mean_accuracy, std_error``.
     """
+    if kind not in ("depth", "ratio"):
+        raise ContractError(f"sweep kind must be 'depth' or 'ratio', got {kind!r}")
     rows = []
-    for depth in depths:
-        sizes = layer_sizes_from_ratio(
-            base_config.layer_sizes[0], base_config.assignment_ratio, depth
-        )
+    for value in values:
+        depth = value if kind == "depth" else base_config.depth
+        ratio = value if kind == "ratio" else base_config.assignment_ratio
+        sizes = layer_sizes_from_ratio(base_config.layer_sizes[0], ratio, depth)
         for method in methods:
-            config = _config_for(base_config, method, sizes)
+            config = _config_for(base_config, method, sizes, ratio)
             report = cross_validate(dataset, config, train_config)
             rows.append(
                 {
-                    "depth": depth,
-                    "method": method,
-                    "mean_accuracy": report.mean_accuracy,
-                    "std_error": report.std_error,
-                }
-            )
-    return rows
-
-
-def sweep_ratio(
-    dataset: Dataset,
-    ratios: list[float],
-    base_config: ModelConfig,
-    train_config: TrainConfig,
-    methods: tuple[str, ...] = ("sshpool", "sshpool_non", "diffpool"),
-) -> list[dict]:
-    """Accuracy versus ratio, one row per (ratio, method), methods in order.
-
-    Layer sizes follow the geometric rule. Each row is a CSV row as
-    ``sshpool sweep ratio`` writes it: ``ratio, method, mean_accuracy, std_error``.
-    """
-    rows = []
-    for ratio in ratios:
-        sizes = layer_sizes_from_ratio(base_config.layer_sizes[0], ratio, base_config.depth)
-        for method in methods:
-            config = _config_for(base_config, method, sizes, ratio=ratio)
-            report = cross_validate(dataset, config, train_config)
-            rows.append(
-                {
-                    "ratio": ratio,
+                    kind: value,
                     "method": method,
                     "mean_accuracy": report.mean_accuracy,
                     "std_error": report.std_error,

@@ -1,6 +1,8 @@
 import argparse
+import importlib
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -12,6 +14,21 @@ from sshpool.synth import write_tu_corpus
 from conftest import write_tu
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def leaf_parsers(parser):
+    """Every parser that runs a command, the kinds of sweep and diagnose included."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [parser]
+    return [leaf for sub in subs for p in sub.choices.values() for leaf in leaf_parsers(p)]
+
+
+def readme_cli_lines():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("sshpool ")]
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +100,15 @@ class TestTrain:
 
     def test_bad_flag_exit_2(self, corpus, tmp_path):
         assert main(["train", "--no-such-flag"]) == 2
+
+    @pytest.mark.parametrize("sizes", ["16,8", "128,10,8"])
+    def test_any_layer_sizes_without_ratio(self, corpus, tmp_path, capsys, sizes):
+        args = train_args(corpus, str(tmp_path / "o"))
+        del args[args.index("--ratio"):args.index("--ratio") + 2]
+        args[args.index("--layer-sizes") + 1] = sizes
+        assert main(args) == 0
+        report = json.loads(open(tmp_path / "o" / "report.json").read())
+        assert report["model_config"]["layer_sizes"] == [int(s) for s in sizes.split(",")]
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +249,18 @@ class TestDiagnoseCommand:
         assert main(["diagnose", kind, "--graphs", graphs, "--seed", "1"]) == 2
         assert "--graphs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-4", "4"])
+    def test_fewer_trials_than_graphs_exit_2(self, capsys, trials):
+        args = ["diagnose", "locality", "--trials", trials, "--graphs", "5", "--seed", "1"]
+        assert main(args) == 2
+        assert "--trials must be >= --graphs" in capsys.readouterr().err
+
+    def test_locality_runs_the_trials_asked(self, capsys):
+        args = ["diagnose", "locality", "--trials", "7", "--graphs", "5", "--seed", "1"]
+        assert main(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["graphs"], payload["trials"], payload["passes"]) == (5, 7, 7)
+
     def test_smoothing_without_dataset(self, tmp_path, capsys):
         out = str(tmp_path / "sm")
         code = main(
@@ -273,6 +311,17 @@ class TestConfigFile:
         assert main(["stats", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == from_flags
 
+    def test_keys_the_command_does_not_read_are_ignored(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            f"data = {corpus}\nname = synth\nout = {tmp_path / 'o'}\ntrials = 3\nepochs = 0\n"
+        )
+        assert main(["stats", "--data", corpus, "--name", "synth"]) == 0
+        from_flags = capsys.readouterr().out
+        assert main(["stats", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == from_flags
+        assert not os.path.exists(tmp_path / "o")
+
     def test_ckpt_from_file_matches_flag(self, corpus, trained, tmp_path, capsys):
         ckpt = os.path.join(trained, "model.ckpt")
         cfg = tmp_path / "eval.cfg"
@@ -295,17 +344,14 @@ class TestConfigFile:
         assert flag in err and repr(flag[2:]) in err
 
     def test_option_table_matches_parsers(self):
-        parser = build_parser()
-        (subcommands,) = [
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        ]
-        not_options = {"config", "command", "kind", "func"}
+        leaves = leaf_parsers(build_parser())
+        assert len(leaves) == 9  # 5 commands, 2 sweep kinds, 2 diagnose kinds
         dests = {
             action.dest
-            for sub in subcommands.choices.values()
-            for action in sub._actions
+            for leaf in leaves
+            for action in leaf._actions
             if not isinstance(action, argparse._HelpAction)
-        } - not_options
+        } - {"config"}
         assert not dests - set(_OPTIONS), "flags without a table row"
         assert not set(_OPTIONS) - dests, "table rows that no subcommand parses"
 
@@ -317,3 +363,49 @@ class TestConfigFile:
              "--out", str(tmp_path / "o"), "--config", str(cfg)]
         )
         assert code == 2
+
+
+class TestCommandSurface:
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_readme_example_parses(self, line):
+        build_parser().parse_args(shlex.split(line)[1:])
+
+    def test_readme_lists_every_command(self):
+        commands = {tuple(shlex.split(line)[1:3]) for line in readme_cli_lines()}
+        heads = {c[0] for c in commands}
+        assert heads == {"train", "eval", "pool-trace", "gradcheck", "sweep", "stats", "diagnose"}
+        assert {("sweep", "depth"), ("sweep", "ratio")} <= commands
+        assert {("diagnose", "locality"), ("diagnose", "smoothing")} <= commands
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "--out", "o"],
+            ["pool-trace", "--out", "o"],
+            ["gradcheck", "--out", "o"],
+            ["stats", "--out", "o"],
+            ["diagnose", "locality", "--data", "."],
+            ["diagnose", "locality", "--ckpt", "m.ckpt"],
+            ["diagnose", "locality", "--hidden-dim", "8"],
+            ["diagnose", "locality", "--out", "o"],
+            ["diagnose", "smoothing", "--trials", "5"],
+            ["sweep", "depth", "--ratios", "0.5"],
+            ["sweep", "ratio", "--depths", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_the_command_does_not_read_exit_2(self, capsys, args):
+        assert main(args) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_seed_and_config_on_every_command(self):
+        for leaf in leaf_parsers(build_parser()):
+            flags = {f for action in leaf._actions for f in action.option_strings}
+            assert {"--seed", "--config"} <= flags, leaf.prog
+
+    def test_console_script_target_imports(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["sshpool"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is main

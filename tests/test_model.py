@@ -44,14 +44,14 @@ class TestConfig:
         assert cfg.layer_sizes == (128, 32, 8)
         assert cfg.depth == 3
 
-    def test_ratio_consistency_enforced(self):
-        with pytest.raises(ContractError):
-            ModelConfig(
-                feature_dim_in=3,
-                num_classes=2,
-                layer_sizes=(128, 10, 8),
-                depth=3,
-            )
+    def test_any_layer_schedule_accepted(self):
+        cfg = ModelConfig(feature_dim_in=3, num_classes=2, layer_sizes=(128, 10, 8), depth=3)
+        assert cfg.layer_sizes == (128, 10, 8)
+
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_depth_must_match_layer_sizes(self, depth):
+        with pytest.raises(ContractError, match="number of layer sizes"):
+            ModelConfig(feature_dim_in=3, num_classes=2, layer_sizes=(128, 10, 8), depth=depth)
 
     def test_bad_dropout(self):
         with pytest.raises(ContractError):
@@ -402,6 +402,22 @@ class TestCheckpoint:
         assert loaded.config == cfg
         for name, t in params.named().items():
             assert np.array_equal(t.data, loaded.named()[name].data)
+        g = random_graph(rng, d=4)
+        a, _ = forward(g, params)
+        b, _ = forward(g, loaded)
+        assert np.array_equal(a.data, b.data)
+
+    def test_config_with_mlp_hidden_dim_loads(self, tmp_path, rng):
+        import json
+
+        params = ModelParams(small_config(), seed=21)
+        path = str(tmp_path / "model.ckpt")
+        params.save(path)
+        payload = json.loads(open(path).read())
+        assert "mlp_hidden_dim" not in payload["config"]
+        payload["config"]["mlp_hidden_dim"] = payload["config"]["hidden_dim"]
+        open(path, "w").write(json.dumps(payload))
+        loaded = ModelParams.load(path)
         g = random_graph(rng, d=4)
         a, _ = forward(g, params)
         b, _ = forward(g, loaded)

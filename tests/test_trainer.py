@@ -13,8 +13,7 @@ from sshpool.trainer import (
     adam_step,
     cross_validate,
     mean_and_std_error,
-    sweep_depth,
-    sweep_ratio,
+    sweep,
     train_graphs,
 )
 
@@ -283,7 +282,7 @@ class TestSweeps:
         ds = triangle_dataset(6, seed=0)
         cfg = tiny_model_config(ds, layer_sizes=(4, 2), depth=2)
         tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=0)
-        rows = sweep_depth(ds, [1], cfg, tc, methods=("sshpool",))
+        rows = sweep(ds, "depth", [1], cfg, tc, methods=("sshpool",))
         assert len(rows) == 1
         assert rows[0]["depth"] == 1
         assert 0.0 <= rows[0]["mean_accuracy"] <= 1.0
@@ -292,8 +291,8 @@ class TestSweeps:
         ds = triangle_dataset(6, seed=0)
         cfg = tiny_model_config(ds)
         tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=3)
-        a = sweep_depth(ds, [1, 2], cfg, tc, methods=("sshpool", "diffpool"))
-        b = sweep_depth(ds, [1, 2], cfg, tc, methods=("sshpool", "diffpool"))
+        a = sweep(ds, "depth", [1, 2], cfg, tc, methods=("sshpool", "diffpool"))
+        b = sweep(ds, "depth", [1, 2], cfg, tc, methods=("sshpool", "diffpool"))
         assert a == b
         assert len(a) == 4
 
@@ -301,7 +300,7 @@ class TestSweeps:
         ds = triangle_dataset(6, seed=0)
         cfg = tiny_model_config(ds, layer_sizes=(8, 4), depth=2)
         tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=0)
-        rows = sweep_ratio(ds, [0.5, 0.25], cfg, tc, methods=("sshpool",))
+        rows = sweep(ds, "ratio", [0.5, 0.25], cfg, tc, methods=("sshpool",))
         assert [r["ratio"] for r in rows] == [0.5, 0.25]
         for r in rows:
             assert 0.0 <= r["mean_accuracy"] <= 1.0
@@ -311,4 +310,10 @@ class TestSweeps:
         cfg = tiny_model_config(ds, layer_sizes=(8, 4), depth=2)
         tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=0)
         with pytest.raises(ContractError):
-            sweep_ratio(ds, [0.01], cfg, tc, methods=("sshpool",))
+            sweep(ds, "ratio", [0.01], cfg, tc, methods=("sshpool",))
+
+    def test_unknown_kind_rejected(self):
+        ds = triangle_dataset(6, seed=0)
+        tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=0)
+        with pytest.raises(ContractError, match="sweep kind"):
+            sweep(ds, "width", [8], tiny_model_config(ds), tc, methods=("sshpool",))
