@@ -129,12 +129,12 @@ def read_config_file(path: str) -> dict:
 
 
 def _resolve(ns: argparse.Namespace) -> argparse.Namespace:
-    """Apply flag > config file > default precedence to every option."""
+    """Flag > config file > default for the command's options; defaults for the rest."""
     file_values = read_config_file(ns.config) if getattr(ns, "config", None) else {}
     for key, option in _OPTIONS.items():
         if not hasattr(ns, key):
-            continue
-        if getattr(ns, key) is None:
+            setattr(ns, key, option.default)
+        elif getattr(ns, key) is None:
             setattr(ns, key, file_values.get(key, option.default))
     return ns
 
@@ -156,6 +156,14 @@ def _load_dataset(ns: argparse.Namespace) -> Dataset:
     if ns.limit_graphs is not None:
         dataset = stratified_subset(dataset, ns.limit_graphs, seed=ns.seed)
     return dataset
+
+
+def _check_feature_width(params: ModelParams, dataset: Dataset) -> None:
+    if dataset.feature_dim != params.config.feature_dim_in:
+        raise ContractError(
+            f"checkpoint takes {params.config.feature_dim_in} input features; dataset "
+            f"{dataset.name!r} has {dataset.feature_dim} ({dataset.feature_mode})"
+        )
 
 
 def _model_config(ns: argparse.Namespace, dataset: Dataset) -> ModelConfig:
@@ -241,6 +249,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     _require(ns, "ckpt")
     params = ModelParams.load(ns.ckpt)
     dataset = _load_dataset(ns)
+    _check_feature_width(params, dataset)
     count = len(dataset.graphs)
     mean_loss, accuracy = evaluate(dataset, list(range(count)), params)
     print(
@@ -260,6 +269,7 @@ def cmd_pool_trace(ns: argparse.Namespace) -> int:
             f"pool-trace needs an sshpool checkpoint, got variant {params.config.variant!r}"
         )
     dataset = _load_dataset(ns)
+    _check_feature_width(params, dataset)
     if not 0 <= ns.graph_index < len(dataset.graphs):
         raise ContractError(
             f"graph index {ns.graph_index} outside [0, {len(dataset.graphs)})"
@@ -295,6 +305,8 @@ def cmd_gradcheck(ns: argparse.Namespace) -> int:
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     dataset = _load_dataset(ns)
+    # Swept schedules replace this one, which (unlike a geometric one) cannot degenerate.
+    ns.layer_sizes = [ns.layer_base] * ns.depth
     model_config = _model_config(ns, dataset)
     train_config = _train_config(ns)
     values = getattr(ns, ns.kind + "s")  # --depths or --ratios
@@ -381,6 +393,7 @@ def cmd_smoothing(ns: argparse.Namespace) -> int:
         dataset = triangle_dataset(num_graphs=20, seed=ns.seed)
     if ns.ckpt:
         params = ModelParams.load(ns.ckpt)
+        _check_feature_width(params, dataset)
     else:
         params = ModelParams(_model_config(ns, dataset), seed=ns.seed)
     graphs = dataset.graphs[: ns.graphs]
@@ -398,30 +411,30 @@ def cmd_smoothing(ns: argparse.Namespace) -> int:
 
 
 _DATASET = ("data", "name", "feature_mode", "limit_graphs")
-_MODEL = (
-    "hidden_dim", "layer_sizes", "layer_base", "ratio", "depth", "dropout",
-    "variant", "attention", "gconv_layers", "keep_coarse_self_loops",
-)
+_MODEL = ("hidden_dim", "layer_base", "dropout", "gconv_layers", "keep_coarse_self_loops")
 _TRAINING = _DATASET + _MODEL + ("lr", "epochs", "batch_size", "folds", "repeats", "out")
+# A sweep sets each method's variant and attention, and builds the schedule
+# from --layer-base, the swept value and the other of --ratio/--depth.
+_SCHEDULE = ("layer_sizes", "ratio", "depth", "variant", "attention")
 
 # Per command: help, then its handler and the options the handler reads,
 # or, for a command with kinds, a table of its kinds in the same form.
 # Every command also takes --seed and --config.
 _COMMANDS = {
-    "train": ("cross-validated training run", cmd_train, _TRAINING),
+    "train": ("cross-validated training run", cmd_train, _TRAINING + _SCHEDULE),
     "eval": ("evaluate a checkpoint on a dataset", cmd_eval, ("ckpt",) + _DATASET),
     "pool-trace": ("per-layer coarsening trace as JSON lines", cmd_pool_trace,
                    ("ckpt", "graph_index") + _DATASET),
     "gradcheck": ("finite-difference check of the full model", cmd_gradcheck,
                   ("variant", "tolerance", "step")),
     "sweep": ("depth or assignment-ratio sensitivity table", {
-        "depth": ("accuracy versus depth", cmd_sweep, ("depths",) + _TRAINING),
-        "ratio": ("accuracy versus assignment ratio", cmd_sweep, ("ratios",) + _TRAINING),
+        "depth": ("accuracy versus depth", cmd_sweep, ("depths", "ratio") + _TRAINING),
+        "ratio": ("accuracy versus assignment ratio", cmd_sweep, ("ratios", "depth") + _TRAINING),
     }),
     "stats": ("dataset summary as JSON", cmd_stats, _DATASET),
     "diagnose": ("smoothing profiles or locality certification", {
         "smoothing": ("pooled versus stacked-convolution smoothing profiles", cmd_smoothing,
-                      ("graphs", "ckpt", "out") + _DATASET + _MODEL),
+                      ("graphs", "ckpt", "out") + _DATASET + _MODEL + _SCHEDULE),
         "locality": ("certify that no information crosses a cluster boundary",
                      cmd_locality, ("trials", "graphs")),
     }),
@@ -430,7 +443,8 @@ _COMMANDS = {
 
 def _add_commands(sub, table: dict) -> None:
     for name, (help_text, *target) in table.items():
-        p = sub.add_parser(name, help=help_text, description=help_text)
+        # No abbreviations: "--depth" must not stand for "--depths".
+        p = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
         if isinstance(target[0], dict):
             _add_commands(p.add_subparsers(dest="kind", required=True), target[0])
             continue
@@ -479,7 +493,7 @@ def main(argv=None) -> int:
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

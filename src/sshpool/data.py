@@ -5,12 +5,17 @@ edge per line, ``{name}_graph_indicator.txt`` maps each node line to a
 1-based graph id, ``{name}_graph_labels.txt`` holds one label per graph,
 and ``{name}_node_labels.txt`` is optional. Edge-weight and edge-label
 files are ignored; the model consumes unweighted adjacency only.
+
+numpy parses each file into an int64 array, skipping blank lines; a value
+is a decimal integer in int64 range, and anything else (``#`` included) is
+a ``ParseError``. All later checks run on the arrays; an error about one
+line names it as ``file:line``, blank lines counted.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -165,11 +170,6 @@ class FoldPlan:
         return [i for i, f in enumerate(self.assignments) if f == fold]
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
-
-
 @contextmanager
 def atomic_open(path: str, newline: str = "\n"):
     """Write text to a temp file beside ``path``, then move it into place.
@@ -188,39 +188,68 @@ def atomic_open(path: str, newline: str = "\n"):
         raise
 
 
-def _parse_int(token: str, path: str, lineno: int) -> int:
-    try:
-        return int(token.strip())
-    except ValueError:
-        raise ParseError(
-            f"{os.path.basename(path)}:{lineno}: expected integer, got {token.strip()!r}"
-        ) from None
+def _where(path: str, row: int) -> str:
+    """``file:line`` of data row ``row`` (0-based), blank lines counted in the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        numbers = [k for k, line in enumerate(fh.read().splitlines(), start=1) if line.strip()]
+    return f"{os.path.basename(path)}:{numbers[row]}"
+
+
+def _reject(path: str, bad: np.ndarray, problem: str) -> None:
+    """``IntegrityError`` naming the line of the first row set in ``bad``, if any."""
+    if bad.any():
+        raise IntegrityError(f"{_where(path, int(bad.argmax()))}: {problem}")
+
+
+def _read_table(path: str, width: int) -> np.ndarray:
+    """The non-blank lines of a TU file of ``width`` comma-separated integers,
+    as an int64 array of shape (rows, width).
+
+    numpy's C parser reads every row; the lines are walked only to name a
+    row it rejects.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = list(filter(str.strip, fh.read().splitlines()))
+    if not rows:
+        return np.empty((0, width), dtype=np.int64)
+    bad = 0  # numpy takes the first row's field count as the file's
+    if rows[0].count(",") == width - 1:
+        try:
+            return np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+        except ValueError as exc:
+            # numpy names the row from 0 when it cannot convert a token,
+            # and from 1 when the row has a different field count.
+            message = str(exc)
+            row = int(re.search(r" at row (\d+)", message)[1])
+            bad = row if "could not convert" in message else row - 1
+    raise ParseError(
+        f"{_where(path, bad)}: expected {width} comma-separated integer(s), "
+        f"got {rows[bad].strip()!r}"
+    )
 
 
 def _edge_lists(
-    ends: np.ndarray, indicator: list[int], local_index: list[int], sizes: list[int]
+    pairs: np.ndarray, graph_of: np.ndarray, local: np.ndarray, sizes: np.ndarray
 ) -> list[Edges]:
-    """Each graph's row-major edge list from ``ends``, (u, v) pairs of global
+    """Each graph's row-major edge list from ``pairs``, (u, v) rows of global
     node ids with u != v in one graph: both directions, repeats merged.
 
     One sort orders all graphs' entries, keyed ``start[g] + flat``; the
     lists are slices of arrays they share.
     """
-    graph_of, local, n = np.array(indicator), np.array(local_index), np.array(sizes)
-    start = np.concatenate(([0], np.cumsum(n * n)))
-    pairs = ends.reshape(-1, 2)
+    start = np.concatenate(([0], np.cumsum(sizes * sizes)))
     dst, src = np.concatenate([pairs, pairs[:, ::-1]]).T
     g = graph_of[dst]
-    key = np.sort(start[g] + local[dst] * n[g] + local[src])
+    key = np.sort(start[g] + local[dst] * sizes[g] + local[src])
     key = key[np.diff(key, prepend=-1) != 0]  # sorted: a repeat follows its first copy
     g = np.searchsorted(start, key, side="right") - 1
     flat = key - start[g]
-    dst, src = np.divmod(flat, n[g])
+    dst, src = np.divmod(flat, sizes[g])
     weight = np.ones(key.size)
     bounds = np.searchsorted(key, start).tolist()
     return [
-        Edges(size, dst[lo:hi], src[lo:hi], flat[lo:hi], weight[lo:hi])
-        for size, lo, hi in zip(sizes, bounds, bounds[1:])
+        Edges(n, dst[lo:hi], src[lo:hi], flat[lo:hi], weight[lo:hi])
+        for n, lo, hi in zip(sizes.tolist(), bounds, bounds[1:])
     ]
 
 
@@ -242,85 +271,44 @@ def load_tu_dataset(directory: str, name: str, feature_mode: str | None = None) 
             raise IngestError(f"missing dataset file: {path_of(suffix)}")
 
     ind_path = path_of("graph_indicator")
-    indicator: list[int] = []
-    for lineno, line in enumerate(_read_lines(ind_path), start=1):
-        if not line.strip():
-            continue
-        gid = _parse_int(line, ind_path, lineno)
-        if gid < 1:
-            raise IntegrityError(f"{os.path.basename(ind_path)}:{lineno}: graph id {gid} < 1")
-        indicator.append(gid - 1)
-    if not indicator:
+    graph_ids = _read_table(ind_path, 1)[:, 0]
+    n_nodes = graph_ids.size
+    if not n_nodes:
         raise IngestError(f"empty indicator file: {ind_path}")
-    num_graphs = max(indicator) + 1
-
-    # Global 0-based node id -> (graph, local index in ascending id order).
-    local_index: list[int] = []
-    sizes = [0] * num_graphs
-    for gid in indicator:
-        local_index.append(sizes[gid])
-        sizes[gid] += 1
-    if min(sizes) == 0:
+    # Every graph has a node, so no id can exceed the node count.
+    _reject(ind_path, (graph_ids < 1) | (graph_ids > n_nodes), f"graph id outside 1..{n_nodes}")
+    graph_of = graph_ids - 1
+    sizes = np.bincount(graph_of)
+    if not sizes.all():
         raise IntegrityError(f"{name}: graph with zero nodes in indicator file")
+    # The nodes graph by graph, ascending ids inside a graph, and each
+    # node's index in its graph.
+    order = np.argsort(graph_of, kind="stable")
+    local = np.empty(n_nodes, dtype=np.int64)
+    local[order] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    lab_path = path_of("graph_labels")
-    raw_labels = [
-        _parse_int(line, lab_path, lineno)
-        for lineno, line in enumerate(_read_lines(lab_path), start=1)
-        if line.strip()
-    ]
-    if len(raw_labels) != num_graphs:
-        raise IntegrityError(
-            f"{name}: {len(raw_labels)} graph labels for {num_graphs} graphs"
-        )
-    remap: dict[int, int] = {}
-    labels = []
-    for raw in raw_labels:
-        if raw not in remap:
-            remap[raw] = len(remap)
-        labels.append(remap[raw])
+    raw_labels = _read_table(path_of("graph_labels"), 1)[:, 0]
+    if raw_labels.size != sizes.size:
+        raise IntegrityError(f"{name}: {raw_labels.size} graph labels for {sizes.size} graphs")
+    values, first, inverse = np.unique(raw_labels, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[inverse].tolist()  # classes in first-seen order
 
     # Both ends of every edge line, as global 0-based node ids.
-    ends = array("q")
     a_path = path_of("A")
-    n_nodes = len(indicator)
-    for lineno, line in enumerate(_read_lines(a_path), start=1):
-        if not line.strip():
-            continue
-        tokens = line.split(",")
-        if len(tokens) != 2:
-            raise ParseError(
-                f"{os.path.basename(a_path)}:{lineno}: expected 'i, j', got {line.strip()!r}"
-            )
-        i = _parse_int(tokens[0], a_path, lineno)
-        j = _parse_int(tokens[1], a_path, lineno)
-        if not (1 <= i <= n_nodes and 1 <= j <= n_nodes):
-            raise IntegrityError(
-                f"{os.path.basename(a_path)}:{lineno}: node id outside 1..{n_nodes}"
-            )
-        u, v = i - 1, j - 1
-        if indicator[u] != indicator[v]:
-            raise IntegrityError(
-                f"{os.path.basename(a_path)}:{lineno}: edge crosses graphs "
-                f"{indicator[u] + 1} and {indicator[v] + 1}"
-            )
-        if u != v:  # the diagonal stays zero; self-loops live inside convolutions
-            ends.append(u)
-            ends.append(v)
-    edges = _edge_lists(np.frombuffer(ends, dtype=np.int64), indicator, local_index, sizes)
+    ends = _read_table(a_path, 2)
+    _reject(a_path, ((ends < 1) | (ends > n_nodes)).any(axis=1), f"node id outside 1..{n_nodes}")
+    ends -= 1
+    owner = graph_of[ends]
+    _reject(a_path, owner[:, 0] != owner[:, 1], "edge joins nodes of two graphs")
+    # The diagonal stays zero; self-loops live inside convolutions.
+    edges = _edge_lists(ends[ends[:, 0] != ends[:, 1]], graph_of, local, sizes)
 
-    node_labels: list[int] | None = None
+    node_labels = None
     nl_path = path_of("node_labels")
     if os.path.isfile(nl_path):
-        node_labels = [
-            _parse_int(line, nl_path, lineno)
-            for lineno, line in enumerate(_read_lines(nl_path), start=1)
-            if line.strip()
-        ]
-        if len(node_labels) != n_nodes:
-            raise IntegrityError(
-                f"{name}: {len(node_labels)} node labels for {n_nodes} nodes"
-            )
+        node_labels = _read_table(nl_path, 1)[:, 0]
+        if node_labels.size != n_nodes:
+            raise IntegrityError(f"{name}: {node_labels.size} node labels for {n_nodes} nodes")
 
     if feature_mode is None:
         feature_mode = "node-label-one-hot" if node_labels is not None else "degree-one-hot"
@@ -328,12 +316,9 @@ def load_tu_dataset(directory: str, name: str, feature_mode: str | None = None) 
         raise IngestError(f"missing dataset file: {nl_path}")
 
     if feature_mode == "node-label-one-hot":
-        alphabet = sorted(set(node_labels))
-        col = {lab: c for c, lab in enumerate(alphabet)}
-        dim = len(alphabet)
-        feats = [np.zeros((sz, dim)) for sz in sizes]
-        for node, lab in enumerate(node_labels):
-            feats[indicator[node]][local_index[node], col[lab]] = 1.0
+        alphabet, col = np.unique(node_labels, return_inverse=True)
+        dim = alphabet.size
+        feats = np.split(np.eye(dim)[col[order]], np.cumsum(sizes)[:-1])
     elif feature_mode == "degree-one-hot":
         dim = DEGREE_CAP + 1
         feats = [degree_one_hot(e) for e in edges]
@@ -348,7 +333,7 @@ def load_tu_dataset(directory: str, name: str, feature_mode: str | None = None) 
     return Dataset(
         name=name,
         graphs=graphs,
-        num_classes=len(remap),
+        num_classes=values.size,
         feature_dim=dim,
         feature_mode=feature_mode,
     )

@@ -74,6 +74,8 @@ class ModelConfig:
 
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
+        if self.feature_dim_in < 1:
+            raise ContractError(f"feature_dim_in must be positive, got {self.feature_dim_in}")
         if self.hidden_dim < 1:
             raise ContractError(f"hidden_dim must be positive, got {self.hidden_dim}")
         if self.num_classes < 1:
@@ -188,7 +190,7 @@ class ModelParams:
             )
         try:
             config = ModelConfig.from_dict(_field(payload, "config", path))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # ContractError is a ValueError
             raise IngestError(f"checkpoint {path}: bad config: {exc!r}") from None
         params = cls(config, seed=0)  # structure only; values overwritten below
         stored = _field(payload, "params", path)

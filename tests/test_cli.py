@@ -170,6 +170,35 @@ class TestEvalAndTrace:
         assert code == 3
         assert "'config'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["eval"], ["pool-trace"], ["diagnose", "smoothing", "--graphs", "2"]],
+        ids=" ".join,
+    )
+    def test_feature_width_mismatch_exit_2(self, corpus, trained, capsys, args):
+        # The checkpoint was trained on degree one-hots (64 columns).
+        code = main(
+            [*args, "--ckpt", os.path.join(trained, "model.ckpt"),
+             "--data", corpus, "--name", "synth", "--feature-mode", "constant"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "64" in err and "has 1 (constant)" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("layer_sizes", [0]), ("variant", "nope"), ("feature_dim_in", -1)]
+    )
+    def test_invalid_checkpoint_config_exit_3(self, corpus, trained, tmp_path, capsys,
+                                              key, value):
+        with open(os.path.join(trained, "model.ckpt")) as fh:
+            payload = json.load(fh)
+        payload["config"][key] = value
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_text(json.dumps(payload))
+        code = main(["eval", "--ckpt", str(ckpt), "--data", corpus, "--name", "synth"])
+        assert code == 3
+        assert "bad config" in capsys.readouterr().err
+
     def test_pool_trace_index_out_of_range_exit_2(self, corpus, trained):
         code = main(
             ["pool-trace", "--ckpt", os.path.join(trained, "model.ckpt"),
@@ -226,6 +255,17 @@ class TestSweepCommand:
         assert capsys.readouterr().out.encode("utf-8") == written
 
 
+    def test_base_schedule_never_rejects_a_sweep(self, corpus, capsys):
+        # The default ratio 0.25 gives 8, 2, 0 at depth 3; the sweep runs 0.5.
+        code = main(
+            ["sweep", "ratio", "--data", corpus, "--name", "synth", "--ratios", "0.5",
+             "--hidden-dim", "8", "--layer-base", "8", "--depth", "3",
+             "--epochs", "1", "--folds", "2", "--repeats", "1", "--seed", "0"]
+        )
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+
 class TestStatsCommand:
     def test_json_matches_library(self, corpus, capsys):
         assert main(["stats", "--data", corpus, "--name", "synth"]) == 0
@@ -233,6 +273,13 @@ class TestStatsCommand:
         assert payload == json.loads(
             json.dumps(graph_stats(load_tu_dataset(corpus, "synth")))
         )
+
+
+    def test_dataset_file_not_utf8_exit_3(self, tmp_path, capsys):
+        write_tu(tmp_path, "u", [(TRIANGLE, 3, 1)])
+        (tmp_path / "u_graph_labels.txt").write_bytes(b"\xff\n")
+        assert main(["stats", "--data", str(tmp_path), "--name", "u"]) == 3
+        assert "utf-8" in capsys.readouterr().err
 
 
 class TestDiagnoseCommand:
@@ -391,6 +438,14 @@ class TestCommandSurface:
             ["diagnose", "smoothing", "--trials", "5"],
             ["sweep", "depth", "--ratios", "0.5"],
             ["sweep", "ratio", "--depths", "1"],
+            ["sweep", "depth", "--variant", "global_sum"],
+            ["sweep", "ratio", "--variant", "diffpool"],
+            ["sweep", "depth", "--no-attention"],
+            ["sweep", "ratio", "--attention"],
+            ["sweep", "depth", "--layer-sizes", "4,2"],
+            ["sweep", "ratio", "--layer-sizes", "4,2"],
+            ["sweep", "depth", "--depth", "2"],
+            ["sweep", "ratio", "--ratio", "0.5"],
         ],
         ids=" ".join,
     )

@@ -62,6 +62,7 @@ EDGE_CASES = {
     "interleaved-ids": ("5, 1\n3, 5\n4, 2\n1, 3\n6, 2\n", "1\n2\n1\n2\n1\n2\n"),
     "one-edgeless": ("4, 5\n5, 3\n", "1\n1\n2\n2\n2\n"),
     "no-edges": ("", "1\n1\n2\n2\n2\n"),
+    "blank-lines": ("\n1, 2\n  \n2, 3\n\t\n4, 5\n\n", "\n1\n1\n \n1\n2\n\n2\n"),
 }
 
 
@@ -107,6 +108,7 @@ class TestLoadTU:
         lines = (tmp_path / "synth_graph_indicator.txt").read_text().splitlines()
         assert total_nodes == len([l for l in lines if l.strip()])
 
+    @pytest.mark.filterwarnings("error")  # an empty _A.txt loads without a warning too
     @pytest.mark.parametrize("case", sorted(EDGE_CASES) + ["desk-corpus"])
     def test_edge_lists_match_dense_construction(self, tmp_path, case):
         if case == "desk-corpus":
@@ -159,6 +161,23 @@ class TestLoadTU:
         assert ds.graphs[0].features.data[0].tolist() == [0.0, 1.0]
         assert ds.graphs[0].features.data[1].tolist() == [1.0, 0.0]
 
+    def test_node_label_features_match_per_node_scatter(self, tmp_path):
+        # Graph ids interleave, so each graph's rows are its nodes in id order.
+        indicator, node_labels = [1, 2, 1, 2, 1, 2, 2], [5, 9, 7, 5, 9, 9, -1]
+        (tmp_path / "il_A.txt").write_text("1, 3\n3, 5\n2, 4\n6, 7\n")
+        (tmp_path / "il_graph_indicator.txt").write_text("".join(f"{g}\n" for g in indicator))
+        (tmp_path / "il_graph_labels.txt").write_text("4\n2\n")
+        (tmp_path / "il_node_labels.txt").write_text("".join(f"{v}\n" for v in node_labels))
+        ds = load_tu_dataset(str(tmp_path), "il")
+        alphabet = sorted(set(node_labels))
+        want = [[], []]
+        for g, v in zip(indicator, node_labels):
+            row = [0.0] * len(alphabet)
+            row[alphabet.index(v)] = 1.0
+            want[g - 1].append(row)
+        assert ds.feature_dim == len(alphabet)
+        assert [g.features.data.tolist() for g in ds.graphs] == want
+
     def test_degree_capped(self, tmp_path):
         star = [(0, i) for i in range(1, 70)]
         write_tu(tmp_path, "star", [(star, 70, 1), ([(0, 1)], 2, 2)])
@@ -194,6 +213,28 @@ class TestLoadTU:
             load_tu_dataset(str(tmp_path), "p")
         assert ":2:" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "suffix, text, error, line",
+        [
+            ("A", "1, 2\n\n   \nfoo, 3\n", ParseError, 4),
+            ("A", "\t\n\n4\n1, 2\n", ParseError, 3),
+            ("A", "1, 2\n \n2, 3, 1\n", ParseError, 3),
+            ("A", "1, 2\n\n\n1, 99\n", IntegrityError, 4),
+            ("A", "\n1, 2\n  \n1, 4\n", IntegrityError, 4),
+            ("graph_indicator", "1\n\n1\n \n1\nx\n2\n2\n", ParseError, 6),
+            ("graph_indicator", "1\n \n1\n\n0\n2\n2\n2\n", IntegrityError, 5),
+            ("graph_indicator", "1\n1\n\n1000000000000000\n2\n2\n", IntegrityError, 4),
+            ("graph_labels", "\n\t\n1.5\n2\n", ParseError, 3),
+        ],
+    )
+    def test_error_names_the_line_counting_blank_lines(self, tmp_path, suffix, text, error,
+                                                       line):
+        write_tu(tmp_path, "l", [(TRIANGLE, 3, 1), ([(0, 1), (1, 2)], 3, 2)])
+        (tmp_path / f"l_{suffix}.txt").write_text(text)
+        with pytest.raises(error) as err:
+            load_tu_dataset(str(tmp_path), "l")
+        assert str(err.value).startswith(f"l_{suffix}.txt:{line}: ")
+
     def test_node_id_out_of_range(self, tmp_path):
         write_tu(tmp_path, "r", [(TRIANGLE, 3, 1)])
         (tmp_path / "r_A.txt").write_text("1, 99\n")
@@ -217,6 +258,12 @@ MALFORMED = {
     "too-few-labels": ("graph_labels", lambda t: t.splitlines()[0] + "\n", IntegrityError),
     "too-many-labels": ("graph_labels", lambda t: t + "1\n", IntegrityError),
     "too-few-node-labels": ("node_labels", lambda t: t.split("\n", 1)[1], IntegrityError),
+    "too-many-node-labels": ("node_labels", lambda t: t + "1\n", IntegrityError),
+    "non-integer-node-label": ("node_labels", lambda t: t.replace("2", "b", 1), ParseError),
+    "comment-line": ("A", lambda t: "# edges\n" + t, ParseError),
+    "graph-id-above-node-count": (
+        "graph_indicator", lambda t: t.replace("2", "1000000000000000", 1), IntegrityError
+    ),
 }
 
 
