@@ -87,20 +87,14 @@ def check_model_gradients(
         lg, _ = forward(graph, params, training=False, frozen_assignments=frozen)
         return loss(lg, graph.label).item()
 
-    worst: dict[str, float] = {}
-    for name, tensor in params.named().items():
-        analytic = tensor.grad_or_zero()
-        err = 0.0
-        flat = tensor.data.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            up = probe()
-            flat[idx] = orig - step
-            down = probe()
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * step)
-            err = max(err, _rel_err(analytic.reshape(-1)[idx], numeric))
-        worst[name] = err
+    errors = np.empty(params.data.size)
+    for idx, orig in enumerate(params.data.tolist()):
+        params.data[idx] = orig + step
+        up = probe()
+        params.data[idx] = orig - step
+        down = probe()
+        params.data[idx] = orig
+        errors[idx] = _rel_err(params.grad[idx], (up - down) / (2.0 * step))
+    worst = {name: float(e.max()) for name, e in zip(params.named(), params.split(errors))}
     params.zero_grad()
     return GradCheckReport(tolerance=tolerance, worst=worst)

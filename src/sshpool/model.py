@@ -117,7 +117,11 @@ class ModelParams:
     Order: global convolution weights, then per pooling layer the assignment
     projection followed by that layer's local (or shared embed) weights,
     then attention query/key/value, then the MLP weights and biases. The
-    Adam optimizer and the checkpoint format both rely on this order.
+    checkpoint format relies on this order.
+
+    The values fill one float64 vector ``data``, and the gradients a second,
+    ``grad``, in that order. Each named tensor's ``data`` and ``grad`` are
+    reshaped views of them: callers write them in place, never rebind them.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -154,6 +158,10 @@ class ModelParams:
         self.mlp_b2 = self._add(
             "mlp.out.bias", Tensor(np.zeros((1, config.num_classes)), requires_grad=True)
         )
+        self.data = np.concatenate([t.data.reshape(-1) for t in self._named.values()])
+        self.grad = np.zeros_like(self.data)
+        for t, d, g in zip(self._named.values(), self.split(self.data), self.split(self.grad)):
+            t.data, t.grad = d.reshape(t.shape), g.reshape(t.shape)
 
     def _add(self, name: str, tensor: Tensor) -> Tensor:
         self._named[name] = tensor
@@ -162,9 +170,12 @@ class ModelParams:
     def named(self) -> dict[str, Tensor]:
         return self._named
 
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views, in order, of a vector laid out as ``data``."""
+        return np.split(vector, np.cumsum([t.data.size for t in self._named.values()])[:-1])
+
     def zero_grad(self) -> None:
-        for t in self._named.values():
-            t.zero_grad()
+        self.grad.fill(0.0)
 
     def save(self, path: str) -> None:
         payload = {
@@ -212,7 +223,7 @@ class ModelParams:
                 )
             if not np.isfinite(arr).all():
                 raise IngestError(f"checkpoint {where}: non-finite value")
-            t.data = arr.astype(np.float64).reshape(t.shape)
+            t.data[...] = arr.reshape(t.shape)
         return params
 
 

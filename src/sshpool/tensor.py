@@ -30,7 +30,8 @@ class Tensor:
 
     ``requires_grad=True`` marks a leaf parameter: after a backward pass its
     ``grad`` holds dLoss/dTensor, accumulated across passes until the caller
-    resets it. Tensors produced by recorded operations are never leaves.
+    resets it; a standalone leaf's is ``None`` until a gradient reaches it.
+    Tensors produced by recorded operations are never leaves.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "is_leaf")
@@ -57,9 +58,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def grad_or_zero(self) -> np.ndarray:
         """The accumulated gradient, or a zero matrix if none reached this leaf."""
@@ -122,8 +120,9 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate dLoss/dLeaf into every requires_grad leaf.
 
-        Repeated calls accumulate further; callers reset grads between
-        optimizer steps.
+        Each leaf's contributions are summed over the tape, then added in
+        place into its ``grad``. Repeated calls accumulate further; callers
+        reset grads between optimizer steps.
         """
         if loss.data.shape != (1, 1):
             raise ContractError(f"loss must be 1x1, got shape {loss.data.shape}")
@@ -146,7 +145,7 @@ class Tape:
             rule(g, push)
 
         for t, g in leaves.values():
-            t.grad = g.copy() if t.grad is None else t.grad + g
+            t.grad = g.copy() if t.grad is None else np.add(t.grad, g, out=t.grad)
 
 
 def _record(out: Tensor, rule: BackwardRule) -> Tensor:

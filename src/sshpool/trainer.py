@@ -51,48 +51,40 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moments per parameter plus the shared step counter.
+    """First/second moments of every parameter entry, a scratch vector the
+    size of ``ModelParams.data``, and the shared step counter."""
 
-    A parameter's moments are created, as zeros, on its first gradient.
-    Before that they would be exact zeros and its update exactly zero, so
-    it has no entry and ``adam_step`` skips it.
-    """
-
-    def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.scratch = np.empty(size)
         self.t = 0
 
 
-def adam_step(
-    params: ModelParams,
-    grads: dict[str, np.ndarray | None],
-    state: AdamState,
-    config: TrainConfig,
-) -> None:
-    """One bias-corrected Adam update over every parameter.
-
-    ``grads`` names every parameter; ``None`` means no gradient reached it,
-    which is read as a zero gradient.
-    """
+def adam_step(params: ModelParams, state: AdamState, config: TrainConfig) -> None:
+    """One bias-corrected Adam update of ``params.data`` from ``params.grad``,
+    in-place ufuncs in the order of ``data - lr * (m / bias1) / (sqrt(v /
+    bias2) + eps)``; an entry no gradient has reached moves by exactly +0.0.
+    ``params.grad`` is overwritten as a temporary."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
-    for name, tensor in params.named().items():
-        if name not in grads:
-            raise ContractError(f"missing gradient for parameter {name}")
-        g = grads[name]
-        if name not in state.m:
-            if g is None:
-                continue
-            state.m[name] = np.zeros_like(tensor.data)
-            state.v[name] = np.zeros_like(tensor.data)
-        elif g is None:
-            g = 0.0
-        m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        tensor.data = tensor.data - config.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    m, v, tmp, g = state.m, state.v, state.scratch, params.grad
+    np.multiply(g, 1.0 - b1, out=tmp)
+    m *= b1
+    m += tmp
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
+    v *= b2
+    v += tmp
+    np.divide(m, bias1, out=tmp)
+    tmp *= config.lr
+    np.divide(v, bias2, out=g)
+    np.sqrt(g, out=g)
+    g += ADAM_EPS
+    tmp /= g
+    params.data -= tmp
 
 
 def _seed_for(*entropy: int) -> np.random.SeedSequence:
@@ -150,7 +142,7 @@ def train_graphs(
         for s in _seed_for(train_config.seed, repeat, fold).spawn(3)
     )
     params = ModelParams(model_config, seed=int(init_seed))
-    state = AdamState()
+    state = AdamState(params.data.size)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     dropout_rng = np.random.default_rng(drop_seed)
 
@@ -163,7 +155,6 @@ def train_graphs(
         epoch_correct = 0
         for start in range(0, len(order), train_config.batch_size):
             batch = sorted(order[start : start + train_config.batch_size])
-            params.zero_grad()
             for i in batch:
                 g = dataset.graphs[i]
                 with Tape() as tape:
@@ -178,12 +169,12 @@ def train_graphs(
                 epoch_losses.append(value)
                 epoch_correct += int(predict(logits) == g.label)
                 touched.add(i)
-            grads = {
-                name: None if t.grad is None else t.grad / len(batch)
-                for name, t in params.named().items()
-            }
-            adam_step(params, grads, state, train_config)
-        params.zero_grad()
+            if not np.isfinite(params.grad).all():
+                bad = next(n for n, t in params.named().items() if not np.isfinite(t.grad).all())
+                raise ContractError(f"non-finite gradient of {bad} at epoch {epoch}, graphs {batch}")
+            params.grad /= len(batch)
+            adam_step(params, state, train_config)
+            params.zero_grad()
 
         train_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
         train_acc = epoch_correct / len(order) if order else 0.0

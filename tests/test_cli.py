@@ -101,6 +101,37 @@ class TestTrain:
     def test_bad_flag_exit_2(self, corpus, tmp_path):
         assert main(["train", "--no-such-flag"]) == 2
 
+    @pytest.mark.parametrize("extra, keep", [([], False), (["--keep-coarse-self-loops"], True)])
+    def test_keep_coarse_self_loops_in_report(self, corpus, tmp_path, extra, keep):
+        out = tmp_path / "o"
+        assert main(train_args(corpus, str(out), extra)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["model_config"]["keep_coarse_self_loops"] is keep
+
+    def test_non_finite_gradient_exit_2(self, corpus, tmp_path, capsys, monkeypatch):
+        import sshpool.trainer as trainer_module
+        from sshpool.tensor import Tape
+
+        seen = []
+        real_forward, real_backward = trainer_module.forward, Tape.backward
+
+        def forward(graph, params, **kwargs):
+            seen.append(params)
+            return real_forward(graph, params, **kwargs)
+
+        def backward(tape, loss):
+            # The loss stays finite; one entry of one leaf's gradient does not.
+            real_backward(tape, loss)
+            seen[-1].named()["pool.1.local.0"].grad[0, 1] = np.nan
+
+        monkeypatch.setattr(trainer_module, "forward", forward)
+        monkeypatch.setattr(Tape, "backward", backward)
+        out = tmp_path / "o"
+        assert main(train_args(corpus, str(out))) == 2
+        err = capsys.readouterr().err
+        assert "non-finite gradient of pool.1.local.0 at epoch 1, graphs [" in err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("sizes", ["16,8", "128,10,8"])
     def test_any_layer_sizes_without_ratio(self, corpus, tmp_path, capsys, sizes):
         args = train_args(corpus, str(tmp_path / "o"))

@@ -213,17 +213,17 @@ class TestClassify:
         cfg = small_config()
         params = ModelParams(cfg, seed=0)
         for name in ("mlp.hidden.weight", "mlp.out.weight"):
-            params.named()[name].data = np.zeros_like(params.named()[name].data)
+            params.named()[name].data[...] = 0.0
         logits = classify(Tensor(np.ones((3, 6))), params)
         assert np.array_equal(logits.data, np.zeros((1, 2)))
 
     def test_hand_computed_logits(self):
         cfg = small_config(feature_dim_in=2, hidden_dim=2, layer_sizes=(2, 1), depth=2)
         params = ModelParams(cfg, seed=0)
-        params.mlp_w1.data = np.eye(2)
-        params.mlp_b1.data = np.array([[1.0, -10.0]])
-        params.mlp_w2.data = np.array([[2.0, 0.0], [0.0, 2.0]])
-        params.mlp_b2.data = np.array([[0.5, -0.5]])
+        params.mlp_w1.data[...] = np.eye(2)
+        params.mlp_b1.data[...] = np.array([[1.0, -10.0]])
+        params.mlp_w2.data[...] = np.array([[2.0, 0.0], [0.0, 2.0]])
+        params.mlp_b2.data[...] = np.array([[0.5, -0.5]])
         logits = classify(Tensor(np.array([[1.0, 3.0]])), params).data
         # hidden = relu([1,3] + [1,-10]) = [2, 0]; logits = [4.5, -0.5]
         assert logits.tolist() == [[4.5, -0.5]]
@@ -319,9 +319,25 @@ class TestForward:
             grad = params.named()["pool.0.assign"].grad
             if variant == "sshpool":
                 # the hard assignment only separates the graph
-                assert grad is None
+                assert np.array_equal(grad, np.zeros_like(grad))
             else:
                 assert grad is not None and np.any(grad != 0.0)
+
+    def test_keep_coarse_self_loops_puts_kept_edges_on_the_diagonal(self):
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (1, 4), (0, 5)]
+        g = make_graph(edges, 6, d=4, seed=14)
+        on, off = (
+            forward(g, ModelParams(small_config(keep_coarse_self_loops=keep), seed=15))[1]
+            .layers[0]
+            for keep in (True, False)
+        )
+        kept = on.a_mask
+        kept_per_cluster = np.array([kept[np.ix_(c, c)].sum() / 2 for c in on.clusters])
+        assert kept_per_cluster.sum() > 0
+        a_on, a_off = on.coarse_adjacency.data, off.coarse_adjacency.data
+        assert np.array_equal(np.diag(a_on), 2.0 * kept_per_cluster)
+        assert np.array_equal(np.diag(a_off), np.zeros(len(kept_per_cluster)))
+        assert np.array_equal(a_on - np.diag(np.diag(a_on)), a_off)
 
     def test_feature_dim_mismatch(self, rng):
         params = ModelParams(small_config(), seed=0)

@@ -54,61 +54,51 @@ class ScalarAdamOracle:
 
 
 class FlatParams:
-    """Minimal stand-in implementing the named() surface adam_step needs."""
+    """Minimal stand-in exposing the flat ``data``/``grad`` vectors adam_step needs."""
 
-    def __init__(self, tensors):
-        self._named = tensors
-
-    def named(self):
-        return self._named
+    def __init__(self, data):
+        self.data = np.array(data, dtype=np.float64).reshape(-1)
+        self.grad = np.zeros_like(self.data)
 
 
 class TestAdam:
     def test_zero_grads_leave_params(self):
-        from sshpool.tensor import Tensor
-
-        params = FlatParams({"w": Tensor(np.ones((2, 2)), requires_grad=True)})
-        state = AdamState()
+        params = FlatParams(np.ones(4))
+        state = AdamState(4)
         cfg = TrainConfig(epochs=1, repeats=1, folds=2)
-        adam_step(params, {"w": np.zeros((2, 2))}, state, cfg)
-        assert np.array_equal(params.named()["w"].data, np.ones((2, 2)))
+        adam_step(params, state, cfg)
+        assert np.array_equal(params.data, np.ones(4))
         assert state.t == 1
 
     def test_first_step_is_lr_sign(self):
-        from sshpool.tensor import Tensor
-
         for g in (3.7, -0.002):
-            params = FlatParams({"w": Tensor(np.array([[1.0]]), requires_grad=True)})
-            state = AdamState()
+            params = FlatParams([1.0])
+            params.grad[0] = g
+            state = AdamState(1)
             cfg = TrainConfig(lr=1e-3, epochs=1, repeats=1, folds=2)
-            adam_step(params, {"w": np.array([[g]])}, state, cfg)
-            update = params.named()["w"].data[0, 0] - 1.0
+            adam_step(params, state, cfg)
+            update = params.data[0] - 1.0
             assert update == pytest.approx(-1e-3 * np.sign(g), rel=1e-4)
 
     def test_five_steps_match_scalar_oracle(self):
-        from sshpool.tensor import Tensor
-
-        params = FlatParams({"w": Tensor(np.array([[2.0]]), requires_grad=True)})
-        state = AdamState()
+        params = FlatParams([2.0])
+        state = AdamState(1)
         cfg = TrainConfig(lr=0.05, epochs=1, repeats=1, folds=2)
         oracle = ScalarAdamOracle(lr=0.05)
         theta = 2.0
         for _ in range(5):
-            w = params.named()["w"].data[0, 0]
-            grad = 2.0 * w  # quadratic objective w^2
-            adam_step(params, {"w": np.array([[grad]])}, state, cfg)
+            params.grad[0] = 2.0 * params.data[0]  # quadratic objective w^2
+            adam_step(params, state, cfg)
             theta = oracle.step(theta, 2.0 * theta)
-            assert params.named()["w"].data[0, 0] == pytest.approx(theta, rel=1e-12)
+            assert params.data[0] == pytest.approx(theta, rel=1e-12)
 
-    def test_lazy_moments_match_eager_zeros_bit_for_bit(self):
-        from sshpool.tensor import Tensor
-
+    def test_flat_step_matches_per_parameter_eager_oracle_bit_for_bit(self):
         def eager_step(data, grads, m, v, t, lr):
-            """Adam with zero moments from the start and a zero matrix for a
-            missing gradient, as every parameter was once updated."""
+            """Adam per parameter, as one numpy expression each, with zero
+            moments from the start and a zero matrix for a missing gradient."""
             b1, b2, eps = 0.9, 0.999, 1e-8
             for name in data:
-                g = grads[name] if grads[name] is not None else np.zeros_like(data[name])
+                g = grads.get(name, np.zeros_like(data[name]))
                 m[name] = b1 * m[name] + (1.0 - b1) * g
                 v[name] = b2 * v[name] + (1.0 - b2) * g * g
                 data[name] = data[name] - lr * (m[name] / (1.0 - b1**t)) / (
@@ -116,46 +106,60 @@ class TestAdam:
                 )
 
         rng = np.random.default_rng(3)
-        shapes = {"a": (3, 2), "b": (2, 2), "late": (4, 1), "never": (2, 3)}
-        start = {n: rng.normal(size=s) for n, s in shapes.items()}
-        params = FlatParams({n: Tensor(d.copy(), requires_grad=True) for n, d in start.items()})
-        state = AdamState()
+        ds = triangle_dataset(4, seed=0)
+        params = ModelParams(tiny_model_config(ds), seed=5)
+        named = params.named()
+        start = {n: t.data.copy() for n, t in named.items()}
+        state = AdamState(params.data.size)
         cfg = TrainConfig(lr=0.01, epochs=1, repeats=1, folds=2)
         data = {n: d.copy() for n, d in start.items()}
-        m = {n: np.zeros(s) for n, s in shapes.items()}
-        v = {n: np.zeros(s) for n, s in shapes.items()}
-        first_late = 7
+        m = {n: np.zeros_like(d) for n, d in start.items()}
+        v = {n: np.zeros_like(d) for n, d in start.items()}
+        late, never, first_late = "pool.0.local.1", "pool.1.local.0", 7
         for step in range(1, 21):
+            params.zero_grad()
             grads = {
-                n: rng.normal(size=s) if rng.random() < 0.6 else None
-                for n, s in shapes.items()
+                n: rng.normal(size=t.shape)
+                for n, t in named.items()
+                if n not in (late, never) and rng.random() < 0.6
             }
-            grads["never"] = None
-            if step < first_late:
-                grads["late"] = None
-            elif step == first_late:
-                grads["late"] = rng.normal(size=shapes["late"])
-            before = params.named()["late"].data
-            adam_step(params, grads, state, cfg)
+            if step >= first_late and rng.random() < 0.6:
+                grads[late] = rng.normal(size=named[late].shape)
+            for name, g in grads.items():
+                named[name].grad[...] = g
+            adam_step(params, state, cfg)
             eager_step(data, grads, m, v, step, cfg.lr)
-            for name in shapes:
-                assert np.array_equal(params.named()[name].data, data[name]), (name, step)
-            assert ("late" in state.m) == (step >= first_late)
-            if step > first_late and grads["late"] is None:
-                # moments exist, so a missing gradient still moves it
-                assert not np.array_equal(params.named()["late"].data, before)
-        assert "never" not in state.m
-        assert np.array_equal(params.named()["never"].data, start["never"])
+            for name, t in named.items():
+                assert np.array_equal(t.data, data[name]), (name, step)
+        assert not np.array_equal(named[late].data, start[late])
+        assert named[never].data.tobytes() == start[never].tobytes()
 
-    def test_missing_grad_names_parameter(self):
-        from sshpool.tensor import Tensor
 
-        params = FlatParams({"w": Tensor(np.ones((1, 1)), requires_grad=True)})
-        state = AdamState()
-        cfg = TrainConfig(epochs=1, repeats=1, folds=2)
-        with pytest.raises(ContractError) as err:
-            adam_step(params, {}, state, cfg)
-        assert "w" in str(err.value)
+class TestFlatBuffers:
+    @staticmethod
+    def assert_views(params):
+        for name, t in params.named().items():
+            assert np.shares_memory(t.data, params.data), name
+            assert np.shares_memory(t.grad, params.grad), name
+
+    def test_tensors_stay_views_through_training_load_and_gradcheck(self, tmp_path):
+        from sshpool.gradcheck import check_model_gradients, fixture_graph_and_params
+
+        ds = triangle_dataset(8, seed=0)
+        tc = TrainConfig(epochs=2, batch_size=3, folds=2, repeats=1, seed=1)
+        result = train_graphs(ds, list(range(6)), [6, 7], tiny_model_config(ds), tc)
+        self.assert_views(result.params)
+        path = str(tmp_path / "model.ckpt")
+        result.params.save(path)
+        loaded = ModelParams.load(path)
+        self.assert_views(loaded)
+        assert np.array_equal(loaded.data, result.params.data)
+
+        graph, params = fixture_graph_and_params()
+        before = params.data.tobytes()
+        check_model_gradients(graph, params)
+        self.assert_views(params)
+        assert params.data.tobytes() == before
 
 
 class TestTrainConfig:
