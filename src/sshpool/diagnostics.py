@@ -81,7 +81,7 @@ def certify_locality(
     """Certify that no information crosses cluster boundaries.
 
     Each trial perturbs one node's post-convolution features and, with the
-    first pooling layer's hard assignment frozen, requires bitwise-identical
+    first pooling layer's cluster labels frozen, requires bitwise-identical
     local embedding rows for every node of every other cluster and
     bitwise-identical coarsened rows for every other coarse node.
     ``layer_impl`` (called like :func:`sshpool_layer`) is injectable so tests
@@ -97,7 +97,7 @@ def certify_locality(
     layer0 = params.pool_layers[0]
     clusters = params.config.layer_sizes[0]
     (_, base_xn), base = layer_impl(graph.edges, Tensor(base_x.copy()), layer0, clusters)
-    hard, labels = base.assignment.hard, base.labels
+    labels = base.labels
     base_z = base.local_embedding
 
     violations: list[dict] = []
@@ -107,12 +107,12 @@ def certify_locality(
         bumped = base_x.copy()
         bumped[u] += rng.normal(scale=1.0, size=base_x.shape[1])
         (_, new_xn), new = layer_impl(
-            graph.edges, Tensor(bumped), layer0, clusters, frozen_hard=hard
+            graph.edges, Tensor(bumped), layer0, clusters, frozen_labels=labels
         )
         new_z = new.local_embedding
         home = int(labels[u])
         bad = []
-        for k in range(hard.cols):
+        for k in range(base_xn.rows):
             if k == home:
                 continue
             rows = labels == k

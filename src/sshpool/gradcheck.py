@@ -1,7 +1,7 @@
 """Finite-difference verification of the whole model's analytic gradients.
 
-The check runs the forward pass once on a tape, captures the hard
-assignments, and then perturbs every parameter entry with the assignments
+The check runs the forward pass once on a tape, captures every layer's
+cluster labels, and then perturbs every parameter entry with the labels
 frozen so the argmax cannot flip between the two sides of the central
 difference. Evaluation passes run without a tape (eval mode, no dropout),
 so each probe is a plain numpy computation.

@@ -307,13 +307,13 @@ def forward(
     params: ModelParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    frozen_assignments: list[Tensor] | None = None,
+    frozen_assignments: list[np.ndarray] | None = None,
 ) -> tuple[Tensor, CoarseningTrace]:
     """Full pipeline for one graph; returns 1 x num_classes logits and the trace.
 
     The trace's ``x0`` is the global convolution's output, the pooling input.
 
-    ``frozen_assignments`` replaces the per-layer hard assignments (used by
+    ``frozen_assignments`` replaces the per-layer cluster labels (used by
     gradient checks, which must not let the argmax flip mid-perturbation).
     """
     config = params.config

@@ -1,14 +1,15 @@
 """Separated-subgraph hierarchical pooling and the baseline pooling operators.
 
 One pooling layer: project node features and row-softmax them into a soft
-cluster assignment, harden it to a one-hot matrix H (both are constants,
-computed off the gradient tape), mask the adjacency to intra-cluster edges,
-A_mask = A * (H H^T), convolve Y = (A_mask + I) X, apply each node's own
-cluster weight, Z_u = Y_u W_c(u), and compress every cluster to a single
-coarsened node: features are the sums of its rows of Z, adjacency is
-H^T A H with the diagonal zeroed (inter-cluster edge counts). Restricted to
-cluster j's nodes this is exactly the per-subgraph convolution
-Z_j = (A_j + I) X_j W_j, computed for the whole graph at once.
+cluster assignment, harden it to one cluster label per node, with one-hot
+form H (both are constants, computed off the gradient tape), mask the
+adjacency to intra-cluster edges, A_mask = A * (H H^T), convolve
+Y = (A_mask + I) X, apply each node's own cluster weight, Z_u = Y_u W_c(u),
+and compress every cluster to a single coarsened node: features are the
+sums of its rows of Z, adjacency is H^T A H with the diagonal zeroed
+(inter-cluster edge counts). Restricted to cluster j's nodes this is
+exactly the per-subgraph convolution Z_j = (A_j + I) X_j W_j, computed for
+the whole graph at once.
 
 Adjacencies travel as :class:`~sshpool.data.Edges` lists: the mask and the
 coarse adjacency are O(E) selections and sums over them, and a dense n x n
@@ -43,10 +44,15 @@ from .tensor import (
 
 @dataclass
 class AssignmentPair:
-    """Row-stochastic soft assignment and its hardened one-hot counterpart."""
+    """Row-stochastic soft assignment and the cluster labels hardened from it."""
 
     soft: Tensor
-    hard: Tensor
+    labels: np.ndarray
+
+    @property
+    def hard(self) -> Tensor:
+        """The labels as a one-hot n x c matrix H, built on each read."""
+        return Tensor(np.eye(self.soft.cols)[self.labels])
 
 
 @dataclass
@@ -60,12 +66,15 @@ class LayerTrace:
     """
 
     assignment: AssignmentPair
-    labels: np.ndarray
     local_embedding: np.ndarray
     coarse_features: Tensor
     coarse_adjacency: Tensor
     edges: Edges
     kept: Edges
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.assignment.labels
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -89,14 +98,14 @@ class LayerTrace:
 
     @property
     def cluster_sizes(self) -> list[int]:
-        return np.bincount(self.labels, minlength=self.assignment.hard.cols).tolist()
+        return np.bincount(self.labels, minlength=self.assignment.soft.cols).tolist()
 
     @property
     def clusters(self) -> list[list[int]]:
         """Member node ids per cluster, ascending; empty clusters give []."""
         return [
             np.flatnonzero(self.labels == j).tolist()
-            for j in range(self.assignment.hard.cols)
+            for j in range(self.assignment.soft.cols)
         ]
 
 
@@ -107,8 +116,9 @@ class CoarseningTrace:
     layers: list[LayerTrace]
     x0: np.ndarray | None = None
 
-    def hard_assignments(self) -> list[Tensor]:
-        return [entry.assignment.hard for entry in self.layers]
+    def hard_assignments(self) -> list[np.ndarray]:
+        """Each layer's cluster labels, in the form ``frozen`` takes them."""
+        return [entry.labels for entry in self.layers]
 
     def feature_sequence(self) -> list[np.ndarray]:
         """Node-embedding matrices layer by layer, led by ``x0`` when set."""
@@ -141,41 +151,33 @@ def soft_assign(x: Tensor, w_assign: Tensor) -> Tensor:
     return Tensor(softmax_rows(x.data @ w_assign.data))
 
 
-def _one_hot(labels: np.ndarray, cols: int) -> np.ndarray:
-    hard = np.zeros((len(labels), cols))
-    hard[np.arange(len(labels)), labels] = 1.0
-    return hard
+def harden(soft: Tensor) -> np.ndarray:
+    """Each row's argmax as its cluster label, ties to the lowest column.
 
-
-def harden(soft: Tensor) -> Tensor:
-    """One-hot per row at the row argmax, ties to the lowest column index.
-
-    The result is a constant: gradients do not flow through the argmax.
+    The labels are constants: gradients do not flow through the argmax.
     """
-    return Tensor(_one_hot(soft.data.argmax(axis=1), soft.cols))
+    return soft.data.argmax(axis=1)
 
 
-def _intra_cluster(adjacency: Edges, labels: np.ndarray) -> Edges:
-    """A * (H H^T): (H H^T)[u, v] = 1 exactly when u and v share a cluster."""
+def extract_subgraphs(adjacency: Edges, labels: np.ndarray) -> Edges:
+    """The intra-cluster adjacency A * (H H^T), a constant.
+
+    (H H^T)[u, v] = 1 exactly when ``labels[u] == labels[v]``, so the mask
+    keeps exactly the edges whose ends share a cluster.
+    """
     return adjacency.select(labels[adjacency.dst] == labels[adjacency.src])
 
 
-def extract_subgraphs(adjacency: Edges, hard: Tensor) -> tuple[np.ndarray, Edges]:
-    """Cluster labels and the intra-cluster adjacency A * (H H^T).
-
-    ``labels[u]`` is the column of node u's 1 in ``hard``; the masked
-    adjacency keeps exactly the edges whose ends share a cluster. Both are
-    constants.
-    """
-    if hard.rows != adjacency.n:
-        raise ShapeError(
-            f"extract_subgraphs: adjacency of {adjacency.n} nodes and assignment "
-            f"{hard.shape} disagree on node count"
-        )
-    labels = hard.data.argmax(axis=1)
-    if not np.array_equal(hard.data, _one_hot(labels, hard.cols)):
-        raise ContractError("hard assignment rows must be one-hot")
-    return labels, _intra_cluster(adjacency, labels)
+def _check_labels(labels, n: int, clusters: int) -> np.ndarray:
+    """Frozen labels: n integers in [0, clusters)."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ShapeError(f"frozen labels of shape {labels.shape} do not match ({n},)")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(f"frozen labels must be integers, got {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= clusters:
+        raise ContractError(f"frozen labels must lie in [0, {clusters})")
+    return labels
 
 
 def local_conv(
@@ -257,14 +259,14 @@ def sshpool_layer(
     params: PoolLayerParams,
     clusters: int,
     keep_self_loops: bool = False,
-    frozen_hard: Tensor | None = None,
+    frozen_labels: np.ndarray | None = None,
 ) -> tuple[tuple[Edges, Tensor], LayerTrace]:
     """One full pooling layer: assign, harden, mask, convolve, coarsen.
 
     The effective cluster count is min(clusters, node count), so coarsened
-    graphs never grow. ``frozen_hard`` substitutes a fixed assignment
-    (used by gradient checks and locality probes). Returns the coarse
-    adjacency's edge list and the coarse features.
+    graphs never grow. ``frozen_labels`` substitutes fixed cluster labels
+    for the hardened ones (used by gradient checks and locality probes).
+    Returns the coarse adjacency's edge list and the coarse features.
     """
     if clusters < 1:
         raise ContractError(f"cluster count must be >= 1, got {clusters}")
@@ -276,22 +278,16 @@ def sshpool_layer(
         # column-major copy gives the same bits as a ``take_cols`` gather.
         w_assign = np.asfortranarray(w_assign[:, :c_eff])
     soft = soft_assign(x, Tensor(w_assign))
-    if frozen_hard is None:
-        # ``harden`` with its labels kept: the one-hot form holds by construction.
-        labels = soft.data.argmax(axis=1)
-        hard = Tensor(_one_hot(labels, c_eff))
-        a_mask = _intra_cluster(adjacency, labels)
+    if frozen_labels is None:
+        labels = harden(soft)
     else:
-        hard = frozen_hard
-        if hard.shape != (n, c_eff):
-            raise ShapeError(f"hard assignment {hard.shape} does not match ({n}, {c_eff})")
-        labels, a_mask = extract_subgraphs(adjacency, hard)
+        labels = _check_labels(frozen_labels, n, c_eff)
+    a_mask = extract_subgraphs(adjacency, labels)
     x_next, z = local_conv(x, a_mask, labels, params.local, c_eff)
     a_next = coarsen(labels, adjacency, c_eff, keep_self_loops)
 
     trace = LayerTrace(
-        assignment=AssignmentPair(soft=soft, hard=hard),
-        labels=labels,
+        assignment=AssignmentPair(soft=soft, labels=labels),
         local_embedding=z,
         coarse_features=x_next,
         coarse_adjacency=a_next,
@@ -307,12 +303,13 @@ def sshpool_stack(
     layers: list[PoolLayerParams],
     layer_sizes: tuple[int, ...],
     keep_self_loops: bool = False,
-    frozen: list[Tensor] | None = None,
+    frozen: list[np.ndarray] | None = None,
 ) -> tuple[Tensor, CoarseningTrace]:
     """Apply the pooling layer once per entry of ``layer_sizes``.
 
-    Sizes must be strictly decreasing. Returns the final coarsened feature
-    matrix together with the full per-layer trace.
+    Sizes must be strictly decreasing; ``frozen`` holds one layer's cluster
+    labels per layer. Returns the final coarsened feature matrix together
+    with the full per-layer trace.
     """
     if len(layers) != len(layer_sizes):
         raise ContractError(
@@ -326,9 +323,9 @@ def sshpool_stack(
     a_cur, x_cur = adjacency, x
     entries = []
     for depth, (params, size) in enumerate(zip(layers, layer_sizes)):
-        frozen_hard = frozen[depth] if frozen is not None else None
+        frozen_labels = frozen[depth] if frozen is not None else None
         (a_cur, x_cur), entry = sshpool_layer(
-            a_cur, x_cur, params, size, keep_self_loops, frozen_hard
+            a_cur, x_cur, params, size, keep_self_loops, frozen_labels
         )
         entries.append(entry)
     return x_cur, CoarseningTrace(layers=entries)

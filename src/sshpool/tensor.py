@@ -28,9 +28,9 @@ def _active_tape() -> "Tape | None":
 class Tensor:
     """A rows x cols matrix of float64 values, optionally trainable.
 
-    ``requires_grad=True`` marks a leaf parameter: after a backward pass its
-    ``grad`` holds dLoss/dTensor, accumulated across passes until the caller
-    resets it; a standalone leaf's is ``None`` until a gradient reaches it.
+    ``requires_grad=True`` marks a leaf parameter: its ``grad`` starts at
+    zero and after a backward pass holds dLoss/dTensor, accumulated across
+    passes until the caller resets it.
     Tensors produced by recorded operations are never leaves.
     """
 
@@ -44,7 +44,7 @@ class Tensor:
             raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
+        self.grad = np.zeros_like(arr) if requires_grad else None
         self.is_leaf = True
 
     @property
@@ -58,12 +58,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-    def grad_or_zero(self) -> np.ndarray:
-        """The accumulated gradient, or a zero matrix if none reached this leaf."""
-        if self.grad is None:
-            return np.zeros_like(self.data)
-        return self.grad
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -145,7 +139,7 @@ class Tape:
             rule(g, push)
 
         for t, g in leaves.values():
-            t.grad = g.copy() if t.grad is None else np.add(t.grad, g, out=t.grad)
+            np.add(t.grad, g, out=t.grad)
 
 
 def _record(out: Tensor, rule: BackwardRule) -> Tensor:

@@ -20,14 +20,14 @@ class SliceLayer:
     edges_kept: int
 
 
-def slice_layer(adjacency, x, hard, weights, keep_self_loops=False):
-    """Per-cluster layer on plain arrays; ``weights[j]`` is cluster j's W_j."""
-    c = hard.shape[1]
+def slice_layer(adjacency, x, labels, c, weights, keep_self_loops=False):
+    """Per-cluster layer on plain arrays; ``labels[u]`` in [0, c) is node u's
+    cluster and ``weights[j]`` is cluster j's W_j."""
     clusters, zs = [], []
     x_next = np.zeros((c, weights[0].shape[1]))
     edges_kept = 0
     for j in range(c):
-        ids = np.nonzero(hard[:, j] > 0.5)[0]
+        ids = np.nonzero(labels == j)[0]
         a_j = adjacency[np.ix_(ids, ids)]
         z_j = (a_j + np.eye(ids.size)) @ x[ids] @ weights[j]
         for row in z_j:
@@ -35,6 +35,7 @@ def slice_layer(adjacency, x, hard, weights, keep_self_loops=False):
         edges_kept += int(a_j.sum()) // 2
         clusters.append(ids.tolist())
         zs.append(z_j)
+    hard = np.eye(c)[labels]
     a_next = hard.T @ adjacency @ hard
     if not keep_self_loops:
         np.fill_diagonal(a_next, 0.0)

@@ -46,10 +46,8 @@ def random_graph_arrays(rng, n_max=10):
     return adj, feats
 
 
-def random_hard(rng, n, c):
-    hard = np.zeros((n, c))
-    hard[np.arange(n), rng.integers(0, c, size=n)] = 1.0
-    return hard
+def random_labels(rng, n, c):
+    return rng.integers(0, c, size=n)
 
 
 class TestGradientCorrectness:
@@ -77,11 +75,11 @@ class TestCoarseningOracle:
             adj, feats = random_graph_arrays(rng)
             n = adj.shape[0]
             c = int(rng.integers(1, 5))
-            hard = random_hard(rng, n, c)
+            labels = random_labels(rng, n, c)
             weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(c)]
 
-            a_e, x_t, h_t = Edges.from_dense(adj), Tensor(feats), Tensor(hard)
-            labels, a_mask = extract_subgraphs(a_e, h_t)
+            a_e, x_t = Edges.from_dense(adj), Tensor(feats)
+            a_mask = extract_subgraphs(a_e, labels)
             x_next, z = local_conv(x_t, a_mask, labels, weights, c)
             a_next = coarsen(labels, a_e, c)
 
@@ -94,12 +92,11 @@ class TestCoarseningOracle:
                 assert np.array_equal(x_next.data[j], acc)
 
             # brute force: pairwise inter-cluster edge counting
-            cluster_of = hard.argmax(axis=1)
             want = np.zeros((c, c))
             for u in range(n):
                 for v in range(n):
-                    if adj[u, v] == 1.0 and cluster_of[u] != cluster_of[v]:
-                        want[cluster_of[u], cluster_of[v]] += 1.0
+                    if adj[u, v] == 1.0 and labels[u] != labels[v]:
+                        want[labels[u], labels[v]] += 1.0
             assert np.array_equal(a_next.data, want)
         elapsed = time.time() - start
         emit("coarsening oracle equivalence", elapsed < 5.0,
@@ -148,13 +145,13 @@ class TestPartitionAndIdentityInvariants:
             adj, feats = random_graph_arrays(rng)
             n = adj.shape[0]
             c = int(rng.integers(1, 6))
-            hard = random_hard(rng, n, c)
-            a_e, x_t, h_t = Edges.from_dense(adj), Tensor(feats), Tensor(hard)
+            labels = random_labels(rng, n, c)
+            a_e, x_t = Edges.from_dense(adj), Tensor(feats)
 
-            assert np.all(hard.sum(axis=1) == 1.0)
-            assert np.all((hard == 0.0) | (hard == 1.0))
+            assert labels.shape == (n,)
+            assert np.all((labels >= 0) & (labels < c))
 
-            labels, a_mask = extract_subgraphs(a_e, h_t)
+            a_mask = extract_subgraphs(a_e, labels)
             members = [[u for u in range(n) if labels[u] == j] for j in range(c)]
             ids = [i for m in members for i in m]
             assert sorted(ids) == list(range(n))
@@ -175,10 +172,10 @@ class TestPartitionAndIdentityInvariants:
             perm = rng.permutation(n)
             hard = np.zeros((n, n))
             hard[np.arange(n), perm] = 1.0
-            a_e, x_t, h_t = Edges.from_dense(adj), Tensor(feats), Tensor(hard)
-            labels, a_mask = extract_subgraphs(a_e, h_t)
-            x_next, _ = local_conv(x_t, a_mask, labels, [Tensor(np.eye(4))] * n, n)
-            a_next = coarsen(labels, a_e, n)
+            a_e, x_t = Edges.from_dense(adj), Tensor(feats)
+            a_mask = extract_subgraphs(a_e, perm)
+            x_next, _ = local_conv(x_t, a_mask, perm, [Tensor(np.eye(4))] * n, n)
+            a_next = coarsen(perm, a_e, n)
             assert np.array_equal(x_next.data, hard.T @ feats)
             assert np.array_equal(a_next.data, hard.T @ adj @ hard)
         emit("partition/identity invariants", True,

@@ -105,12 +105,12 @@ class TestCertifyLocality:
     def test_corrupted_coarsen_detected(self, rng):
         # leak: convolve over the unmasked adjacency, so edges that cross a
         # cluster boundary carry information into foreign embeddings
-        def leaky_layer(adjacency, x, params, clusters, keep_self_loops=False, frozen_hard=None):
+        def leaky_layer(adjacency, x, params, clusters, keep_self_loops=False, frozen_labels=None):
             (a_next, _), trace = sshpool_layer(
-                adjacency, x, params, clusters, keep_self_loops, frozen_hard
+                adjacency, x, params, clusters, keep_self_loops, frozen_labels
             )
             x_next, trace.local_embedding = local_conv(
-                x, adjacency, trace.labels, params.local, trace.assignment.hard.cols
+                x, adjacency, trace.labels, params.local, trace.assignment.soft.cols
             )
             return (a_next, x_next), trace
 

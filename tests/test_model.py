@@ -305,7 +305,7 @@ class TestForward:
             objective = loss(logits, 1)
         tape.backward(objective)
         for name in ("attn.query", "attn.key", "attn.value"):
-            assert np.array_equal(params.named()[name].grad_or_zero(), np.zeros((6, 6)))
+            assert np.array_equal(params.named()[name].grad, np.zeros((6, 6)))
         assert params.mlp_w2.grad is not None
 
     def test_assignment_weights_get_grad_only_in_diffpool(self):
@@ -380,7 +380,7 @@ class TestForward:
         cfg = small_config(layer_sizes=(2,), depth=1, assignment_ratio=0.5)
         params = ModelParams(cfg, seed=13)
         logits, trace = forward(g, params)
-        hard = trace.layers[0].assignment.hard.data
+        labels = trace.layers[0].labels
 
         perm = rng.permutation(5)
         p = np.zeros((5, 5))
@@ -390,9 +390,9 @@ class TestForward:
         feat_p[perm] = g.features.data
         g_p = make_graph(list(zip(*np.nonzero(adj_p))), 5, features=feat_p, d=4)
         assert np.array_equal(g_p.adjacency.data, adj_p)
-        hard_p = np.zeros_like(hard)
-        hard_p[perm] = hard
-        logits_p, _ = forward(g_p, params, frozen_assignments=[Tensor(hard_p)])
+        labels_p = np.zeros_like(labels)
+        labels_p[perm] = labels
+        logits_p, _ = forward(g_p, params, frozen_assignments=[labels_p])
         assert np.allclose(logits.data, logits_p.data, atol=1e-9)
 
 
