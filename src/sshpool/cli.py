@@ -212,9 +212,9 @@ def _write_csv(path: str, header: list[str], rows: list[dict]) -> None:
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
+    train_config = _train_config(ns)
     dataset = _load_dataset(ns)
     model_config = _model_config(ns, dataset)
-    train_config = _train_config(ns)
     out = ns.out or "out"
     os.makedirs(out, exist_ok=True)
 

@@ -9,11 +9,13 @@ so each probe is a plain numpy computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Graph
+from .errors import ContractError
 from .model import ModelConfig, ModelParams, forward, loss
 from .tensor import Tape
 
@@ -75,7 +77,14 @@ def check_model_gradients(
     step: float = 1e-5,
     tolerance: float = 1e-4,
 ) -> GradCheckReport:
-    """Compare every parameter gradient against central finite differences."""
+    """Compare every parameter gradient against central finite differences.
+
+    ``step`` must be finite and positive, ``tolerance`` finite and >= 0.
+    """
+    if not 0 < step < math.inf:
+        raise ContractError(f"gradcheck step must be positive and finite, got {step}")
+    if not 0 <= tolerance < math.inf:
+        raise ContractError(f"gradcheck tolerance must be finite and >= 0, got {tolerance}")
     params.zero_grad()
     with Tape() as tape:
         logits, trace = forward(graph, params, training=False)

@@ -33,7 +33,6 @@ from .tensor import (
     relu,
     softmax_rows,
     sum_rows,
-    take_cols,
 )
 
 VARIANTS = ("sshpool", "diffpool", "global_sum", "global_mean")
@@ -44,8 +43,10 @@ CHECKPOINT_VERSION = "sshpool-ckpt-v1"
 def layer_sizes_from_ratio(base: int, ratio: float, depth: int) -> tuple[int, ...]:
     """Geometric cluster-count schedule: next = round(ratio * current).
 
-    Rejects schedules that hit zero clusters.
+    Rejects a non-finite ratio and schedules that hit zero clusters.
     """
+    if not np.isfinite(ratio):
+        raise ContractError(f"assignment ratio must be finite, got {ratio}")
     if depth < 1:
         raise ContractError(f"depth must be >= 1, got {depth}")
     sizes = [base]
@@ -80,6 +81,8 @@ class ModelConfig:
             raise ContractError(f"hidden_dim must be positive, got {self.hidden_dim}")
         if self.num_classes < 1:
             raise ContractError(f"num_classes must be >= 1, got {self.num_classes}")
+        if not np.isfinite(self.assignment_ratio):
+            raise ContractError(f"assignment ratio must be finite, got {self.assignment_ratio}")
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.variant not in VARIANTS:
@@ -340,9 +343,7 @@ def forward(
     elif config.variant == "diffpool":
         a_cur, x_cur = graph.adjacency, x0
         for assign, embed in params.diff_layers:
-            c_eff = min(assign.cols, x_cur.rows)
-            w_assign = take_cols(assign, range(c_eff)) if c_eff < assign.cols else assign
-            a_cur, x_cur = baseline_diffpool_layer(a_cur, x_cur, w_assign, embed)
+            a_cur, x_cur = baseline_diffpool_layer(a_cur, x_cur, assign, embed)
         pooled = x_cur
     elif config.variant == "global_sum":
         pooled = sum_rows(x0)

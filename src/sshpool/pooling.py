@@ -34,7 +34,6 @@ from .tensor import (
     _record,
     add,
     ascending_sum,
-    eye,
     matmul,
     row_softmax,
     softmax_rows,
@@ -138,6 +137,21 @@ class PoolLayerParams:
 
     assign: Tensor
     local: list[Tensor]
+
+
+def _first_cols(w: Tensor, c: int) -> Tensor:
+    """The first min(c, cols) columns of ``w``, as a column view.
+
+    A narrowed view holds a column-major copy of the columns, the memory
+    order a numpy column gather gives (a product's rounding depends on it),
+    and a ``grad`` that is a view of ``w.grad``, so gradients pushed into
+    the view land in the parent. Without narrowing, ``w`` itself.
+    """
+    if c >= w.cols:
+        return w
+    view = Tensor(np.asfortranarray(w.data[:, :c]))
+    view.grad = None if w.grad is None else w.grad[:, :c]
+    return view
 
 
 def soft_assign(x: Tensor, w_assign: Tensor) -> Tensor:
@@ -272,12 +286,7 @@ def sshpool_layer(
         raise ContractError(f"cluster count must be >= 1, got {clusters}")
     n = x.rows
     c_eff = min(clusters, n)
-    w_assign = params.assign.data
-    if c_eff < w_assign.shape[1]:
-        # The product's rounding depends on the operand's memory order; a
-        # column-major copy gives the same bits as a ``take_cols`` gather.
-        w_assign = np.asfortranarray(w_assign[:, :c_eff])
-    soft = soft_assign(x, Tensor(w_assign))
+    soft = soft_assign(x, _first_cols(params.assign, c_eff))
     if frozen_labels is None:
         labels = harden(soft)
     else:
@@ -337,12 +346,14 @@ def baseline_diffpool_layer(
     """Soft-assignment coarsening baseline.
 
     S = row_softmax(X W_a) stays soft; X_next = S^T (A + I) X W_e and
-    A_next = S^T A S, both differentiable through S. Comparison baseline
-    only; the hard path above is the method under study.
+    A_next = S^T A S, both differentiable through S. As in
+    :func:`sshpool_layer`, only the first min(clusters, node count) columns
+    of W_a are used. Comparison baseline only; the hard path above is the
+    method under study.
     """
-    s = row_softmax(matmul(x, w_assign))
+    s = row_softmax(matmul(x, _first_cols(w_assign, x.rows)))
     # (A + I); A may itself sit on the tape when stacking layers.
-    a_self = add(adjacency, eye(adjacency.rows))
+    a_self = add(adjacency, Tensor(np.eye(adjacency.rows)))
     st = transpose(s)
     x_next = matmul(st, matmul(matmul(a_self, x), w_embed))
     a_next = matmul(matmul(st, adjacency), s)

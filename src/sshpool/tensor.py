@@ -3,38 +3,33 @@
 Every value in the model is a :class:`Tensor` wrapping a 2-D numpy array.
 Differentiable operations executed while a :class:`Tape` is active are
 recorded on it; ``Tape.backward`` replays the records in exact reverse
-recording order and accumulates gradients into the ``grad`` field of every
-``requires_grad`` leaf. Without an active tape the same functions compute
-eagerly and record nothing, which is how constants (adjacency matrices,
-frozen assignments) stay off the gradient path.
+recording order and adds each gradient that reaches a trainable tensor,
+one whose ``grad`` is not None, straight into that ``grad``. Without an
+active tape the same functions compute eagerly and record nothing, which
+is how constants (adjacency matrices, frozen assignments) stay off the
+gradient path.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 
-_STATE = threading.local()
-
-
-def _active_tape() -> "Tape | None":
-    return getattr(_STATE, "tape", None)
-
 
 class Tensor:
     """A rows x cols matrix of float64 values, optionally trainable.
 
-    ``requires_grad=True`` marks a leaf parameter: its ``grad`` starts at
-    zero and after a backward pass holds dLoss/dTensor, accumulated across
-    passes until the caller resets it.
-    Tensors produced by recorded operations are never leaves.
+    A tensor is trainable exactly when ``grad`` is not None: then it holds
+    dLoss/dTensor, accumulated across backward passes until the caller
+    resets it. ``requires_grad=True`` starts it at zero; a caller may also
+    set ``grad`` to a view of another tensor's, which then receives the
+    gradient. Tensors produced by operations have no ``grad``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("data", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -43,9 +38,7 @@ class Tensor:
         if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
-        self.requires_grad = requires_grad
         self.grad = np.zeros_like(arr) if requires_grad else None
-        self.is_leaf = True
 
     @property
     def rows(self) -> int:
@@ -65,11 +58,7 @@ class Tensor:
         return float(self.data[0, 0])
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def eye(n: int) -> Tensor:
-    return Tensor(np.eye(n))
+        return f"Tensor(shape={self.data.shape}, trainable={self.grad is not None})"
 
 
 # A backward rule receives the gradient flowing into its output plus a
@@ -89,48 +78,46 @@ class Tape:
 
     Records are appended in execution order, so the list is already
     topologically sorted; the backward pass walks it strictly in reverse.
-    One tape belongs to one worker; nesting tapes on a thread is an error.
+    At most one tape is active at a time; nesting tapes is an error.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor, BackwardRule]] = []
 
     def __enter__(self) -> "Tape":
-        if _active_tape() is not None:
-            raise ContractError("a tape is already active on this thread")
-        _STATE.tape = self
+        global _tape
+        if _tape is not None:
+            raise ContractError("a tape is already active")
+        _tape = self
         return self
 
     def __exit__(self, *exc) -> None:
-        _STATE.tape = None
+        global _tape
+        _tape = None
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, output: Tensor, backward: BackwardRule) -> None:
-        output.is_leaf = False
-        self._records.append((output, backward))
-
     def backward(self, loss: Tensor) -> None:
-        """Accumulate dLoss/dLeaf into every requires_grad leaf.
+        """Add dLoss/dTensor into the ``grad`` of every trainable tensor.
 
-        Each leaf's contributions are summed over the tape, then added in
-        place into its ``grad``. Repeated calls accumulate further; callers
-        reset grads between optimizer steps.
+        A gradient pushed into an op output flows on to that op's rule; one
+        pushed into a trainable tensor is added in place into its ``grad``
+        as it arrives; one pushed into any other tensor is dropped.
+        Repeated calls accumulate further; callers reset grads between
+        optimizer steps.
         """
         if loss.data.shape != (1, 1):
             raise ContractError(f"loss must be 1x1, got shape {loss.data.shape}")
+        produced = {id(output) for output, _ in self._records}
         flowing: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-        leaves: dict[int, tuple[Tensor, np.ndarray]] = {}
 
         def push(t: Tensor, g: np.ndarray) -> None:
-            if t.is_leaf:
-                if t.requires_grad:
-                    hit = leaves.get(id(t))
-                    leaves[id(t)] = (t, g if hit is None else hit[1] + g)
-                return
-            hit_g = flowing.get(id(t))
-            flowing[id(t)] = g if hit_g is None else hit_g + g
+            if id(t) in produced:
+                hit = flowing.get(id(t))
+                flowing[id(t)] = g if hit is None else hit + g
+            elif t.grad is not None:
+                np.add(t.grad, g, out=t.grad)
 
         for output, rule in reversed(self._records):
             g = flowing.pop(id(output), None)
@@ -138,14 +125,14 @@ class Tape:
                 continue
             rule(g, push)
 
-        for t, g in leaves.values():
-            np.add(t.grad, g, out=t.grad)
+
+# The tape that records operations, if any; set by ``Tape.__enter__``.
+_tape: Tape | None = None
 
 
 def _record(out: Tensor, rule: BackwardRule) -> Tensor:
-    tape = _active_tape()
-    if tape is not None:
-        tape.record(out, rule)
+    if _tape is not None:
+        _tape._records.append((out, rule))
     return out
 
 
@@ -262,21 +249,6 @@ def sum_rows(x: Tensor) -> Tensor:
 
     def rule(g, push, x=x):
         push(x, np.repeat(g, x.rows, axis=0))
-
-    return _record(out, rule)
-
-
-def take_cols(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather columns of ``x`` at ``indices``; backward scatters."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.cols):
-        raise ShapeError(f"take_cols: index out of range for shape {x.shape}")
-    out = Tensor(x.data[:, idx].reshape(x.rows, len(idx)))
-
-    def rule(g, push, x=x, idx=idx):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx.T, idx, g.T)
-        push(x, gx)
 
     return _record(out, rule)
 

@@ -35,8 +35,8 @@ class TrainConfig:
     repeats: int = 10
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ContractError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ContractError(f"learning rate must be positive and finite, got {self.lr}")
         if self.epochs < 1:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -329,11 +329,15 @@ def sweep(
     """
     if kind not in ("depth", "ratio"):
         raise ContractError(f"sweep kind must be 'depth' or 'ratio', got {kind!r}")
-    rows = []
+    # Every schedule is checked before any training starts.
+    schedules = []
     for value in values:
         depth = value if kind == "depth" else base_config.depth
         ratio = value if kind == "ratio" else base_config.assignment_ratio
         sizes = layer_sizes_from_ratio(base_config.layer_sizes[0], ratio, depth)
+        schedules.append((value, ratio, sizes))
+    rows = []
+    for value, ratio, sizes in schedules:
         for method in methods:
             config = _config_for(base_config, method, sizes, ratio)
             report = cross_validate(dataset, config, train_config)

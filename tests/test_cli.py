@@ -142,6 +142,25 @@ class TestTrain:
         assert report["model_config"]["layer_sizes"] == [int(s) for s in sizes.split(",")]
 
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_exit_2(self, corpus, tmp_path, capsys, lr):
+        out = tmp_path / "o"
+        assert main(train_args(corpus, str(out), ["--lr", lr])) == 2
+        assert f"learning rate must be positive and finite, got {lr}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    @pytest.mark.parametrize("layer_sizes", [True, False])
+    def test_non_finite_ratio_exit_2(self, corpus, tmp_path, capsys, ratio, layer_sizes):
+        out = tmp_path / "o"
+        args = train_args(corpus, str(out), ["--ratio", ratio])
+        if not layer_sizes:
+            del args[args.index("--layer-sizes"):args.index("--layer-sizes") + 2]
+        assert main(args) == 2
+        assert f"assignment ratio must be finite, got {ratio}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def trained(corpus, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("trained"))
@@ -246,6 +265,20 @@ class TestGradcheckCommand:
     def test_diffpool_variant(self):
         assert main(["gradcheck", "--variant", "diffpool"]) == 0
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--step", "0", "step must be positive and finite, got 0.0"),
+            ("--step", "nan", "step must be positive and finite, got nan"),
+            ("--tolerance", "nan", "tolerance must be finite and >= 0, got nan"),
+            ("--tolerance", "-1", "tolerance must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_step_or_tolerance_exit_2(self, capsys, flag, value, message):
+        assert main(["gradcheck", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
 
 class TestSweepCommand:
     def test_ratio_csv(self, corpus, tmp_path, capsys):
@@ -295,6 +328,16 @@ class TestSweepCommand:
         )
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+    def test_non_finite_swept_ratio_exit_2(self, corpus, capsys):
+        code = main(
+            ["sweep", "ratio", "--data", corpus, "--name", "synth", "--ratios", "0.5,nan",
+             "--hidden-dim", "8", "--layer-base", "4", "--depth", "2",
+             "--epochs", "1", "--folds", "2", "--repeats", "1", "--seed", "0"]
+        )
+        assert code == 2
+        assert "assignment ratio must be finite, got nan" in capsys.readouterr().err
 
 
 class TestStatsCommand:
@@ -350,6 +393,13 @@ class TestDiagnoseCommand:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"pooled", "stacked_conv"}
         assert os.path.isfile(os.path.join(out, "smoothing_pooled.csv"))
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_smoothing_non_finite_ratio_exit_2(self, capsys, ratio):
+        code = main(["diagnose", "smoothing", "--graphs", "4", "--seed", "2",
+                     "--hidden-dim", "8", "--ratio", ratio, "--depth", "2"])
+        assert code == 2
+        assert f"assignment ratio must be finite, got {ratio}" in capsys.readouterr().err
 
 
 class TestConfigFile:

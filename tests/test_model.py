@@ -66,6 +66,13 @@ class TestConfig:
         with pytest.raises(ContractError):
             layer_sizes_from_ratio(4, 0.1, 3)
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ratio_rejected(self, ratio):
+        with pytest.raises(ContractError, match=f"assignment ratio must be finite, got {ratio}"):
+            layer_sizes_from_ratio(8, ratio, 1)
+        with pytest.raises(ContractError, match="assignment ratio must be finite"):
+            small_config(assignment_ratio=ratio)
+
 
 class TestGlobalConv:
     def test_single_node(self):
@@ -406,6 +413,41 @@ class TestGradCheckSmall:
         graph, params = fixture_graph_and_params()
         report = check_model_gradients(graph, params)
         assert set(report.worst) == set(params.named())
+
+    @pytest.mark.parametrize("variant", ["sshpool", "diffpool"])
+    def test_narrowed_assignment_gradients(self, variant):
+        # Nine clusters on six nodes: the first layer uses a six-column view
+        # of its assignment weight, which is on diffpool's gradient path.
+        graph, params = fixture_graph_and_params(variant)
+        config = ModelConfig.from_dict({**params.config.to_dict(), "layer_sizes": [9, 3]})
+        params = ModelParams(config, seed=7)
+        with Tape() as tape:
+            logits, _ = forward(graph, params)
+            objective = loss(logits, graph.label)
+        tape.backward(objective)
+        assign = params.named()["pool.0.assign"].grad
+        past = assign[:, graph.n :]
+        assert not past.any() and not np.signbit(past).any()
+        assert assign[:, : graph.n].any() == (variant == "diffpool")
+        report = check_model_gradients(graph, params)
+        assert report.passed, report.worst
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"step": 0.0}, "step must be positive and finite"),
+            ({"step": -1e-5}, "step must be positive and finite"),
+            ({"step": math.nan}, "step must be positive and finite"),
+            ({"step": math.inf}, "step must be positive and finite"),
+            ({"tolerance": math.nan}, "tolerance must be finite and >= 0"),
+            ({"tolerance": -1.0}, "tolerance must be finite and >= 0"),
+            ({"tolerance": math.inf}, "tolerance must be finite and >= 0"),
+        ],
+    )
+    def test_bad_step_or_tolerance_rejected(self, kwargs, message):
+        graph, params = fixture_graph_and_params()
+        with pytest.raises(ContractError, match=message):
+            check_model_gradients(graph, params, **kwargs)
 
 
 class TestCheckpoint:

@@ -15,7 +15,7 @@ from sshpool.pooling import (
     sshpool_layer,
     sshpool_stack,
 )
-from sshpool.tensor import Tape, Tensor, matmul, row_softmax, sum_rows, take_cols
+from sshpool.tensor import Tape, Tensor, matmul, row_softmax, sum_rows, transpose
 
 from conftest import make_graph, random_graph
 from slice_reference import slice_layer
@@ -85,7 +85,8 @@ class TestSoftAssign:
             c_eff = min(clusters, g.n)
             w = params.assign
             if c_eff < clusters:
-                w = take_cols(w, range(c_eff))
+                # A plain numpy column gather is the reference for the narrowed weight.
+                w = Tensor(w.data[:, list(range(c_eff))])
             want = row_softmax(matmul(g.features, w)).data
             assert np.array_equal(trace.assignment.soft.data, want)
 
@@ -454,6 +455,22 @@ class TestBaselines:
         a_tilde = g.adjacency.data + np.eye(g.n)
         assert np.allclose(x_next.data, s.T @ a_tilde @ g.features.data @ w_e, rtol=1e-10)
         assert np.allclose(a_next.data, s.T @ g.adjacency.data @ s, rtol=1e-10)
+
+    def test_diffpool_caps_clusters_at_node_count(self, rng):
+        g = random_graph(rng, n_lo=3, n_hi=6)
+        w_a = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
+        w_e = Tensor(rng.normal(size=(4, 4)))
+        with Tape() as tape:
+            a_next, x_next = baseline_diffpool_layer(g.adjacency, g.features, w_a, w_e)
+            out = sum_rows(transpose(sum_rows(matmul(a_next, x_next))))
+        tape.backward(out)
+        gathered = Tensor(w_a.data[:, list(range(g.n))])
+        want_a, want_x = baseline_diffpool_layer(g.adjacency, g.features, gathered, w_e)
+        assert np.array_equal(a_next.data, want_a.data)
+        assert np.array_equal(x_next.data, want_x.data)
+        assert w_a.grad[:, : g.n].any()
+        past = w_a.grad[:, g.n :]
+        assert not past.any() and not np.signbit(past).any()
 
 
 class TestPartitionProperty:
