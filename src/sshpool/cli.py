@@ -74,8 +74,9 @@ _OPTIONS = {
     "out": _Option(str, None, "output directory (train writes to out/ without it)"),
     "ckpt": _Option(str, None, "checkpoint file"),
     "hidden_dim": _Option(int, 128, "hidden width"),
-    "layer_sizes": _Option(_to_int_list, None, "cluster counts per layer, any schedule, "
-                           "e.g. 128,10,8 (default: from --layer-base, --ratio, --depth)"),
+    "layer_sizes": _Option(_to_int_list, None, "cluster counts per layer, strictly "
+                           "decreasing, e.g. 128,10,8 (default: from --layer-base, "
+                           "--ratio, --depth)"),
     "layer_base": _Option(int, 128, "first-layer cluster count without --layer-sizes"),
     "ratio": _Option(float, 0.25, "assignment ratio: each layer has round(ratio * "
                      "previous) clusters"),
@@ -305,11 +306,11 @@ def cmd_gradcheck(ns: argparse.Namespace) -> int:
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     dataset = _load_dataset(ns)
-    # Swept schedules replace this one, which (unlike a geometric one) cannot degenerate.
-    ns.layer_sizes = [ns.layer_base] * ns.depth
+    values = getattr(ns, ns.kind + "s")  # --depths or --ratios
+    if values:  # the base config is the first swept point; sweep checks them all
+        setattr(ns, ns.kind, values[0])
     model_config = _model_config(ns, dataset)
     train_config = _train_config(ns)
-    values = getattr(ns, ns.kind + "s")  # --depths or --ratios
     rows = sweep(dataset, ns.kind, values, model_config, train_config)
     header = [ns.kind, "method", "mean_accuracy", "std_error"]
     if ns.out:

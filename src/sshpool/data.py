@@ -201,13 +201,31 @@ def _reject(path: str, bad: np.ndarray, problem: str) -> None:
         raise IntegrityError(f"{_where(path, int(bad.argmax()))}: {problem}")
 
 
+# Bytes at which ``str.splitlines`` ends a line and numpy does not; with
+# one in a file, numpy could read two of its lines as one valid row.
+_SPLITLINES_ONLY = b"\x0b\x0c\x1c\x1d\x1e"
+
+
 def _read_table(path: str, width: int) -> np.ndarray:
     """The non-blank lines of a TU file of ``width`` comma-separated integers,
     as an int64 array of shape (rows, width).
 
-    numpy's C parser reads every row; the lines are walked only to name a
-    row it rejects.
+    numpy's C parser reads the file itself when it is ASCII, not blank, and
+    ends lines only at CR or LF. The lines are read and filtered only when
+    it cannot, or rejects the file: a line of spaces, a bad token, or a row
+    whose line must be named.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.strip() and raw.isascii() and not any(b in raw for b in _SPLITLINES_ONLY):
+        try:
+            table = np.loadtxt(
+                path, delimiter=",", dtype=np.int64, comments=None, ndmin=2, encoding="utf-8"
+            )
+        except ValueError:
+            table = None
+        if table is not None and table.shape[1] == width:
+            return table
     with open(path, "r", encoding="utf-8") as fh:
         rows = list(filter(str.strip, fh.read().splitlines()))
     if not rows:

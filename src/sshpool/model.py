@@ -25,12 +25,8 @@ from .pooling import (
 from .tensor import (
     Tensor,
     _record,
-    add,
     cross_entropy_with_logits,
-    dropout,
-    matmul,
     mean_rows,
-    relu,
     softmax_rows,
     sum_rows,
 )
@@ -95,6 +91,8 @@ class ModelConfig:
             )
         if any(s < 1 for s in self.layer_sizes):
             raise ContractError(f"layer sizes must be >= 1, got {self.layer_sizes}")
+        if any(b >= a for a, b in zip(self.layer_sizes, self.layer_sizes[1:])):
+            raise ContractError(f"layer sizes must strictly decrease, got {self.layer_sizes}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -242,8 +240,30 @@ def global_conv(graph: Graph, x: Tensor, weight: Tensor) -> Tensor:
 
     The self-loop keeps every degree >= 1, so the normaliser always exists;
     its nonzeros are cached on the graph and scattered into a dense operand.
+
+    One tape record. The forward and backward run the expressions of the
+    op-by-op composition ``relu(matmul(matmul(Â, x), weight))`` on the same
+    operands, so every gradient keeps its bits. The products that only feed
+    constants are skipped: ``g' Xᵀ`` into Â always, and ``g Wᵀ`` and
+    ``Âᵀ g'`` when ``x`` is the graph's own, untrainable, feature matrix.
     """
-    return relu(matmul(matmul(Tensor(graph.gcn_norm.dense()), x), weight))
+    if x.rows != graph.n or x.cols != weight.rows:
+        raise ShapeError(
+            f"global_conv: {x.shape} features on {graph.n} nodes, weight {weight.shape}"
+        )
+    norm = graph.gcn_norm.dense()
+    ax = norm @ x.data
+    h = ax @ weight.data
+    out = Tensor(np.maximum(h, 0.0))
+    to_x = x is not graph.features or x.grad is not None
+
+    def rule(g, push):
+        g = g * (h > 0.0)
+        push(weight, ax.T @ g)
+        if to_x:
+            push(x, norm.T @ (g @ weight.data.T))
+
+    return _record(out, rule)
 
 
 def attention_fuse(
@@ -294,15 +314,40 @@ def classify(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Mean-pool the rows, then Linear -> ReLU -> dropout -> Linear."""
-    pooled = mean_rows(h)
-    hidden = relu(add(matmul(pooled, params.mlp_w1), params.mlp_b1))
+    """Mean-pool the rows, then Linear -> ReLU -> dropout -> Linear.
+
+    One tape record, whose forward and backward run the expressions of the
+    op-by-op composition (``mean_rows``, ``matmul``, ``add``, ``relu``,
+    ``dropout``) on the same operands, with the same dropout draw; so the
+    logits and every gradient keep their bits.
+    """
+    w1, b1, w2, b2 = params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2
+    if h.rows == 0 or h.cols != w1.rows:
+        raise ShapeError(f"classify: needs rows of width {w1.rows}, got shape {h.shape}")
+    pooled = h.data.mean(axis=0, keepdims=True)
+    pre = pooled @ w1.data + b1.data
+    hidden = np.maximum(pre, 0.0)
     p = params.config.dropout
+    keep = None
     if training and p > 0.0:
         if rng is None:
             raise ContractError("training with dropout needs an explicit rng")
-        hidden = dropout(hidden, p, True, rng)
-    return add(matmul(hidden, params.mlp_w2), params.mlp_b2)
+        keep = (rng.random(hidden.shape) >= p) / (1.0 - p)
+        hidden = hidden * keep
+    out = Tensor(hidden @ w2.data + b2.data)
+
+    def rule(g, push):
+        push(b2, g)
+        push(w2, hidden.T @ g)
+        g = g @ w2.data.T
+        if keep is not None:
+            g = g * keep
+        g = g * (pre > 0.0)
+        push(b1, g)
+        push(w1, pooled.T @ g)
+        push(h, np.repeat(g @ w1.data.T / h.rows, h.rows, axis=0))
+
+    return _record(out, rule)
 
 
 def forward(

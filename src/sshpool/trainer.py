@@ -329,24 +329,22 @@ def sweep(
     """
     if kind not in ("depth", "ratio"):
         raise ContractError(f"sweep kind must be 'depth' or 'ratio', got {kind!r}")
-    # Every schedule is checked before any training starts.
-    schedules = []
+    # Every config is built, and so checked, before any training starts.
+    points = []
     for value in values:
         depth = value if kind == "depth" else base_config.depth
         ratio = value if kind == "ratio" else base_config.assignment_ratio
         sizes = layer_sizes_from_ratio(base_config.layer_sizes[0], ratio, depth)
-        schedules.append((value, ratio, sizes))
+        points += [(value, m, _config_for(base_config, m, sizes, ratio)) for m in methods]
     rows = []
-    for value, ratio, sizes in schedules:
-        for method in methods:
-            config = _config_for(base_config, method, sizes, ratio)
-            report = cross_validate(dataset, config, train_config)
-            rows.append(
-                {
-                    kind: value,
-                    "method": method,
-                    "mean_accuracy": report.mean_accuracy,
-                    "std_error": report.std_error,
-                }
-            )
+    for value, method, config in points:
+        report = cross_validate(dataset, config, train_config)
+        rows.append(
+            {
+                kind: value,
+                "method": method,
+                "mean_accuracy": report.mean_accuracy,
+                "std_error": report.std_error,
+            }
+        )
     return rows

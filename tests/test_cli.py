@@ -142,6 +142,25 @@ class TestTrain:
         assert report["model_config"]["layer_sizes"] == [int(s) for s in sizes.split(",")]
 
 
+    @pytest.mark.parametrize(
+        "schedule, sizes",
+        [
+            (["--variant", "diffpool", "--layer-sizes", "2,4"], "(2, 4)"),
+            (["--layer-base", "4", "--ratio", "2", "--depth", "2"], "(4, 8)"),
+        ],
+        ids=["layer-sizes", "ratio"],
+    )
+    def test_non_decreasing_sizes_exit_2_before_any_output(
+        self, corpus, tmp_path, capsys, schedule, sizes
+    ):
+        out = tmp_path / "o"
+        args = train_args(corpus, str(out))
+        for flag in ("--layer-sizes", "--ratio", "--depth"):
+            del args[args.index(flag):args.index(flag) + 2]
+        assert main(args + schedule) == 2
+        assert f"layer sizes must strictly decrease, got {sizes}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_exit_2(self, corpus, tmp_path, capsys, lr):
         out = tmp_path / "o"
@@ -236,7 +255,9 @@ class TestEvalAndTrace:
         assert "64" in err and "has 1 (constant)" in err
 
     @pytest.mark.parametrize(
-        "key, value", [("layer_sizes", [0]), ("variant", "nope"), ("feature_dim_in", -1)]
+        "key, value",
+        [("layer_sizes", [0]), ("layer_sizes", [2, 4]), ("variant", "nope"),
+         ("feature_dim_in", -1)],
     )
     def test_invalid_checkpoint_config_exit_3(self, corpus, trained, tmp_path, capsys,
                                               key, value):
@@ -329,6 +350,23 @@ class TestSweepCommand:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
 
+
+    def test_increasing_swept_schedule_exit_2_before_training(
+        self, corpus, tmp_path, capsys, monkeypatch
+    ):
+        import sshpool.trainer as trainer_module
+
+        calls = []
+        monkeypatch.setattr(trainer_module, "cross_validate", lambda *args: calls.append(args))
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "ratio", "--data", corpus, "--name", "synth", "--out", str(out),
+             "--ratios", "0.5,2", "--hidden-dim", "8", "--layer-base", "4", "--depth", "2",
+             "--epochs", "1", "--folds", "2", "--repeats", "1", "--seed", "0"]
+        )
+        assert code == 2
+        assert "layer sizes must strictly decrease, got (4, 8)" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_non_finite_swept_ratio_exit_2(self, corpus, capsys):
         code = main(

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from sshpool.data import (
     DEGREE_CAP,
     Graph,
+    _read_table,
     atomic_open,
     graph_stats,
     load_tu_dataset,
@@ -344,6 +346,67 @@ class TestMalformedTU:
         tc = TrainConfig(epochs=2, batch_size=2, folds=2, repeats=1, seed=0)
         result = train_graphs(ds, [0, 1, 2, 3], [], config, tc)
         assert all(np.isfinite(row["loss"]) for row in result.curve)
+
+
+def table_reference(path, width):
+    """A TU table read line by line from its definition: the non-blank
+    ``str.splitlines`` lines, each ``width`` comma-separated decimal int64
+    values; the first other line is a ``ParseError`` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        tokens = [t.strip() for t in line.split(",")]
+        if len(tokens) != width or not all(
+            re.fullmatch(r"[+-]?[0-9]+", t) and -(2**63) <= int(t) < 2**63 for t in tokens
+        ):
+            raise ParseError(
+                f"{os.path.basename(path)}:{number}: expected {width} comma-separated "
+                f"integer(s), got {line.strip()!r}"
+            )
+        rows.append([int(t) for t in tokens])
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
+
+
+class TestReadTable:
+    @staticmethod
+    def outcome(read, path, width):
+        try:
+            return read(path, width).tolist()
+        except (ParseError, UnicodeDecodeError) as exc:
+            return type(exc), str(exc)
+
+    def test_matches_line_by_line_reference_on_corrupted_files(self, tmp_path):
+        # Besides blank, space-only and CRLF lines, the edits insert bytes
+        # where str.splitlines ends a line and numpy does not (\v, \f, \x1c),
+        # whitespace only one of them strips, and non-ASCII or non-UTF-8 bytes.
+        rng = np.random.default_rng(8)
+        alphabet = ["0", "1", "7", ",", " ", "-", "+", "\n", "\r", "\t", "\x0b", "\x0c",
+                    "\x1c", "\x1f", "\xa0", "\x85", "x", "#", "\x00", "99999999999999999999"]
+        texts = ["1,2\n3,4\n5,6\n", "1\n2\n1\n", "1, 2\r\n\r\n3 ,4\r\n"]
+        path = str(tmp_path / "t_A.txt")
+        for trial in range(1500):
+            text = texts[trial % 3]
+            for _ in range(int(rng.integers(4))):
+                cut = int(rng.integers(len(text) + 1))
+                kind = int(rng.integers(3))
+                if kind == 0:
+                    text = text[:cut]
+                elif kind == 1:
+                    text = text[:cut] + str(rng.choice(alphabet)) + text[cut:]
+                else:
+                    text = text[:cut] + text[cut + 1:]
+            raw = text.encode("utf-8")
+            if trial % 50 == 0:
+                raw = raw[:2] + b"\xff" + raw[2:]
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            width = 1 if trial % 3 == 1 else 2
+            assert self.outcome(_read_table, path, width) == self.outcome(
+                table_reference, path, width
+            ), raw
 
 
 class TestGraphStructure:

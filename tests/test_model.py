@@ -19,7 +19,19 @@ from sshpool.model import (
     predict,
 )
 from sshpool.pooling import sshpool_stack
-from sshpool.tensor import Tape, Tensor, matmul, relu, row_softmax, scale, transpose
+from sshpool.tensor import (
+    Tape,
+    Tensor,
+    add,
+    dropout,
+    matmul,
+    mean_rows,
+    relu,
+    row_softmax,
+    scale,
+    transpose,
+)
+from sshpool.trainer import METHOD_VARIANTS
 
 from conftest import make_graph, random_graph
 
@@ -47,6 +59,11 @@ class TestConfig:
     def test_any_layer_schedule_accepted(self):
         cfg = ModelConfig(feature_dim_in=3, num_classes=2, layer_sizes=(128, 10, 8), depth=3)
         assert cfg.layer_sizes == (128, 10, 8)
+
+    @pytest.mark.parametrize("sizes", [(2, 4), (4, 4), (8, 4, 4), (8, 2, 3)])
+    def test_sizes_must_strictly_decrease(self, sizes):
+        with pytest.raises(ContractError, match="layer sizes must strictly decrease"):
+            small_config(layer_sizes=sizes, depth=len(sizes), variant="diffpool")
 
     @pytest.mark.parametrize("depth", [2, 4])
     def test_depth_must_match_layer_sizes(self, depth):
@@ -98,6 +115,45 @@ class TestGlobalConv:
         d_inv = np.diag(1.0 / np.sqrt(a_tilde.sum(axis=1)))
         want = np.maximum(d_inv @ a_tilde @ d_inv @ g.features.data @ w, 0.0)
         assert np.allclose(got, want, rtol=1e-12)
+
+    def test_one_tape_record(self, rng):
+        g = make_graph([(0, 1), (1, 2)], 3, d=3)
+        with Tape() as tape:
+            out = global_conv(g, g.features, Tensor(rng.normal(size=(3, 4)), requires_grad=True))
+        assert [output for output, _ in tape._records] == [out]
+
+    @pytest.mark.parametrize("source", ["features", "stacked", "trainable"])
+    def test_gradients_match_op_by_op_composition_bit_for_bit(self, rng, source):
+        def composed(graph, x, weight):
+            return relu(matmul(matmul(Tensor(graph.gcn_norm.dense()), x), weight))
+
+        g = make_graph([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], 5, d=3, seed=2)
+        r, c = rng.normal(size=(1, 5)), rng.normal(size=(4, 1))
+        grads, outputs = [], []
+        for conv in (global_conv, composed):
+            seed = np.random.default_rng(3)  # about half of each ReLU's inputs are positive
+            w0, w1, leaf = (
+                Tensor(seed.normal(size=shape), requires_grad=True)
+                for shape in ((3, 4), (4, 4), (5, 4))
+            )
+            with Tape() as tape:
+                if source == "features":
+                    out = conv(g, g.features, w0)
+                elif source == "stacked":  # as --gconv-layers 2 stacks them
+                    out = conv(g, conv(g, g.features, w0), w1)
+                else:
+                    out = conv(g, leaf, w1)
+                objective = matmul(Tensor(r), matmul(out, Tensor(c)))
+            tape.backward(objective)
+            outputs.append(out.data)
+            grads.append([w0.grad, w1.grad, leaf.grad])
+        assert np.array_equal(outputs[0], outputs[1])
+        for fused, reference in zip(*grads):
+            assert np.array_equal(fused, reference)
+        if source == "stacked":
+            assert grads[0][0].any()  # w0's only gradient comes through the input push
+        if source == "trainable":
+            assert grads[0][2].any()
 
 
 class TestAttention:
@@ -238,6 +294,39 @@ class TestClassify:
     def test_argmax_prediction(self):
         assert predict(Tensor([[2.0, -1.0]])) == 0
 
+    def test_one_tape_record(self, rng):
+        params = ModelParams(small_config(dropout=0.5), seed=0)
+        with Tape() as tape:
+            h = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+            out = classify(h, params, training=True, rng=np.random.default_rng(0))
+        assert [output for output, _ in tape._records] == [out]
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_gradients_match_op_by_op_composition_bit_for_bit(self, rng, training):
+        def composed(h, params, training, rng):
+            hidden = relu(add(matmul(mean_rows(h), params.mlp_w1), params.mlp_b1))
+            hidden = dropout(hidden, params.config.dropout, training, rng)
+            return add(matmul(hidden, params.mlp_w2), params.mlp_b2)
+
+        a, r = Tensor(rng.normal(size=(5, 4))), rng.normal(size=(2, 1))
+        outputs, grads, draws = [], [], []
+        for head in (classify, composed):
+            params = ModelParams(small_config(dropout=0.5), seed=3)
+            w0 = Tensor(np.random.default_rng(7).normal(size=(4, 6)), requires_grad=True)
+            drops = np.random.default_rng(11)
+            with Tape() as tape:
+                h = matmul(a, w0)  # an op output, so its gradient flows on into w0
+                out = head(h, params, training, drops)
+                objective = matmul(out, Tensor(r))
+            tape.backward(objective)
+            outputs.append(out.data)
+            grads.append([params.grad, w0.grad])
+            draws.append(drops.random())
+        assert np.array_equal(outputs[0], outputs[1])
+        for fused, reference in zip(*grads):
+            assert np.array_equal(fused, reference)
+        assert draws[0] == draws[1]  # the same dropout draws, and no more
+
 
 class TestLoss:
     def test_uniform(self):
@@ -362,6 +451,31 @@ class TestForward:
             assert np.all(np.isfinite(logits.data))
             assert trace.layers == []
 
+    @pytest.mark.parametrize(
+        "method, gconv_layers, records",
+        [
+            ("sshpool", 1, 7),
+            ("sshpool", 2, 8),
+            ("sshpool_non", 1, 6),
+            ("diffpool", 1, 30),
+            ("global_sum", 1, 4),
+            ("global_sum", 2, 5),
+            ("global_mean", 1, 4),
+        ],
+    )
+    def test_tape_records_per_training_forward(self, rng, method, gconv_layers, records):
+        # Global convolution, each pooling layer, attention, classifier head
+        # and loss are one record each; a diffpool layer is nine.
+        cfg = small_config(
+            layer_sizes=(8, 4, 2), depth=3, dropout=0.5, global_conv_layers=gconv_layers,
+            **METHOD_VARIANTS[method],
+        )
+        g = random_graph(rng, n_lo=10, n_hi=12, d=4)
+        with Tape() as tape:
+            logits, _ = forward(g, ModelParams(cfg, seed=1), True, np.random.default_rng(0))
+            loss(logits, g.label)
+        assert len(tape) == records
+
     def test_structure_derived_once_across_forwards(self, rng, monkeypatch):
         g = random_graph(rng, n_lo=8, n_hi=12, d=4)  # more nodes than clusters
         shapes = []
@@ -429,6 +543,21 @@ class TestGradCheckSmall:
         past = assign[:, graph.n :]
         assert not past.any() and not np.signbit(past).any()
         assert assign[:, : graph.n].any() == (variant == "diffpool")
+        report = check_model_gradients(graph, params)
+        assert report.passed, report.worst
+
+    @pytest.mark.parametrize("variant", ["sshpool", "global_sum"])
+    def test_two_global_conv_layers(self, variant):
+        # The second convolution's input is the first one's output, so the
+        # gradient it pushes into its input is the only one gconv.0 gets.
+        graph, params = fixture_graph_and_params(variant)
+        config = ModelConfig.from_dict({**params.config.to_dict(), "global_conv_layers": 2})
+        params = ModelParams(config, seed=7)
+        with Tape() as tape:
+            logits, _ = forward(graph, params)
+            objective = loss(logits, graph.label)
+        tape.backward(objective)
+        assert params.named()["gconv.0.weight"].grad.any()
         report = check_model_gradients(graph, params)
         assert report.passed, report.worst
 

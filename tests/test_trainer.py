@@ -316,6 +316,18 @@ class TestSweeps:
         with pytest.raises(ContractError):
             sweep(ds, "ratio", [0.01], cfg, tc, methods=("sshpool",))
 
+    def test_increasing_schedule_rejected_before_training(self, monkeypatch):
+        import sshpool.trainer as trainer_module
+
+        ds = triangle_dataset(6, seed=0)
+        cfg = tiny_model_config(ds, layer_sizes=(8, 4), depth=2)
+        tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=0)
+        calls = []
+        monkeypatch.setattr(trainer_module, "cross_validate", lambda *args: calls.append(args))
+        with pytest.raises(ContractError, match=r"strictly decrease, got \(8, 16\)"):
+            sweep(ds, "ratio", [0.5, 2.0], cfg, tc, methods=("sshpool",))
+        assert calls == []
+
     def test_unknown_kind_rejected(self):
         ds = triangle_dataset(6, seed=0)
         tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=0)
