@@ -46,12 +46,13 @@ def _to_bool(text: str) -> bool:
     return _BOOL_WORDS[word]
 
 
+# An empty value or item ("", ",", "4,,2", "4,2,") is a ValueError from int/float.
 def _to_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).split(",") if tok.strip()]
+    return [int(tok) for tok in str(text).split(",")]
 
 
 def _to_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+    return [float(tok) for tok in str(text).split(",")]
 
 
 class _Option(NamedTuple):
@@ -216,10 +217,9 @@ def cmd_train(ns: argparse.Namespace) -> int:
     train_config = _train_config(ns)
     dataset = _load_dataset(ns)
     model_config = _model_config(ns, dataset)
+    report = cross_validate(dataset, model_config, train_config)
     out = ns.out or "out"
     os.makedirs(out, exist_ok=True)
-
-    report = cross_validate(dataset, model_config, train_config)
     _write_json(os.path.join(out, "report.json"), report.to_dict())
     _write_csv(
         os.path.join(out, "curves.csv"),
@@ -307,8 +307,8 @@ def cmd_gradcheck(ns: argparse.Namespace) -> int:
 def cmd_sweep(ns: argparse.Namespace) -> int:
     dataset = _load_dataset(ns)
     values = getattr(ns, ns.kind + "s")  # --depths or --ratios
-    if values:  # the base config is the first swept point; sweep checks them all
-        setattr(ns, ns.kind, values[0])
+    # The base config is the first swept point; sweep checks them all.
+    setattr(ns, ns.kind, values[0])
     model_config = _model_config(ns, dataset)
     train_config = _train_config(ns)
     rows = sweep(dataset, ns.kind, values, model_config, train_config)

@@ -10,7 +10,8 @@ Turning ``attention_enabled`` off gives the no-fusion ablation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -55,6 +56,17 @@ def layer_sizes_from_ratio(base: int, ratio: float, depth: int) -> tuple[int, ..
     return tuple(sizes)
 
 
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether ``value`` fits a ``ModelConfig`` field's annotation string; a bool is no number."""
+    if annotation == "tuple[int, ...]":
+        return isinstance(value, (tuple, list)) and all(_fits(v, "int") for v in value)
+    kind = _FIELD_TYPES[annotation]
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 @dataclass
 class ModelConfig:
     feature_dim_in: int
@@ -70,6 +82,10 @@ class ModelConfig:
     keep_coarse_self_loops: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, f.type):
+                raise ContractError(f"{f.name} must be {f.type}, got {value!r}")
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
         if self.feature_dim_in < 1:
             raise ContractError(f"feature_dim_in must be positive, got {self.feature_dim_in}")

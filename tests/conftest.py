@@ -1,7 +1,26 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
 from sshpool.data import Graph
+
+
+def _load_bench_corpora():
+    """Import ``bench/corpora.py`` by path, keeping ``bench/`` off ``sys.path``.
+
+    It holds the one chordal-ring generator, the one that writes
+    ``tests/_desk_corpus``; ``bench/`` also has its own ``conftest.py``.
+    """
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpora.py")
+    spec = importlib.util.spec_from_file_location("bench_corpora", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+write_chordal_corpus = _load_bench_corpora().write_chordal_corpus
 
 
 def make_graph(edges, n, features=None, label=0, d=4, seed=0):

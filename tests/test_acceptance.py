@@ -18,9 +18,11 @@ from sshpool.diagnostics import certify_locality
 from sshpool.gradcheck import check_model_gradients, fixture_graph_and_params
 from sshpool.model import ModelConfig, ModelParams
 from sshpool.pooling import coarsen, extract_subgraphs, harden, local_conv, soft_assign
-from sshpool.synth import triangle_dataset, write_tu_corpus
+from sshpool.synth import triangle_dataset
 from sshpool.tensor import Tensor
 from sshpool.trainer import TrainConfig, cross_validate, train_graphs, _config_for
+
+from conftest import write_chordal_corpus
 
 TU_DATA_DIR = os.environ.get(
     "TU_DATA_DIR", os.path.join(os.path.dirname(__file__), "..", "data")
@@ -211,8 +213,6 @@ def desk_dataset():
         if os.path.isfile(os.path.join(directory, f"{name}_A.txt")):
             return load_tu_dataset(directory, name), name
     directory = os.path.join(os.path.dirname(__file__), "_desk_corpus")
-    if not os.path.isfile(os.path.join(directory, "chordal_A.txt")):
-        write_tu_corpus(directory, "chordal", num_graphs=344, seed=101)
     return load_tu_dataset(directory, "chordal"), "synthetic-chordal"
 
 
@@ -293,7 +293,7 @@ class TestAblationDirection:
 class TestDeterminism:
     def test_byte_identical_train_artifacts(self, tmp_path):
         corpus = tmp_path / "corpus"
-        write_tu_corpus(str(corpus), "det", num_graphs=12, seed=9)
+        write_chordal_corpus(str(corpus), "det", 12, 9)
         outs = []
         for run in ("a", "b"):
             out = tmp_path / run

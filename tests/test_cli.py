@@ -9,9 +9,7 @@ import pytest
 
 from sshpool.cli import _OPTIONS, build_parser, main, read_config_file
 from sshpool.data import load_tu_dataset, graph_stats
-from sshpool.synth import write_tu_corpus
-
-from conftest import write_tu
+from conftest import write_chordal_corpus, write_tu
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -34,7 +32,7 @@ def readme_cli_lines():
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     directory = tmp_path_factory.mktemp("corpus")
-    write_tu_corpus(str(directory), "synth", num_graphs=12, seed=3)
+    write_chordal_corpus(str(directory), "synth", 12, 3)
     return str(directory)
 
 
@@ -89,7 +87,8 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--repeats", "0", "repeats must be >= 1"), ("--folds", "1", "fold count must be >= 2")],
+        [("--repeats", "0", "repeats must be >= 1"), ("--folds", "1", "fold count must be >= 2"),
+         ("--folds", "13", "fold count 13 outside [2, 12]")],
     )
     def test_too_few_repeats_or_folds_exit_2(self, corpus, tmp_path, capsys, flag, value, message):
         args = train_args(corpus, str(tmp_path / "o"))
@@ -100,6 +99,22 @@ class TestTrain:
 
     def test_bad_flag_exit_2(self, corpus, tmp_path):
         assert main(["train", "--no-such-flag"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [["train", "--layer-sizes", ","], ["train", "--layer-sizes", ""],
+         ["train", "--layer-sizes", "4,,2"], ["train", "--layer-sizes", "4,2,"],
+         ["sweep", "depth", "--depths", ","], ["sweep", "ratio", "--ratios", " , "],
+         ["sweep", "ratio", "--ratios", "0.5,"]],
+        ids=" ".join,
+    )
+    def test_empty_list_value_exit_2(self, corpus, tmp_path, capsys, args):
+        out = tmp_path / "o"
+        # Cheap settings, so a list parsed as unset still ends quickly.
+        cheap = ["--hidden-dim", "8", "--epochs", "1", "--folds", "2", "--repeats", "1"]
+        assert main(args + cheap + ["--data", corpus, "--name", "synth", "--out", str(out)]) == 2
+        assert f"argument {args[-2]}: invalid" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra, keep", [([], False), (["--keep-coarse-self-loops"], True)])
     def test_keep_coarse_self_loops_in_report(self, corpus, tmp_path, extra, keep):
@@ -257,7 +272,10 @@ class TestEvalAndTrace:
     @pytest.mark.parametrize(
         "key, value",
         [("layer_sizes", [0]), ("layer_sizes", [2, 4]), ("variant", "nope"),
-         ("feature_dim_in", -1)],
+         ("feature_dim_in", -1), ("num_classes", 2.0), ("hidden_dim", 8.0),
+         ("feature_dim_in", 64.0), ("global_conv_layers", 1.5), ("hidden_dim", True),
+         ("layer_sizes", [4.5, 2]), ("attention_enabled", "yes"),
+         ("keep_coarse_self_loops", 1), ("dropout", True), ("assignment_ratio", "0.5")],
     )
     def test_invalid_checkpoint_config_exit_3(self, corpus, trained, tmp_path, capsys,
                                               key, value):
@@ -520,6 +538,18 @@ class TestConfigFile:
         } - {"config"}
         assert not dests - set(_OPTIONS), "flags without a table row"
         assert not set(_OPTIONS) - dests, "table rows that no subcommand parses"
+
+    @pytest.mark.parametrize("value", [",", "", "4,,2", "4,2,"])
+    def test_empty_list_value_in_file_exit_2(self, corpus, tmp_path, capsys, value):
+        cfg = tmp_path / "list.cfg"
+        cfg.write_text(f"layer_sizes = {value}\n")
+        out = tmp_path / "o"
+        code = main(["train", "--data", corpus, "--name", "synth", "--out", str(out),
+                     "--hidden-dim", "8", "--epochs", "1", "--folds", "2", "--repeats", "1",
+                     "--config", str(cfg)])
+        assert code == 2
+        assert f"bad value {value!r} for 'layer_sizes'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_exit_2(self, corpus, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -18,9 +18,9 @@ from sshpool.data import (
     stratified_subset,
 )
 from sshpool.errors import ContractError, IngestError, IntegrityError, ParseError
-from sshpool.synth import triangle_dataset, write_tu_corpus
+from sshpool.synth import triangle_dataset
 
-from conftest import make_graph, random_graph, write_tu
+from conftest import make_graph, random_graph, write_chordal_corpus, write_tu
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
@@ -98,7 +98,7 @@ class TestLoadTU:
             assert ga.label == gb.label
 
     def test_adjacency_invariants(self, tmp_path):
-        write_tu_corpus(str(tmp_path), "synth", num_graphs=12, seed=5)
+        write_chordal_corpus(str(tmp_path), "synth", 12, 5)
         ds = load_tu_dataset(str(tmp_path), "synth")
         total_nodes = 0
         for g in ds.graphs:

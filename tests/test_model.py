@@ -90,6 +90,23 @@ class TestConfig:
         with pytest.raises(ContractError, match="assignment ratio must be finite"):
             small_config(assignment_ratio=ratio)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        # Beside the eval exit-3 test's checkpoint cases: numpy scalars, a string
+        # or a bool as layer sizes, a bool dropout and a variant that is no string.
+        [("depth", np.float64(2.0)), ("layer_sizes", (4, True)), ("layer_sizes", "42"),
+         ("dropout", False), ("keep_coarse_self_loops", np.bool_(True)), ("variant", None)],
+    )
+    def test_wrongly_typed_field_rejected(self, field, value):
+        with pytest.raises(ContractError, match=f"^{field} must be "):
+            small_config(**{field: value})
+
+    def test_numpy_integers_accepted_as_python_ints(self):
+        cfg = small_config(hidden_dim=np.int64(6), layer_sizes=[np.int64(4), np.int32(2)],
+                           dropout=0, assignment_ratio=np.float32(0.5))
+        assert cfg.layer_sizes == (4, 2)
+        assert all(type(s) is int for s in cfg.layer_sizes)
+
 
 class TestGlobalConv:
     def test_single_node(self):
