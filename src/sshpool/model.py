@@ -86,6 +86,8 @@ class ModelConfig:
             value = getattr(self, f.name)
             if not _fits(value, f.type):
                 raise ContractError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type in ("int", "float"):  # numpy numbers become Python ones
+                setattr(self, f.name, int(value) if f.type == "int" else float(value))
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
         if self.feature_dim_in < 1:
             raise ContractError(f"feature_dim_in must be positive, got {self.feature_dim_in}")
@@ -139,6 +141,8 @@ class ModelParams:
     The values fill one float64 vector ``data``, and the gradients a second,
     ``grad``, in that order. Each named tensor's ``data`` and ``grad`` are
     reshaped views of them: callers write them in place, never rebind them.
+    A pooling layer's local weights are consecutive, so its
+    ``PoolLayerParams`` views them as one c x d x d stretch of each vector.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -155,12 +159,9 @@ class ModelParams:
             fan_in = d
         if config.variant == "sshpool":
             for l, size in enumerate(config.layer_sizes):
-                assign = self._add(f"pool.{l}.assign", _glorot(rng, d, size))
-                local = [
+                self._add(f"pool.{l}.assign", _glorot(rng, d, size))
+                for j in range(size):
                     self._add(f"pool.{l}.local.{j}", _glorot(rng, d, d))
-                    for j in range(size)
-                ]
-                self.pool_layers.append(PoolLayerParams(assign=assign, local=local))
         elif config.variant == "diffpool":
             for l, size in enumerate(config.layer_sizes):
                 assign = self._add(f"pool.{l}.assign", _glorot(rng, d, size))
@@ -177,8 +178,14 @@ class ModelParams:
         )
         self.data = np.concatenate([t.data.reshape(-1) for t in self._named.values()])
         self.grad = np.zeros_like(self.data)
-        for t, d, g in zip(self._named.values(), self.split(self.data), self.split(self.grad)):
-            t.data, t.grad = d.reshape(t.shape), g.reshape(t.shape)
+        for t, value, g in zip(self._named.values(), self.split(self.data), self.split(self.grad)):
+            t.data, t.grad = value.reshape(t.shape), g.reshape(t.shape)
+        if config.variant == "sshpool":
+            ends = dict(zip(self._named, np.cumsum([t.data.size for t in self._named.values()])))
+            for l, size in enumerate(config.layer_sizes):
+                block = slice(ends[f"pool.{l}.assign"], ends[f"pool.{l}.local.{size - 1}"])
+                stacks = (v[block].reshape(size, d, d) for v in (self.data, self.grad))
+                self.pool_layers.append(PoolLayerParams(self._named[f"pool.{l}.assign"], *stacks))
 
     def _add(self, name: str, tensor: Tensor) -> Tensor:
         self._named[name] = tensor

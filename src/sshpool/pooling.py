@@ -8,12 +8,12 @@ Y = (A_mask + I) X, apply each node's own cluster weight, Z_u = Y_u W_c(u),
 and compress every cluster to a single coarsened node: features are the
 sums of its rows of Z, adjacency is H^T A H with the diagonal zeroed
 (inter-cluster edge counts). Restricted to cluster j's nodes this is
-exactly the per-subgraph convolution Z_j = (A_j + I) X_j W_j, computed for
-the whole graph at once.
+exactly the per-subgraph convolution Z_j = (A_j + I) X_j W_j. The layer
+sums Z's rows in closed form (see :func:`local_conv`) and never forms Z.
 
-Adjacencies travel as :class:`~sshpool.data.Edges` lists: the mask and the
-coarse adjacency are O(E) selections and sums over them, and a dense n x n
-matrix is built only as the operand of the convolution's products.
+Adjacencies travel as :class:`~sshpool.data.Edges` lists: the mask, the
+kept degrees and the coarse adjacency are O(E) selections and sums over
+them, and no n x n matrix is built on the layer's path.
 
 Because the mask drops every cross-cluster edge, perturbing one node's
 features can only move embeddings inside its own cluster; every other
@@ -33,7 +33,6 @@ from .tensor import (
     Tensor,
     _record,
     add,
-    ascending_sum,
     matmul,
     row_softmax,
     softmax_rows,
@@ -58,22 +57,27 @@ class AssignmentPair:
 class LayerTrace:
     """Everything one pooling layer produced, for inspection and tests.
 
-    ``labels[u]`` is node u's cluster; ``local_embedding`` is the n x d
-    matrix Z whose row u is node u's embedding inside its cluster.
-    ``edges`` is the layer's input adjacency and ``kept`` its intra-cluster
-    part; ``adjacency`` and ``a_mask`` are their dense forms.
+    ``labels[u]`` is node u's cluster. ``features`` (X), ``edges`` and
+    ``weights`` are the layer's inputs, and ``kept`` the intra-cluster part
+    of ``edges``; ``adjacency`` and ``a_mask`` are their dense forms.
     """
 
     assignment: AssignmentPair
-    local_embedding: np.ndarray
     coarse_features: Tensor
     coarse_adjacency: Tensor
     edges: Edges
     kept: Edges
+    features: np.ndarray
+    weights: np.ndarray
 
     @property
     def labels(self) -> np.ndarray:
         return self.assignment.labels
+
+    @property
+    def local_embedding(self) -> np.ndarray:
+        """Z, whose row u is node u's embedding in its cluster, under the current weights."""
+        return local_embedding(self.features, self.kept, self.labels, self.weights)
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -128,15 +132,16 @@ class CoarseningTrace:
 
 @dataclass
 class PoolLayerParams:
-    """Trainable tensors of one pooling layer.
+    """Trainable parameters of one pooling layer.
 
-    ``assign`` projects features to cluster logits; ``local[j]`` is the
-    convolution weight owned by cluster j. Local weights are distinct
-    tensors per (layer, cluster) and are never shared.
+    ``assign`` projects features to cluster logits. Cluster j's own weight
+    W_j is ``weights[j]`` of a c x d x d array, with gradient ``grads[j]``;
+    a model passes views of its flat buffers, which the layer uses in place.
     """
 
     assign: Tensor
-    local: list[Tensor]
+    weights: np.ndarray
+    grads: np.ndarray
 
 
 def _first_cols(w: Tensor, c: int) -> Tensor:
@@ -195,57 +200,41 @@ def _check_labels(labels, n: int, clusters: int) -> np.ndarray:
 
 
 def local_conv(
-    x: Tensor, a_mask: Edges, labels: np.ndarray, weights: list[Tensor], clusters: int
-) -> tuple[Tensor, np.ndarray]:
+    x: Tensor, a_mask: Edges, labels: np.ndarray, weights: np.ndarray, grads: np.ndarray
+) -> Tensor:
     """Convolve every cluster and compress it to one coarse row, as one record.
 
     Z_u = ((A_mask + I) X)_u W_labels[u], with no degree normalisation and
-    no activation; ``a_mask`` is the intra-cluster edge list, scattered
-    with the identity into the dense operand of both products. Coarse row
-    j is the sum of cluster j's rows of Z, added in ascending node order
-    (an empty cluster gives a zero row). A stable sort of the labels gives
-    each occupied cluster a contiguous run of its node ids, ascending, so a
-    cluster costs one product and one sum, and an empty cluster's weight
-    receives no gradient at all.
-    Backward: with G_j coarse gradient row j repeated over cluster j's
-    rows, dW_j = Y_j^T G_j and dX = (A_mask + I)^T dY with dY_j = G_j W_j^T.
-
-    Returns the ``clusters`` x d coarse features, on the tape, and Z in
-    node order, a constant for inspection.
+    no activation, and coarse row j sums cluster j's rows of Z. ``a_mask``
+    only joins nodes of one cluster, so that sum is s_j W_j, where s_j adds
+    (1 + deg(v)) X_v over cluster j's nodes v in ascending order from +0.0
+    and deg(v) is the weight of ``a_mask``'s column v. Row j is bit for bit
+    ``s_j[None] @ weights[j]``, and an empty cluster has s_j = 0.
+    Backward: dW_j = s_j^T g_j, added into ``grads[j]`` for occupied
+    clusters only, and dX_v = (1 + deg(v)) g_labels[v] W_labels[v]^T.
     """
-    n = x.rows
-    m = a_mask.dense()
-    diagonal = m.reshape(-1)[:: n + 1]
-    diagonal += 1.0
-    order = labels.argsort(kind="stable")
-    counts = np.bincount(labels, minlength=clusters)
-    y = (m @ x.data)[order]
-    z = np.empty((n, weights[0].cols))
-    x_next = np.zeros((clusters, z.shape[1]))
-    runs = []
-    stop = 0
-    for j, size in enumerate(counts.tolist()):
-        if size:
-            start, stop = stop, stop + size
-            run = z[start:stop]
-            np.matmul(y[start:stop], weights[j].data, out=run)
-            ascending_sum(run, x_next[j])
-            runs.append((j, start, stop))
+    c, d = weights.shape[0], x.cols
+    scale = np.bincount(a_mask.src, weights=a_mask.weight, minlength=x.rows) + 1.0
+    bins = labels[:, None] * d + np.arange(d)
+    wx = scale[:, None] * x.data
+    # Bin (j, k) adds column k of cluster j's rows in node order.
+    s = np.bincount(bins.ravel(), weights=wx.ravel(), minlength=c * d).reshape(c, 1, d)
+    out = Tensor((s @ weights).reshape(c, -1))
 
-    def rule(g, push, x=x, m=m, y=y, order=order, counts=counts, runs=runs, weights=weights):
-        g_runs = np.repeat(g, counts, axis=0)
-        dy = np.empty_like(y)
-        for j, start, stop in runs:
-            g_j = g_runs[start:stop]
-            np.matmul(g_j, weights[j].data.T, out=dy[start:stop])
-            push(weights[j], y[start:stop].T @ g_j)
-        dy_nodes = np.empty_like(dy)
-        dy_nodes[order] = dy
-        push(x, m.T @ dy_nodes)
+    def rule(g, push):
+        occupied = np.bincount(labels, minlength=c) > 0
+        grads[occupied] += s[occupied].transpose(0, 2, 1) * g[occupied, None, :]
+        back = g[:, None, :] @ weights.transpose(0, 2, 1)
+        push(x, scale[:, None] * back[labels, 0])
 
-    z_nodes = np.empty_like(z)
-    z_nodes[order] = z
-    return _record(Tensor(x_next), rule), z_nodes
+    return _record(out, rule)
+
+
+def local_embedding(
+    x: np.ndarray, a_mask: Edges, labels: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Z, whose row u is ((A_mask + I) X)_u W_labels[u], for inspection only."""
+    return ((a_mask.dense() @ x + x)[:, None, :] @ weights[labels])[:, 0]
 
 
 def coarsen(
@@ -292,16 +281,18 @@ def sshpool_layer(
     else:
         labels = _check_labels(frozen_labels, n, c_eff)
     a_mask = extract_subgraphs(adjacency, labels)
-    x_next, z = local_conv(x, a_mask, labels, params.local, c_eff)
+    weights = params.weights[:c_eff]
+    x_next = local_conv(x, a_mask, labels, weights, params.grads[:c_eff])
     a_next = coarsen(labels, adjacency, c_eff, keep_self_loops)
 
     trace = LayerTrace(
         assignment=AssignmentPair(soft=soft, labels=labels),
-        local_embedding=z,
         coarse_features=x_next,
         coarse_adjacency=a_next,
         edges=adjacency,
         kept=a_mask,
+        features=x.data,
+        weights=weights,
     )
     return (Edges.from_dense(a_next.data), x_next), trace
 

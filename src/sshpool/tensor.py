@@ -228,24 +228,19 @@ def mean_rows(x: Tensor) -> Tensor:
     return _record(out, rule)
 
 
-def ascending_sum(rows: np.ndarray, out: np.ndarray) -> None:
-    """Write the column sums of ``rows``, added top to bottom from +0.0, to ``out``.
+def sum_rows(x: Tensor) -> Tensor:
+    """Column-wise sum, a 1 x d row, bit-identical to a sequential loop from zeros.
 
     numpy's axis-0 sum of a C-ordered array adds whole rows in order to
     the identity, +0.0, but it sums a single column, or contiguous columns,
     pairwise; ``cumsum`` is sequential there, and adding +0.0 turns its
     -0.0 into +0.0, as a loop from zeros does.
     """
+    rows = x.data
     if rows.shape[0] == 0 or (rows.shape[1] > 1 and rows.flags.c_contiguous):
-        np.add.reduce(rows, axis=0, out=out)
+        out = Tensor(np.add.reduce(rows, axis=0))
     else:
-        out[...] = np.cumsum(rows, axis=0)[-1] + 0.0
-
-
-def sum_rows(x: Tensor) -> Tensor:
-    """Column-wise sum, a 1 x d row, bit-identical to a sequential loop from zeros."""
-    out = Tensor(np.empty((1, x.cols)))
-    ascending_sum(x.data, out.data[0])
+        out = Tensor(np.cumsum(rows, axis=0)[-1] + 0.0)
 
     def rule(g, push, x=x):
         push(x, np.repeat(g, x.rows, axis=0))

@@ -17,7 +17,14 @@ from sshpool.data import Edges, load_tu_dataset, stratified_subset
 from sshpool.diagnostics import certify_locality
 from sshpool.gradcheck import check_model_gradients, fixture_graph_and_params
 from sshpool.model import ModelConfig, ModelParams
-from sshpool.pooling import coarsen, extract_subgraphs, harden, local_conv, soft_assign
+from sshpool.pooling import (
+    coarsen,
+    extract_subgraphs,
+    harden,
+    local_conv,
+    local_embedding,
+    soft_assign,
+)
 from sshpool.synth import triangle_dataset
 from sshpool.tensor import Tensor
 from sshpool.trainer import TrainConfig, cross_validate, train_graphs, _config_for
@@ -78,20 +85,27 @@ class TestCoarseningOracle:
             n = adj.shape[0]
             c = int(rng.integers(1, 5))
             labels = random_labels(rng, n, c)
-            weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(c)]
+            weights = rng.normal(size=(c, 4, 4))
 
             a_e, x_t = Edges.from_dense(adj), Tensor(feats)
             a_mask = extract_subgraphs(a_e, labels)
-            x_next, z = local_conv(x_t, a_mask, labels, weights, c)
+            x_next = local_conv(x_t, a_mask, labels, weights, np.zeros_like(weights))
+            z = local_embedding(feats, a_mask, labels, weights)
             a_next = coarsen(labels, a_e, c)
 
-            # brute force: per-cluster embedding sums, ascending node order
             for j in range(c):
-                acc = np.zeros(4)
+                # brute force: s_j sums (1 + kept degree) * features over
+                # cluster j in ascending node order; the row is s_j W_j
+                s_j = np.zeros(4)
                 for r in range(n):
                     if labels[r] == j:
-                        acc = acc + z[r]
-                assert np.array_equal(x_next.data[j], acc)
+                        deg = sum(adj[u, r] for u in range(n) if labels[u] == j)
+                        s_j = s_j + (1.0 + deg) * feats[r]
+                assert np.array_equal(x_next.data[j], (s_j[None] @ weights[j])[0])
+                # and the sum of the cluster's per-node embeddings, to rounding
+                rows = z[labels == j]
+                gap = np.abs(x_next.data[j] - rows.sum(axis=0))
+                assert np.all(gap <= 1e-12 * np.abs(rows).sum(axis=0))
 
             # brute force: pairwise inter-cluster edge counting
             want = np.zeros((c, c))
@@ -148,7 +162,7 @@ class TestPartitionAndIdentityInvariants:
             n = adj.shape[0]
             c = int(rng.integers(1, 6))
             labels = random_labels(rng, n, c)
-            a_e, x_t = Edges.from_dense(adj), Tensor(feats)
+            a_e = Edges.from_dense(adj)
 
             assert labels.shape == (n,)
             assert np.all((labels >= 0) & (labels < c))
@@ -158,7 +172,7 @@ class TestPartitionAndIdentityInvariants:
             ids = [i for m in members for i in m]
             assert sorted(ids) == list(range(n))
 
-            _, z = local_conv(x_t, a_mask, labels, [Tensor(np.eye(4))] * c, c)
+            z = local_embedding(feats, a_mask, labels, np.broadcast_to(np.eye(4), (c, 4, 4)))
             for m in members:
                 a_m = adj[np.ix_(m, m)] + np.eye(len(m))
                 assert np.allclose(z[m], a_m @ feats[m], rtol=1e-12, atol=1e-12)
@@ -176,7 +190,8 @@ class TestPartitionAndIdentityInvariants:
             hard[np.arange(n), perm] = 1.0
             a_e, x_t = Edges.from_dense(adj), Tensor(feats)
             a_mask = extract_subgraphs(a_e, perm)
-            x_next, _ = local_conv(x_t, a_mask, perm, [Tensor(np.eye(4))] * n, n)
+            weights = np.broadcast_to(np.eye(4), (n, 4, 4))
+            x_next = local_conv(x_t, a_mask, perm, weights, np.zeros_like(weights))
             a_next = coarsen(perm, a_e, n)
             assert np.array_equal(x_next.data, hard.T @ feats)
             assert np.array_equal(a_next.data, hard.T @ adj @ hard)

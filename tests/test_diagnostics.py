@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from sshpool.diagnostics import (
 )
 from sshpool.errors import ContractError
 from sshpool.model import ModelConfig, ModelParams
-from sshpool.pooling import local_conv, sshpool_layer
+from sshpool.pooling import sshpool_layer
+from sshpool.tensor import Tensor
 
 from conftest import make_graph, random_graph
+from slice_reference import slice_layer
 
 
 def probe_config(d_in=4, clusters=(3,), hidden=6):
@@ -103,16 +106,22 @@ class TestCertifyLocality:
         assert report.violations == []
 
     def test_corrupted_coarsen_detected(self, rng):
-        # leak: convolve over the unmasked adjacency, so edges that cross a
-        # cluster boundary carry information into foreign embeddings
+        # leak: the slice reference convolved over the unmasked adjacency, so
+        # edges that cross a cluster boundary carry information into foreign
+        # embeddings; the labels are the real layer's
         def leaky_layer(adjacency, x, params, clusters, keep_self_loops=False, frozen_labels=None):
             (a_next, _), trace = sshpool_layer(
                 adjacency, x, params, clusters, keep_self_loops, frozen_labels
             )
-            x_next, trace.local_embedding = local_conv(
-                x, adjacency, trace.labels, params.local, trace.assignment.soft.cols
+            ref = slice_layer(
+                adjacency.dense(), x.data, trace.labels, trace.assignment.soft.cols,
+                params.weights, keep_self_loops, masked=False,
             )
-            return (a_next, x_next), trace
+            z = np.empty((x.rows, params.weights.shape[2]))
+            for members, z_j in zip(ref.clusters, ref.local_embeddings):
+                z[members] = z_j
+            leak = SimpleNamespace(labels=trace.labels, local_embedding=z)
+            return (a_next, Tensor(ref.coarse_features)), leak
 
         # seed 0 assigns {0, 5} vs {1, 2, 3, 4}: both clusters non-empty and
         # the path edges 0-1 and 4-5 cross the boundary, so the leak shows

@@ -101,11 +101,20 @@ class TestConfig:
         with pytest.raises(ContractError, match=f"^{field} must be "):
             small_config(**{field: value})
 
-    def test_numpy_integers_accepted_as_python_ints(self):
-        cfg = small_config(hidden_dim=np.int64(6), layer_sizes=[np.int64(4), np.int32(2)],
-                           dropout=0, assignment_ratio=np.float32(0.5))
+    def test_numpy_integers_accepted_as_python_ints(self, tmp_path):
+        cfg = small_config(feature_dim_in=np.int64(4), hidden_dim=np.int64(6),
+                           layer_sizes=[np.int64(4), np.int32(2)], depth=np.int32(2),
+                           dropout=np.float32(0.25), assignment_ratio=np.float32(0.5))
         assert cfg.layer_sizes == (4, 2)
         assert all(type(s) is int for s in cfg.layer_sizes)
+        for name in ("feature_dim_in", "hidden_dim", "depth", "dropout", "assignment_ratio"):
+            assert type(getattr(cfg, name)) in (int, float)
+        params = ModelParams(cfg, seed=2)
+        path = str(tmp_path / "model.ckpt")
+        params.save(path)
+        loaded = ModelParams.load(path)
+        assert loaded.config == cfg
+        assert np.array_equal(loaded.data, params.data)
 
 
 class TestGlobalConv:
@@ -594,6 +603,38 @@ class TestGradCheckSmall:
         graph, params = fixture_graph_and_params()
         with pytest.raises(ContractError, match=message):
             check_model_gradients(graph, params, **kwargs)
+
+
+class TestPoolWeightStack:
+    """Each pooling layer's c x d x d local weights view the model's flat buffers."""
+
+    def test_write_to_data_shows_in_the_stack(self):
+        params = ModelParams(small_config(), seed=4)
+        params.data[:] = np.arange(params.data.size)
+        stored = dict(zip(params.named(), params.split(params.data)))
+        for l, (layer, size) in enumerate(zip(params.pool_layers, (4, 2))):
+            assert layer.weights.shape == layer.grads.shape == (size, 6, 6)
+            for j, w in enumerate(layer.weights):
+                assert np.array_equal(w.reshape(-1), stored[f"pool.{l}.local.{j}"])
+                named = params.named()[f"pool.{l}.local.{j}"]
+                assert np.shares_memory(named.data, w)
+                assert np.shares_memory(named.grad, layer.grads[j])
+
+    def test_cluster_gradient_lands_under_its_name(self, rng):
+        params = ModelParams(small_config(attention_enabled=False), seed=4)
+        g = random_graph(rng, n_lo=6, n_hi=6, d=4)
+        with Tape() as tape:
+            logits, trace = forward(g, params)
+            objective = loss(logits, 1)
+        tape.backward(objective)
+        grads = dict(zip(params.named(), params.split(params.grad)))
+        for l, entry in enumerate(trace.layers):
+            occupied = set(entry.labels.tolist())
+            layer = params.pool_layers[l]
+            for j in range(len(layer.weights)):
+                got = grads[f"pool.{l}.local.{j}"]
+                assert np.array_equal(got, layer.grads[j].reshape(-1))
+                assert got.any() == (j in occupied)
 
 
 class TestCheckpoint:

@@ -11,6 +11,7 @@ from sshpool.pooling import (
     extract_subgraphs,
     harden,
     local_conv,
+    local_embedding,
     soft_assign,
     sshpool_layer,
     sshpool_stack,
@@ -25,25 +26,49 @@ def random_labels(rng, n, c):
     return rng.integers(0, c, size=n)
 
 
-def run_steps(adjacency, x, labels, weights, keep_self_loops=False):
+def run_steps(adjacency, x, labels, weights, keep_self_loops=False, grads=None):
     """extract_subgraphs -> local_conv -> coarsen under fixed labels, with
-    one cluster per weight."""
+    one cluster per c x d x d weight stack entry; Z from local_embedding."""
     a_mask = extract_subgraphs(adjacency, labels)
-    x_next, z = local_conv(x, a_mask, labels, weights, len(weights))
+    grads = np.zeros_like(weights) if grads is None else grads
+    x_next = local_conv(x, a_mask, labels, weights, grads)
+    z = local_embedding(x.data, a_mask, labels, weights)
     a_next = coarsen(labels, adjacency, len(weights), keep_self_loops)
     return a_mask.dense(), z, x_next, a_next
 
 
-def assert_untouched_grad(t):
+def closed_form_rows(adjacency, x, labels, weights):
+    """Brute force: coarse row j = s_j[None] @ W_j, s_j the ascending sum
+    over cluster j's nodes v of (1 + kept degree of v) * X_v."""
+    a = adjacency.dense()
+    rows = np.zeros((len(weights), weights.shape[2]))
+    for j in range(len(weights)):
+        s_j = np.zeros(x.shape[1])
+        for v in np.flatnonzero(labels == j):
+            deg = sum(a[u, v] for u in range(a.shape[0]) if labels[u] == j)
+            s_j = s_j + (1.0 + deg) * x[v]
+        rows[j] = s_j[None] @ weights[j]
+    return rows
+
+
+def assert_close_to_z_sums(x_next, z, labels):
+    """Coarse row j within 1e-12 of the sum of cluster j's rows of Z, relative
+    to the sum of their magnitudes."""
+    for j in range(x_next.shape[0]):
+        rows = z[labels == j]
+        bound = 1e-12 * np.abs(rows).sum(axis=0)
+        assert np.all(np.abs(x_next[j] - rows.sum(axis=0)) <= bound)
+
+
+def assert_untouched_grad(grad):
     """No gradient reached the leaf: its grad is still all +0.0."""
-    assert not t.grad.any() and not np.signbit(t.grad).any()
+    assert not grad.any() and not np.signbit(grad).any()
 
 
 def layer_params(rng, d, c):
-    return PoolLayerParams(
-        assign=Tensor(rng.normal(size=(d, c)), requires_grad=True),
-        local=[Tensor(rng.normal(size=(d, d)), requires_grad=True) for _ in range(c)],
-    )
+    assign = Tensor(rng.normal(size=(d, c)), requires_grad=True)
+    weights = rng.normal(size=(c, d, d))
+    return PoolLayerParams(assign, weights, np.zeros_like(weights))
 
 
 class TestSoftAssign:
@@ -149,20 +174,20 @@ class TestExtractSubgraphs:
 class TestLocalConv:
     def test_single_node_identity_weight(self, rng):
         g = make_graph([], 1, features=[[2.0, -1.0]], d=2)
-        _, z, _, _ = run_steps(g.edges, g.features, np.array([0]), [Tensor(np.eye(2))])
+        _, z, _, _ = run_steps(g.edges, g.features, np.array([0]), np.eye(2)[None])
         assert np.array_equal(z, [[2.0, -1.0]])
 
     def test_isolated_nodes_identity(self):
         g = make_graph([], 2, features=[[1.0, 0.0], [0.0, 1.0]], d=2)
         _, z, _, _ = run_steps(
-            g.edges, g.features, np.array([0, 0]), [Tensor(np.eye(2))]
+            g.edges, g.features, np.array([0, 0]), np.eye(2)[None]
         )
         assert np.array_equal(z, g.features.data)
 
     def test_triangle_matches_triple_loop(self, rng):
         g = make_graph([(0, 1), (1, 2), (0, 2)], 3, d=4, seed=3)
         w = rng.normal(size=(4, 4))
-        _, z, _, _ = run_steps(g.edges, g.features, np.zeros(3, dtype=int), [Tensor(w)])
+        _, z, _, _ = run_steps(g.edges, g.features, np.zeros(3, dtype=int), w[None])
         a_tilde = g.adjacency.data + np.eye(3)
         want = np.zeros((3, 4))
         for i in range(3):
@@ -176,14 +201,44 @@ class TestLocalConv:
         # cluster 1 owns no rows of Z, and its weight receives no gradient
         g = make_graph([(0, 1)], 2, d=3)
         labels = np.array([0, 0])
-        weights = [Tensor(rng.normal(size=(3, 3)), requires_grad=True) for _ in range(2)]
+        params = layer_params(rng, 3, 2)
         with Tape() as tape:
-            _, z, x_next, _ = run_steps(g.edges, g.features, labels, weights)
+            _, z, x_next, _ = run_steps(
+                g.edges, g.features, labels, params.weights, grads=params.grads
+            )
             objective = sum_rows(matmul(x_next, Tensor(np.ones((3, 1)))))
         tape.backward(objective)
         assert z[labels == 1].shape == (0, 3)
-        assert weights[0].grad.any()
-        assert_untouched_grad(weights[1])
+        assert params.grads[0].any()
+        assert_untouched_grad(params.grads[1])
+
+
+    @pytest.mark.parametrize(
+        "edges, labels",
+        [
+            ([], [0, 1, 0, 2]),  # edgeless
+            ([(0, 1), (1, 2), (2, 3), (0, 3)], [0, 1, 0, 1]),  # every edge crosses
+        ],
+    )
+    def test_no_kept_edges_gives_float_rows(self, rng, edges, labels):
+        g = make_graph(edges, 4, d=3)
+        labels = np.array(labels)
+        params = layer_params(rng, 3, 3)
+        a_mask = extract_subgraphs(g.edges, labels)
+        assert a_mask.weight.size == 0
+        x = Tensor(g.features.data.copy(), requires_grad=True)
+        with Tape() as tape:
+            x_next = local_conv(x, a_mask, labels, params.weights, params.grads)
+            objective = sum_rows(matmul(x_next, Tensor(np.ones((3, 1)))))
+        tape.backward(objective)
+        assert x_next.data.dtype == np.float64
+        want = closed_form_rows(g.edges, x.data, labels, params.weights)
+        assert np.array_equal(x_next.data, want)
+        # no kept edge: every node's rows of dX and dW carry weight exactly 1
+        ones = np.ones((1, 3))
+        assert np.array_equal(x.grad, (ones @ params.weights.transpose(0, 2, 1))[labels, 0])
+        for j, grad in enumerate(params.grads):
+            assert np.array_equal(grad, x.data[labels == j].sum(axis=0)[:, None] @ ones)
 
 
 class TestCoarsen:
@@ -192,20 +247,20 @@ class TestCoarsen:
         perm = rng.permutation(5)
         hard = np.zeros((5, 5))
         hard[np.arange(5), perm] = 1.0
-        weights = [Tensor(np.eye(4)) for _ in range(5)]
+        weights = np.broadcast_to(np.eye(4), (5, 4, 4))
         *_, x_next, a_next = run_steps(g.edges, g.features, perm, weights)
         assert np.array_equal(x_next.data, hard.T @ g.features.data)
         assert np.array_equal(a_next.data, hard.T @ g.adjacency.data @ hard)
 
     def test_path_crossing_edge_count(self):
         g = make_graph([(0, 1), (1, 2), (2, 3)], 4, d=2)
-        weights = [Tensor(np.eye(2)), Tensor(np.eye(2))]
+        weights = np.broadcast_to(np.eye(2), (2, 2, 2))
         *_, a_next = run_steps(g.edges, g.features, np.array([0, 0, 1, 1]), weights)
         assert a_next.data.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_empty_cluster_zero_row_and_col(self, rng):
         g = make_graph([(0, 1)], 2, d=3)
-        weights = [Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 3)))]
+        weights = rng.normal(size=(2, 3, 3))
         *_, x_next, a_next = run_steps(g.edges, g.features, np.array([0, 0]), weights)
         assert np.array_equal(x_next.data[1], np.zeros(3))
         assert np.all(a_next.data[1] == 0) and np.all(a_next.data[:, 1] == 0)
@@ -215,13 +270,11 @@ class TestCoarsen:
             g = random_graph(rng, n_lo=4, n_hi=10)
             c = int(rng.integers(1, 5))
             labels = random_labels(rng, g.n, c)
-            weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(c)]
+            weights = rng.normal(size=(c, 4, 4))
             _, z, x_next, a_next = run_steps(g.edges, g.features, labels, weights)
-            for j in range(c):
-                acc = np.zeros(4)
-                for r in np.flatnonzero(labels == j):
-                    acc = acc + z[r]
-                assert np.array_equal(x_next.data[j], acc)
+            want = closed_form_rows(g.edges, g.features.data, labels, weights)
+            assert np.array_equal(x_next.data, want)
+            assert_close_to_z_sums(x_next.data, z, labels)
             # pairwise inter-cluster edge counting
             want = np.zeros((c, c))
             for u in range(g.n):
@@ -237,21 +290,18 @@ class TestCoarsen:
             x = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
             labels = random_labels(rng, n, 2)
             g = make_graph([], n, features=x, d=1)
-            _, z, x_next, _ = run_steps(
-                g.edges, g.features, labels, [Tensor([[1.0]]), Tensor([[-3.0]])]
-            )
-            for j in range(2):
-                acc = np.zeros(1)
-                for r in np.flatnonzero(labels == j):
-                    acc = acc + z[r]
-                assert np.array_equal(x_next.data[j], acc)
+            weights = np.array([[[1.0]], [[-3.0]]])
+            _, z, x_next, _ = run_steps(g.edges, g.features, labels, weights)
+            want = closed_form_rows(g.edges, x, labels, weights)
+            assert np.array_equal(x_next.data, want)
+            assert_close_to_z_sums(x_next.data, z, labels)
 
     def test_edge_conservation(self, rng):
         for _ in range(25):
             g = random_graph(rng, n_lo=4, n_hi=10)
             c = int(rng.integers(1, 5))
             labels = random_labels(rng, g.n, c)
-            weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(c)]
+            weights = rng.normal(size=(c, 4, 4))
             a_mask, _, _, a_next = run_steps(g.edges, g.features, labels, weights)
             intra = int(a_mask.sum()) // 2
             assert a_next.data.sum() + 2 * intra == 2 * g.num_edges
@@ -259,7 +309,7 @@ class TestCoarsen:
     def test_keep_self_loops_flag(self, rng):
         g = make_graph([(0, 1)], 2, d=2)
         hard = np.eye(2)
-        weights = [Tensor(np.eye(2)), Tensor(np.eye(2))]
+        weights = np.broadcast_to(np.eye(2), (2, 2, 2))
         *_, a_keep = run_steps(g.edges, g.features, np.array([0, 1]), weights, keep_self_loops=True)
         assert np.array_equal(a_keep.data, hard.T @ g.adjacency.data @ hard)
 
@@ -270,7 +320,7 @@ class TestLayerAndStack:
         params = layer_params(rng, 3, 5)
         (a_next, x_next), trace = sshpool_layer(g.edges, g.features, params, 5)
         assert x_next.shape == (1, 3)
-        assert np.array_equal(x_next.data, g.features.data @ params.local[0].data)
+        assert np.array_equal(x_next.data, g.features.data @ params.weights[0])
         assert a_next.dense().shape == (1, 1)
 
     def test_one_cluster_column_sum(self, rng):
@@ -278,7 +328,7 @@ class TestLayerAndStack:
         params = layer_params(rng, 4, 1)
         (_, x_next), _ = sshpool_layer(g.edges, g.features, params, 1)
         a_tilde = g.adjacency.data + np.eye(g.n)
-        z = a_tilde @ g.features.data @ params.local[0].data
+        z = a_tilde @ g.features.data @ params.weights[0]
         acc = np.zeros(4)
         for r in range(g.n):
             acc = acc + z[r]
@@ -293,7 +343,7 @@ class TestLayerAndStack:
         # replay the five steps by hand
         soft = soft_assign(g.features, params.assign)
         labels = harden(soft)
-        *_, x_want, a_want = run_steps(g.edges, g.features, labels, params.local)
+        *_, x_want, a_want = run_steps(g.edges, g.features, labels, params.weights)
         assert np.array_equal(x_next.data, x_want.data)
         assert np.array_equal(a_next.dense(), a_want.data)
         assert np.array_equal(trace.labels, labels)
@@ -363,7 +413,7 @@ class TestLayerAndStack:
             g = random_graph(rng, n_lo=6, n_hi=10)
             c = int(rng.integers(2, 4))
             labels = random_labels(rng, g.n, c)
-            weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(c)]
+            weights = rng.normal(size=(c, 4, 4))
             _, z, x_next, _ = run_steps(g.edges, g.features, labels, weights)
 
             u = int(rng.integers(g.n))
@@ -399,9 +449,10 @@ class TestLayerAndStack:
 
         step = 1e-5
         for params in (p0, p1):
-            for tensor in [params.assign, *params.local]:
-                analytic = tensor.grad
-                flat = tensor.data.reshape(-1)
+            for data, analytic in [
+                (params.assign.data, params.assign.grad), (params.weights, params.grads)
+            ]:
+                flat = data.reshape(-1)
                 for idx in range(flat.size):
                     orig = flat[idx]
                     flat[idx] = orig + step
@@ -505,7 +556,7 @@ class TestAgainstSliceReference:
             )
             ref = slice_layer(
                 g.adjacency.data, g.features.data, trace.labels, min(c, g.n),
-                [w.data for w in params.local], keep,
+                params.weights, keep,
             )
             assert np.allclose(x_next.data, ref.coarse_features, rtol=1e-12, atol=1e-12)
             for members, z_j in zip(ref.clusters, ref.local_embeddings):
@@ -536,9 +587,9 @@ class TestLayerFiniteDifferences:
             return float((r @ x_e.data @ c)[0, 0])
 
         step = 1e-5
-        for tensor in [x, *params.local]:
-            analytic = tensor.grad.reshape(-1)
-            flat = tensor.data.reshape(-1)
+        for data, grad in [(x.data, x.grad), (params.weights, params.grads)]:
+            analytic = grad.reshape(-1)
+            flat = data.reshape(-1)
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + step
@@ -550,11 +601,11 @@ class TestLayerFiniteDifferences:
                 denom = max(abs(analytic[idx]), abs(numeric), 1e-6)
                 assert abs(analytic[idx] - numeric) / denom <= 1e-6
         occupied = set(trace.labels.tolist())
-        for j, w in enumerate(params.local):
+        for j, grad in enumerate(params.grads):
             if j in occupied:
-                assert w.grad.any()
+                assert grad.any()
             else:
-                assert_untouched_grad(w)
+                assert_untouched_grad(grad)
         return trace
 
     def test_empty_and_singleton_clusters(self, rng):
