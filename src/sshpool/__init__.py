@@ -6,8 +6,8 @@ from .pooling import (
     AssignmentPair,
     CoarseningTrace,
     PoolLayerParams,
-    baseline_diffpool_layer,
     coarsen,
+    diffpool_stack,
     extract_subgraphs,
     harden,
     local_conv,
@@ -32,9 +32,9 @@ __all__ = [
     "Tensor",
     "TrainConfig",
     "adam_step",
-    "baseline_diffpool_layer",
     "coarsen",
     "cross_validate",
+    "diffpool_stack",
     "extract_subgraphs",
     "forward",
     "graph_stats",

@@ -17,12 +17,7 @@ import numpy as np
 
 from .data import Graph, atomic_open
 from .errors import ContractError, IngestError, ShapeError
-from .pooling import (
-    CoarseningTrace,
-    PoolLayerParams,
-    baseline_diffpool_layer,
-    sshpool_stack,
-)
+from .pooling import CoarseningTrace, PoolLayerParams, diffpool_stack, sshpool_stack
 from .tensor import (
     Tensor,
     _record,
@@ -265,8 +260,9 @@ def global_conv(graph: Graph, x: Tensor, weight: Tensor) -> Tensor:
     its nonzeros are cached on the graph and scattered into a dense operand.
 
     One tape record. The forward and backward run the expressions of the
-    op-by-op composition ``relu(matmul(matmul(Â, x), weight))`` on the same
-    operands, so every gradient keeps its bits. The products that only feed
+    op-by-op composition ``relu(matmul(matmul(Â, x), weight))`` (the
+    reference ops are in ``tests/op_reference.py``) on the same operands,
+    so every gradient keeps its bits. The products that only feed
     constants are skipped: ``g' Xᵀ`` into Â always, and ``g Wᵀ`` and
     ``Âᵀ g'`` when ``x`` is the graph's own, untrainable, feature matrix.
     """
@@ -409,10 +405,7 @@ def forward(
             frozen_assignments,
         )
     elif config.variant == "diffpool":
-        a_cur, x_cur = graph.adjacency, x0
-        for assign, embed in params.diff_layers:
-            a_cur, x_cur = baseline_diffpool_layer(a_cur, x_cur, assign, embed)
-        pooled = x_cur
+        pooled, _ = diffpool_stack(graph.edges.dense(), x0, params.diff_layers)
     elif config.variant == "global_sum":
         pooled = sum_rows(x0)
     else:

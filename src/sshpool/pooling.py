@@ -1,4 +1,4 @@
-"""Separated-subgraph hierarchical pooling and the baseline pooling operators.
+"""Separated-subgraph hierarchical pooling and the DiffPool baseline stack.
 
 One pooling layer: project node features and row-softmax them into a soft
 cluster assignment, harden it to one cluster label per node, with one-hot
@@ -18,7 +18,9 @@ them, and no n x n matrix is built on the layer's path.
 Because the mask drops every cross-cluster edge, perturbing one node's
 features can only move embeddings inside its own cluster; every other
 cluster's output is bit-identical. That locality is the point of the
-construction and is certified in :mod:`sshpool.diagnostics`.
+construction and is certified in :mod:`sshpool.diagnostics`. The soft
+DiffPool baseline, :func:`diffpool_stack`, mixes the whole dense graph and
+has no such separation.
 """
 
 from __future__ import annotations
@@ -29,15 +31,7 @@ import numpy as np
 
 from .data import Edges
 from .errors import ContractError, ShapeError
-from .tensor import (
-    Tensor,
-    _record,
-    add,
-    matmul,
-    row_softmax,
-    softmax_rows,
-    transpose,
-)
+from .tensor import Tensor, _record, softmax_rows
 
 
 @dataclass
@@ -331,21 +325,66 @@ def sshpool_stack(
     return x_cur, CoarseningTrace(layers=entries)
 
 
-def baseline_diffpool_layer(
-    adjacency: Tensor, x: Tensor, w_assign: Tensor, w_embed: Tensor
-) -> tuple[Tensor, Tensor]:
-    """Soft-assignment coarsening baseline.
+def diffpool_stack(
+    adjacency: np.ndarray, x0: Tensor, layers: list[tuple[Tensor, Tensor]]
+) -> tuple[Tensor, np.ndarray]:
+    """Soft-assignment coarsening baseline, the whole stack as one tape record.
 
-    S = row_softmax(X W_a) stays soft; X_next = S^T (A + I) X W_e and
-    A_next = S^T A S, both differentiable through S. As in
-    :func:`sshpool_layer`, only the first min(clusters, node count) columns
-    of W_a are used. Comparison baseline only; the hard path above is the
-    method under study.
+    Per layer, with ``(W_a, W_e)`` from ``layers``: S = softmax(X W_a) stays
+    soft, X_next = S^T (A + I) X W_e and A_next = S^T A S, both
+    differentiable through S. As in :func:`sshpool_layer`, only the first
+    min(clusters, node count) columns of W_a are used. ``adjacency`` is the
+    graph's dense adjacency, a constant. Returns the last layer's features
+    and, as a plain array, its coarse adjacency. Comparison baseline only;
+    the hard path above is the method under study.
+
+    The forward and backward run the expressions of the op-by-op
+    composition (``matmul``, ``add``, ``transpose`` and ``row_softmax`` of
+    ``tests/op_reference.py``) on the same operands, and ``x0`` gets its
+    two pushes in that composition's tape order; so every gradient keeps
+    its bits. A record has one output, so the gradient into each inner
+    coarse adjacency stays inside the record. The products that only feed
+    the constant input adjacency are skipped.
     """
-    s = row_softmax(matmul(x, _first_cols(w_assign, x.rows)))
-    # (A + I); A may itself sit on the tape when stacking layers.
-    a_self = add(adjacency, Tensor(np.eye(adjacency.rows)))
-    st = transpose(s)
-    x_next = matmul(st, matmul(matmul(a_self, x), w_embed))
-    a_next = matmul(matmul(st, adjacency), s)
-    return a_next, x_next
+    if adjacency.shape != (x0.rows, x0.rows):
+        raise ShapeError(f"diffpool: adjacency {adjacency.shape} for {x0.rows} nodes")
+    saved = []
+    a, x = adjacency, x0.data
+    for w_a, w_e in layers:
+        w_a = _first_cols(w_a, x.shape[0])
+        s = softmax_rows(x @ w_a.data)
+        a_self = a + np.eye(a.shape[0])
+        # A contiguous copy, as ``transpose`` makes: the product's rounding
+        # depends on the operand's memory order.
+        st = s.T.copy()
+        ax = a_self @ x
+        axw = ax @ w_e.data
+        sa = st @ a
+        saved.append((a, x, w_a, w_e, s, a_self, st, ax, axw, sa))
+        a, x = sa @ s, st @ axw
+
+    def rule(g, push):
+        g_a = None  # into the coarse adjacency that the next layer reads
+        for depth in reversed(range(len(saved))):
+            a, x, w_a, w_e, s, a_self, st, ax, axw, sa = saved[depth]
+            g_axw = st.T @ g
+            g_ax = g_axw @ w_e.data.T
+            push(w_e, ax.T @ g_axw)
+            g_st = g @ axw.T
+            if g_a is None:
+                g_s = g_st.T
+            else:
+                g_sa = g_a @ s.T
+                g_st = g_sa @ a.T + g_st
+                g_s = sa.T @ g_a + g_st.T
+            dot = (g_s * s).sum(axis=1, keepdims=True)
+            g_logits = s * (g_s - dot)
+            push(w_a, x.T @ g_logits)
+            if depth == 0:
+                push(x0, a_self.T @ g_ax)
+                push(x0, g_logits @ w_a.data.T)
+            else:
+                g_a = g_ax @ x.T if g_a is None else st.T @ g_sa + g_ax @ x.T
+                g = a_self.T @ g_ax + g_logits @ w_a.data.T
+
+    return _record(Tensor(x), rule), a

@@ -1,13 +1,15 @@
-"""Dense 2-D float64 matrices with reverse-mode automatic differentiation.
+"""Dense 2-D float64 matrices and the tape that differentiates them.
 
 Every value in the model is a :class:`Tensor` wrapping a 2-D numpy array.
-Differentiable operations executed while a :class:`Tape` is active are
-recorded on it; ``Tape.backward`` replays the records in exact reverse
-recording order and adds each gradient that reaches a trainable tensor,
-one whose ``grad`` is not None, straight into that ``grad``. Without an
-active tape the same functions compute eagerly and record nothing, which
-is how constants (adjacency matrices, frozen assignments) stay off the
-gradient path.
+Each differentiable stage (global convolution, pooling, attention, the
+classifier head, the readouts and the loss below) computes its output in
+plain numpy and, while a :class:`Tape` is active, appends one record to
+it: the output and a hand-written backward rule. ``Tape.backward``
+replays the records in exact reverse recording order and adds each
+gradient that reaches a trainable tensor, one whose ``grad`` is not None,
+straight into that ``grad``. Without an active tape nothing is recorded,
+which is how constants (adjacency matrices, frozen assignments) and
+evaluation passes stay off the gradient path.
 """
 
 from __future__ import annotations
@@ -72,9 +74,9 @@ class Tape:
     Used as a context manager::
 
         with Tape() as tape:
-            out = matmul(x, w)
-            ...
-        tape.backward(loss)
+            logits, _ = forward(graph, params)
+            objective = loss(logits, graph.label)
+        tape.backward(objective)
 
     Records are appended in execution order, so the list is already
     topologically sorted; the backward pass walks it strictly in reverse.
@@ -136,84 +138,11 @@ def _record(out: Tensor, rule: BackwardRule) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b; backward is g@b.T into a and a.T@g into b."""
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def rule(g, push, a=a, b=b):
-        push(a, g @ b.data.T)
-        push(b, a.data.T @ g)
-
-    return _record(out, rule)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a single-row operand broadcasts over the other's rows."""
-    if a.shape != b.shape:
-        if not (a.cols == b.cols and (a.rows == 1 or b.rows == 1)):
-            raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not align")
-    out = Tensor(a.data + b.data)
-
-    def rule(g, push, a=a, b=b):
-        ga = g.sum(axis=0, keepdims=True) if a.rows == 1 and g.shape[0] > 1 else g
-        gb = g.sum(axis=0, keepdims=True) if b.rows == 1 and g.shape[0] > 1 else g
-        push(a, ga)
-        push(b, gb)
-
-    return _record(out, rule)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    out = Tensor(x.data * c)
-
-    def rule(g, push, x=x, c=c):
-        push(x, g * c)
-
-    return _record(out, rule)
-
-
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0) that keeps NaN, so a diverged run reaches the loss as NaN."""
-    out = Tensor(np.maximum(x.data, 0.0))
-
-    def rule(g, push, x=x, a=x.data):
-        push(x, g * (a > 0.0))
-
-    return _record(out, rule)
-
-
-def transpose(x: Tensor) -> Tensor:
-    out = Tensor(x.data.T.copy())
-
-    def rule(g, push, x=x):
-        push(x, g.T)
-
-    return _record(out, rule)
-
-
 def softmax_rows(a: np.ndarray) -> np.ndarray:
     """Softmax over each row of a plain array, stabilised by per-row max
-    subtraction; the forward of :func:`row_softmax`, with no tape record."""
+    subtraction; it records nothing."""
     e = np.exp(a - a.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
-
-
-def row_softmax(x: Tensor) -> Tensor:
-    """Softmax over each row; output rows sum to 1.
-
-    Backward applies the softmax Jacobian-vector product row by row:
-    dx = s * (g - sum(g * s, row)).
-    """
-    s = softmax_rows(x.data)
-    out = Tensor(s)
-
-    def rule(g, push, x=x, s=s):
-        dot = (g * s).sum(axis=1, keepdims=True)
-        push(x, s * (g - dot))
-
-    return _record(out, rule)
 
 
 def mean_rows(x: Tensor) -> Tensor:
@@ -244,25 +173,6 @@ def sum_rows(x: Tensor) -> Tensor:
 
     def rule(g, push, x=x):
         push(x, np.repeat(g, x.rows, axis=0))
-
-    return _record(out, rule)
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Zero entries with probability ``p`` and rescale survivors by 1/(1-p).
-
-    Identity in eval mode or at p == 0; the caller owns the generator, so a
-    fixed seed reproduces the mask sequence exactly.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ContractError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * keep)
-
-    def rule(g, push, x=x, keep=keep):
-        push(x, g * keep)
 
     return _record(out, rule)
 

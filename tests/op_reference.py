@@ -1,0 +1,105 @@
+"""The generic differentiable ops the fused tape records are checked against.
+
+``sshpool`` computes every stage as one hand-written tape record. These
+op-by-op functions, each its own record, are the reference compositions:
+the bit-for-bit tests run a fused record and the composition on the same
+operands and require equal outputs and gradients, and the
+finite-difference tests check each op's own backward rule.
+"""
+
+import numpy as np
+
+from sshpool.errors import ContractError, ShapeError
+from sshpool.tensor import Tensor, _record, softmax_rows
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product a @ b; backward is g@b.T into a and a.T@g into b."""
+    if a.cols != b.rows:
+        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
+    out = Tensor(a.data @ b.data)
+
+    def rule(g, push, a=a, b=b):
+        push(a, g @ b.data.T)
+        push(b, a.data.T @ g)
+
+    return _record(out, rule)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; a single-row operand broadcasts over the other's rows."""
+    if a.shape != b.shape:
+        if not (a.cols == b.cols and (a.rows == 1 or b.rows == 1)):
+            raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not align")
+    out = Tensor(a.data + b.data)
+
+    def rule(g, push, a=a, b=b):
+        ga = g.sum(axis=0, keepdims=True) if a.rows == 1 and g.shape[0] > 1 else g
+        gb = g.sum(axis=0, keepdims=True) if b.rows == 1 and g.shape[0] > 1 else g
+        push(a, ga)
+        push(b, gb)
+
+    return _record(out, rule)
+
+
+def scale(x: Tensor, c: float) -> Tensor:
+    out = Tensor(x.data * c)
+
+    def rule(g, push, x=x, c=c):
+        push(x, g * c)
+
+    return _record(out, rule)
+
+
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0) that keeps NaN, so a diverged run reaches the loss as NaN."""
+    out = Tensor(np.maximum(x.data, 0.0))
+
+    def rule(g, push, x=x, a=x.data):
+        push(x, g * (a > 0.0))
+
+    return _record(out, rule)
+
+
+def transpose(x: Tensor) -> Tensor:
+    out = Tensor(x.data.T.copy())
+
+    def rule(g, push, x=x):
+        push(x, g.T)
+
+    return _record(out, rule)
+
+
+def row_softmax(x: Tensor) -> Tensor:
+    """Softmax over each row; output rows sum to 1.
+
+    Backward applies the softmax Jacobian-vector product row by row:
+    dx = s * (g - sum(g * s, row)).
+    """
+    s = softmax_rows(x.data)
+    out = Tensor(s)
+
+    def rule(g, push, x=x, s=s):
+        dot = (g * s).sum(axis=1, keepdims=True)
+        push(x, s * (g - dot))
+
+    return _record(out, rule)
+
+
+def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
+    """Zero entries with probability ``p`` and rescale survivors by 1/(1-p).
+
+    Identity in eval mode or at p == 0; the caller owns the generator, so a
+    fixed seed reproduces the mask sequence exactly.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ContractError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return x
+    keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    out = Tensor(x.data * keep)
+
+    def rule(g, push, x=x, keep=keep):
+        push(x, g * keep)
+
+    return _record(out, rule)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sshpool import data
+from sshpool import data, model
 from sshpool.errors import ContractError, IngestError, ShapeError
 from sshpool.gradcheck import check_model_gradients, fixture_graph_and_params
 from sshpool.model import (
@@ -18,22 +18,12 @@ from sshpool.model import (
     loss,
     predict,
 )
-from sshpool.pooling import sshpool_stack
-from sshpool.tensor import (
-    Tape,
-    Tensor,
-    add,
-    dropout,
-    matmul,
-    mean_rows,
-    relu,
-    row_softmax,
-    scale,
-    transpose,
-)
+from sshpool.pooling import _first_cols, diffpool_stack, sshpool_stack
+from sshpool.tensor import Tape, Tensor, mean_rows
 from sshpool.trainer import METHOD_VARIANTS
 
 from conftest import make_graph, random_graph
+from op_reference import add, dropout, matmul, relu, row_softmax, scale, transpose
 
 
 def small_config(**overrides):
@@ -483,7 +473,7 @@ class TestForward:
             ("sshpool", 1, 7),
             ("sshpool", 2, 8),
             ("sshpool_non", 1, 6),
-            ("diffpool", 1, 30),
+            ("diffpool", 1, 4),
             ("global_sum", 1, 4),
             ("global_sum", 2, 5),
             ("global_mean", 1, 4),
@@ -491,7 +481,7 @@ class TestForward:
     )
     def test_tape_records_per_training_forward(self, rng, method, gconv_layers, records):
         # Global convolution, each pooling layer, attention, classifier head
-        # and loss are one record each; a diffpool layer is nine.
+        # and loss are one record each; so is the whole diffpool stack.
         cfg = small_config(
             layer_sizes=(8, 4, 2), depth=3, dropout=0.5, global_conv_layers=gconv_layers,
             **METHOD_VARIANTS[method],
@@ -541,6 +531,56 @@ class TestForward:
         labels_p[perm] = labels
         logits_p, _ = forward(g_p, params, frozen_assignments=[labels_p])
         assert np.allclose(logits.data, logits_p.data, atol=1e-9)
+
+
+def composed_diffpool(adjacency, x0, layers):
+    """``diffpool_stack`` as the op-by-op composition, one tape record per op."""
+    a, x = Tensor(adjacency), x0
+    for w_a, w_e in layers:
+        s = row_softmax(matmul(x, _first_cols(w_a, x.rows)))
+        a_self = add(a, Tensor(np.eye(a.rows)))
+        st = transpose(s)
+        x = matmul(st, matmul(matmul(a_self, x), w_e))
+        a = matmul(matmul(st, a), s)
+    return x, a.data
+
+
+class TestDiffpoolStack:
+    def test_matches_op_by_op_composition_bit_for_bit(self, rng, monkeypatch):
+        narrowed = 0
+        for trial in range(200):
+            # Past 16 rows a product's bits depend on its operands' memory order.
+            n = int(rng.integers(1, 21))
+            depth = int(rng.integers(1, 4))
+            sizes = sorted(rng.choice(np.arange(1, 13), size=depth, replace=False))[::-1]
+            narrowed += n < sizes[0]
+            cfg = small_config(
+                variant="diffpool", layer_sizes=tuple(sizes), depth=depth, dropout=0.5,
+                attention_enabled=trial % 2 == 0, global_conv_layers=1 + trial // 2 % 2,
+            )
+            g = random_graph(rng, n_lo=n, n_hi=n, d=4)
+            runs = []
+            for stack in (diffpool_stack, composed_diffpool):
+                monkeypatch.setattr(model, "diffpool_stack", stack)
+                params = ModelParams(cfg, seed=trial)
+                with Tape() as tape:
+                    logits, _ = forward(g, params, True, np.random.default_rng(trial))
+                    objective = loss(logits, g.label)
+                tape.backward(objective)
+                runs.append((logits.data, params.grad))
+            (fused_logits, fused_grad), (logits, grad) = runs
+            assert fused_logits.tobytes() == logits.tobytes()
+            assert fused_grad.tobytes() == grad.tobytes()
+        assert narrowed > 20  # c_eff < clusters on the first layer
+
+        graph, params = fixture_graph_and_params("diffpool")  # two layers, attention on
+        records = []
+        for stack in (diffpool_stack, composed_diffpool):
+            monkeypatch.setattr(model, "diffpool_stack", stack)
+            with Tape() as tape:
+                loss(forward(graph, params)[0], graph.label)
+            records.append(len(tape))
+        assert records == [5, 22]
 
 
 class TestGradCheckSmall:

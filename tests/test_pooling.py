@@ -6,8 +6,8 @@ import pytest
 from sshpool.errors import ContractError, ShapeError
 from sshpool.pooling import (
     PoolLayerParams,
-    baseline_diffpool_layer,
     coarsen,
+    diffpool_stack,
     extract_subgraphs,
     harden,
     local_conv,
@@ -16,9 +16,10 @@ from sshpool.pooling import (
     sshpool_layer,
     sshpool_stack,
 )
-from sshpool.tensor import Tape, Tensor, matmul, row_softmax, sum_rows, transpose
+from sshpool.tensor import Tape, Tensor, sum_rows
 
 from conftest import make_graph, random_graph
+from op_reference import matmul, row_softmax, transpose
 from slice_reference import slice_layer
 
 
@@ -474,20 +475,20 @@ class TestBaselines:
         features = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         x = Tensor(features)
         w_e = Tensor(rng.normal(size=(2, 2)))
-        a_next, x_next = baseline_diffpool_layer(g.adjacency, x, w_a, w_e)
+        x_next, a_next = diffpool_stack(g.adjacency.data, x, [(w_a, w_e)])
         hard = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
         # hard coarsening of the same inputs with the shared weight
         a_tilde = g.adjacency.data + np.eye(4)
         want_x = hard.data.T @ a_tilde @ features @ w_e.data
         want_a = hard.data.T @ g.adjacency.data @ hard.data
         assert np.allclose(x_next.data, want_x, atol=1e-12)
-        assert np.allclose(a_next.data, want_a, atol=1e-12)
+        assert np.allclose(a_next, want_a, atol=1e-12)
 
     def test_diffpool_single_cluster(self, rng):
         g = random_graph(rng, n_lo=4, n_hi=6)
         w_a = Tensor(rng.normal(size=(4, 1)))
         w_e = Tensor(rng.normal(size=(4, 4)))
-        a_next, x_next = baseline_diffpool_layer(g.adjacency, g.features, w_a, w_e)
+        x_next, a_next = diffpool_stack(g.adjacency.data, g.features, [(w_a, w_e)])
         a_tilde = g.adjacency.data + np.eye(g.n)
         want = np.ones((1, g.n)) @ a_tilde @ g.features.data @ w_e.data
         assert np.allclose(x_next.data, want, rtol=1e-12)
@@ -497,31 +498,35 @@ class TestBaselines:
         g = random_graph(rng, n_lo=5, n_hi=7)
         w_a = rng.normal(size=(4, 3))
         w_e = rng.normal(size=(4, 4))
-        a_next, x_next = baseline_diffpool_layer(
-            g.adjacency, g.features, Tensor(w_a), Tensor(w_e)
+        x_next, a_next = diffpool_stack(
+            g.adjacency.data, g.features, [(Tensor(w_a), Tensor(w_e))]
         )
         logits = g.features.data @ w_a
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         s = e / e.sum(axis=1, keepdims=True)
         a_tilde = g.adjacency.data + np.eye(g.n)
         assert np.allclose(x_next.data, s.T @ a_tilde @ g.features.data @ w_e, rtol=1e-10)
-        assert np.allclose(a_next.data, s.T @ g.adjacency.data @ s, rtol=1e-10)
+        assert np.allclose(a_next, s.T @ g.adjacency.data @ s, rtol=1e-10)
 
     def test_diffpool_caps_clusters_at_node_count(self, rng):
         g = random_graph(rng, n_lo=3, n_hi=6)
         w_a = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         w_e = Tensor(rng.normal(size=(4, 4)))
         with Tape() as tape:
-            a_next, x_next = baseline_diffpool_layer(g.adjacency, g.features, w_a, w_e)
-            out = sum_rows(transpose(sum_rows(matmul(a_next, x_next))))
+            x_next, a_next = diffpool_stack(g.adjacency.data, g.features, [(w_a, w_e)])
+            out = sum_rows(transpose(sum_rows(matmul(Tensor(a_next), x_next))))
         tape.backward(out)
         gathered = Tensor(w_a.data[:, list(range(g.n))])
-        want_a, want_x = baseline_diffpool_layer(g.adjacency, g.features, gathered, w_e)
-        assert np.array_equal(a_next.data, want_a.data)
+        want_x, want_a = diffpool_stack(g.adjacency.data, g.features, [(gathered, w_e)])
+        assert np.array_equal(a_next, want_a)
         assert np.array_equal(x_next.data, want_x.data)
         assert w_a.grad[:, : g.n].any()
         past = w_a.grad[:, g.n :]
         assert not past.any() and not np.signbit(past).any()
+
+    def test_diffpool_adjacency_must_match_nodes(self):
+        with pytest.raises(ShapeError, match=r"adjacency \(3, 3\) for 4 nodes"):
+            diffpool_stack(np.zeros((3, 3)), Tensor(np.ones((4, 2))), [])
 
 
 class TestPartitionProperty:
