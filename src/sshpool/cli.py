@@ -283,7 +283,7 @@ def cmd_pool_trace(ns: argparse.Namespace) -> int:
             "cluster_sizes": entry.cluster_sizes,
             "dropped_edges": entry.edges_dropped,
             "coarse_adjacency": [
-                [int(v) for v in row] for row in entry.coarse_adjacency.data
+                [int(v) for v in row] for row in entry.coarse_adjacency
             ],
             "clusters": entry.clusters,
         }

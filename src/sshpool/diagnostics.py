@@ -96,7 +96,7 @@ def certify_locality(
 
     layer0 = params.pool_layers[0]
     clusters = params.config.layer_sizes[0]
-    (_, base_xn), base = layer_impl(graph.edges, Tensor(base_x.copy()), layer0, clusters)
+    (_, base_xn), base = layer_impl(graph.edges, base_x.copy(), layer0, clusters)
     labels = base.labels
     base_z = base.local_embedding
 
@@ -107,18 +107,18 @@ def certify_locality(
         bumped = base_x.copy()
         bumped[u] += rng.normal(scale=1.0, size=base_x.shape[1])
         (_, new_xn), new = layer_impl(
-            graph.edges, Tensor(bumped), layer0, clusters, frozen_labels=labels
+            graph.edges, bumped, layer0, clusters, frozen_labels=labels
         )
         new_z = new.local_embedding
         home = int(labels[u])
         bad = []
-        for k in range(base_xn.rows):
+        for k in range(base_xn.shape[0]):
             if k == home:
                 continue
             rows = labels == k
             if not np.array_equal(base_z[rows], new_z[rows]):
                 bad.append({"node": u, "cluster": k, "kind": "local_embedding"})
-            if not np.array_equal(base_xn.data[k], new_xn.data[k]):
+            if not np.array_equal(base_xn[k], new_xn[k]):
                 bad.append({"node": u, "cluster": k, "kind": "coarse_row"})
         if bad:
             violations.extend(bad)

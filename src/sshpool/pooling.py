@@ -12,8 +12,10 @@ exactly the per-subgraph convolution Z_j = (A_j + I) X_j W_j. The layer
 sums Z's rows in closed form (see :func:`local_conv`) and never forms Z.
 
 Adjacencies travel as :class:`~sshpool.data.Edges` lists: the mask, the
-kept degrees and the coarse adjacency are O(E) selections and sums over
-them, and no n x n matrix is built on the layer's path.
+kept degrees and the coarse adjacency are O(E) gathers and sums over
+them, and no n x n matrix is built on the layer's path. A layer runs on
+plain arrays and records nothing; :func:`sshpool_stack` records the whole
+stack as one tape record.
 
 Because the mask drops every cross-cluster edge, perturbing one node's
 features can only move embeddings inside its own cluster; every other
@@ -38,35 +40,44 @@ from .tensor import Tensor, _record, softmax_rows
 class AssignmentPair:
     """Row-stochastic soft assignment and the cluster labels hardened from it."""
 
-    soft: Tensor
+    soft: np.ndarray
     labels: np.ndarray
 
     @property
     def hard(self) -> Tensor:
         """The labels as a one-hot n x c matrix H, built on each read."""
-        return Tensor(np.eye(self.soft.cols)[self.labels])
+        return Tensor(np.eye(self.soft.shape[1])[self.labels])
 
 
 @dataclass
 class LayerTrace:
-    """Everything one pooling layer produced, for inspection and tests.
+    """Everything one pooling layer produced, for inspection, tests and the
+    stack's backward.
 
     ``labels[u]`` is node u's cluster. ``features`` (X), ``edges`` and
-    ``weights`` are the layer's inputs, and ``kept`` the intra-cluster part
-    of ``edges``; ``adjacency`` and ``a_mask`` are their dense forms.
+    ``weights`` are the layer's inputs; ``mask`` flags the entries of
+    ``edges`` that join two nodes of one cluster, and ``kept`` lists them;
+    ``adjacency`` and ``a_mask`` are their dense forms. ``scale`` and
+    ``sums`` are :func:`local_conv`'s 1 + deg(v) and s_j.
     """
 
     assignment: AssignmentPair
-    coarse_features: Tensor
-    coarse_adjacency: Tensor
+    coarse_features: np.ndarray
+    coarse_adjacency: np.ndarray
     edges: Edges
-    kept: Edges
+    mask: np.ndarray
     features: np.ndarray
     weights: np.ndarray
+    scale: np.ndarray
+    sums: np.ndarray
 
     @property
     def labels(self) -> np.ndarray:
         return self.assignment.labels
+
+    @property
+    def kept(self) -> Edges:
+        return self.edges.select(self.mask)
 
     @property
     def local_embedding(self) -> np.ndarray:
@@ -95,14 +106,14 @@ class LayerTrace:
 
     @property
     def cluster_sizes(self) -> list[int]:
-        return np.bincount(self.labels, minlength=self.assignment.soft.cols).tolist()
+        return np.bincount(self.labels, minlength=self.assignment.soft.shape[1]).tolist()
 
     @property
     def clusters(self) -> list[list[int]]:
         """Member node ids per cluster, ascending; empty clusters give []."""
         return [
             np.flatnonzero(self.labels == j).tolist()
-            for j in range(self.assignment.soft.cols)
+            for j in range(self.assignment.soft.shape[1])
         ]
 
 
@@ -120,7 +131,7 @@ class CoarseningTrace:
     def feature_sequence(self) -> list[np.ndarray]:
         """Node-embedding matrices layer by layer, led by ``x0`` when set."""
         seq = [] if self.x0 is None else [self.x0]
-        seq.extend(entry.coarse_features.data for entry in self.layers)
+        seq.extend(entry.coarse_features for entry in self.layers)
         return seq
 
 
@@ -138,47 +149,55 @@ class PoolLayerParams:
     grads: np.ndarray
 
 
-def _first_cols(w: Tensor, c: int) -> Tensor:
-    """The first min(c, cols) columns of ``w``, as a column view.
+def _leading_cols(w: np.ndarray, c: int) -> np.ndarray:
+    """The first c columns of ``w`` as a column-major copy, or ``w`` itself
+    when it has no more than c.
 
-    A narrowed view holds a column-major copy of the columns, the memory
-    order a numpy column gather gives (a product's rounding depends on it),
-    and a ``grad`` that is a view of ``w.grad``, so gradients pushed into
-    the view land in the parent. Without narrowing, ``w`` itself.
+    That is the memory order a numpy column gather gives; a product's
+    rounding depends on it, so a plain slice would move its bits.
+    """
+    return w if c >= w.shape[1] else np.asfortranarray(w[:, :c])
+
+
+def _first_cols(w: Tensor, c: int) -> Tensor:
+    """``_leading_cols`` of a tensor, with a ``grad`` that is a view of ``w.grad``.
+
+    Gradients pushed into the narrowed tensor land in the parent.
     """
     if c >= w.cols:
         return w
-    view = Tensor(np.asfortranarray(w.data[:, :c]))
+    view = Tensor(_leading_cols(w.data, c))
     view.grad = None if w.grad is None else w.grad[:, :c]
     return view
 
 
-def soft_assign(x: Tensor, w_assign: Tensor) -> Tensor:
+def soft_assign(x: np.ndarray, w_assign: np.ndarray) -> np.ndarray:
     """Row-stochastic cluster membership softmax(x @ w_assign), a constant.
 
-    Only its row argmax is used, and no gradient flows through the argmax,
-    so nothing is recorded on the tape.
+    Only its row argmax is used, and no gradient flows through the argmax.
     """
-    if w_assign.cols < 1:
+    if w_assign.shape[1] < 1:
         raise ContractError("soft_assign needs at least one cluster column")
-    return Tensor(softmax_rows(x.data @ w_assign.data))
+    return softmax_rows(x @ w_assign)
 
 
-def harden(soft: Tensor) -> np.ndarray:
+def harden(soft: np.ndarray) -> np.ndarray:
     """Each row's argmax as its cluster label, ties to the lowest column.
 
     The labels are constants: gradients do not flow through the argmax.
     """
-    return soft.data.argmax(axis=1)
+    return soft.argmax(axis=1)
 
 
-def extract_subgraphs(adjacency: Edges, labels: np.ndarray) -> Edges:
-    """The intra-cluster adjacency A * (H H^T), a constant.
+def extract_subgraphs(ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Which entries of an edge list A * (H H^T) keeps, a constant.
 
+    ``ends`` holds each entry's ``labels[dst]`` and ``labels[src]``.
     (H H^T)[u, v] = 1 exactly when ``labels[u] == labels[v]``, so the mask
     keeps exactly the edges whose ends share a cluster.
     """
-    return adjacency.select(labels[adjacency.dst] == labels[adjacency.src])
+    dst, src = ends
+    return dst == src
 
 
 def _check_labels(labels, n: int, clusters: int) -> np.ndarray:
@@ -194,34 +213,28 @@ def _check_labels(labels, n: int, clusters: int) -> np.ndarray:
 
 
 def local_conv(
-    x: Tensor, a_mask: Edges, labels: np.ndarray, weights: np.ndarray, grads: np.ndarray
-) -> Tensor:
-    """Convolve every cluster and compress it to one coarse row, as one record.
+    x: np.ndarray, adjacency: Edges, mask: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Convolve every cluster and compress it to one coarse row.
 
     Z_u = ((A_mask + I) X)_u W_labels[u], with no degree normalisation and
-    no activation, and coarse row j sums cluster j's rows of Z. ``a_mask``
-    only joins nodes of one cluster, so that sum is s_j W_j, where s_j adds
+    no activation, where A_mask keeps the entries of ``adjacency`` that
+    ``mask`` flags; coarse row j sums cluster j's rows of Z. A_mask only
+    joins nodes of one cluster, so that sum is s_j W_j, where s_j adds
     (1 + deg(v)) X_v over cluster j's nodes v in ascending order from +0.0
-    and deg(v) is the weight of ``a_mask``'s column v. Row j is bit for bit
+    and deg(v) is the weight of A_mask's column v. Row j is bit for bit
     ``s_j[None] @ weights[j]``, and an empty cluster has s_j = 0.
-    Backward: dW_j = s_j^T g_j, added into ``grads[j]`` for occupied
-    clusters only, and dX_v = (1 + deg(v)) g_labels[v] W_labels[v]^T.
+
+    Returns the c x d' coarse rows, the c x 1 x d sums s and the node
+    scales 1 + deg(v); :func:`sshpool_stack`'s backward reuses the last two.
     """
-    c, d = weights.shape[0], x.cols
-    scale = np.bincount(a_mask.src, weights=a_mask.weight, minlength=x.rows) + 1.0
+    c, (n, d) = weights.shape[0], x.shape
+    scale = np.bincount(adjacency.src, weights=adjacency.weight * mask, minlength=n) + 1.0
     bins = labels[:, None] * d + np.arange(d)
-    wx = scale[:, None] * x.data
     # Bin (j, k) adds column k of cluster j's rows in node order.
-    s = np.bincount(bins.ravel(), weights=wx.ravel(), minlength=c * d).reshape(c, 1, d)
-    out = Tensor((s @ weights).reshape(c, -1))
-
-    def rule(g, push):
-        occupied = np.bincount(labels, minlength=c) > 0
-        grads[occupied] += s[occupied].transpose(0, 2, 1) * g[occupied, None, :]
-        back = g[:, None, :] @ weights.transpose(0, 2, 1)
-        push(x, scale[:, None] * back[labels, 0])
-
-    return _record(out, rule)
+    sums = np.bincount(bins.ravel(), weights=(scale[:, None] * x).ravel(), minlength=c * d)
+    sums = sums.reshape(c, 1, d)
+    return (sums @ weights).reshape(c, -1), sums, scale
 
 
 def local_embedding(
@@ -232,33 +245,39 @@ def local_embedding(
 
 
 def coarsen(
-    labels: np.ndarray, adjacency: Edges, clusters: int, keep_self_loops: bool = False
-) -> Tensor:
+    ends: tuple[np.ndarray, np.ndarray],
+    adjacency: Edges,
+    clusters: int,
+    keep_self_loops: bool = False,
+) -> np.ndarray:
     """Coarsened adjacency H^T A H for H = one-hot(labels), a constant.
 
-    Entry (i, j) sums the weights of the edges from cluster i to cluster j;
-    the weights are whole numbers, so the sums are exact and equal the
-    dense product's. Off-diagonal entries count inter-cluster edges; the
+    ``ends`` holds each entry's ``labels[dst]`` and ``labels[src]``. Entry
+    (i, j) sums the weights of the edges from cluster i to cluster j; the
+    weights are whole numbers, so the sums are exact and equal the dense
+    product's. Off-diagonal entries count inter-cluster edges; the
     diagonal (intra-cluster edge mass) is zeroed unless ``keep_self_loops``
     is set, since the next layer re-adds self-loops itself.
     """
-    pairs = labels[adjacency.dst] * clusters
-    pairs += labels[adjacency.src]
+    dst, src = ends
+    pairs = dst * clusters
+    pairs += src
     a_next = np.bincount(pairs, weights=adjacency.weight, minlength=clusters * clusters)
     if not keep_self_loops:
         a_next[:: clusters + 1] = 0.0
-    return Tensor(a_next.reshape(clusters, clusters))
+    return a_next.reshape(clusters, clusters)
 
 
 def sshpool_layer(
     adjacency: Edges,
-    x: Tensor,
+    x: np.ndarray,
     params: PoolLayerParams,
     clusters: int,
     keep_self_loops: bool = False,
     frozen_labels: np.ndarray | None = None,
-) -> tuple[tuple[Edges, Tensor], LayerTrace]:
-    """One full pooling layer: assign, harden, mask, convolve, coarsen.
+) -> tuple[tuple[Edges, np.ndarray], LayerTrace]:
+    """One full pooling layer on plain arrays: assign, harden, mask,
+    convolve, coarsen. It records nothing; :func:`sshpool_stack` does.
 
     The effective cluster count is min(clusters, node count), so coarsened
     graphs never grow. ``frozen_labels`` substitutes fixed cluster labels
@@ -267,28 +286,31 @@ def sshpool_layer(
     """
     if clusters < 1:
         raise ContractError(f"cluster count must be >= 1, got {clusters}")
-    n = x.rows
+    n = x.shape[0]
     c_eff = min(clusters, n)
-    soft = soft_assign(x, _first_cols(params.assign, c_eff))
+    soft = soft_assign(x, _leading_cols(params.assign.data, c_eff))
     if frozen_labels is None:
         labels = harden(soft)
     else:
         labels = _check_labels(frozen_labels, n, c_eff)
-    a_mask = extract_subgraphs(adjacency, labels)
+    ends = labels[adjacency.dst], labels[adjacency.src]
+    mask = extract_subgraphs(ends)
     weights = params.weights[:c_eff]
-    x_next = local_conv(x, a_mask, labels, weights, params.grads[:c_eff])
-    a_next = coarsen(labels, adjacency, c_eff, keep_self_loops)
+    x_next, sums, scale = local_conv(x, adjacency, mask, labels, weights)
+    a_next = coarsen(ends, adjacency, c_eff, keep_self_loops)
 
     trace = LayerTrace(
         assignment=AssignmentPair(soft=soft, labels=labels),
         coarse_features=x_next,
         coarse_adjacency=a_next,
         edges=adjacency,
-        kept=a_mask,
-        features=x.data,
+        mask=mask,
+        features=x,
         weights=weights,
+        scale=scale,
+        sums=sums,
     )
-    return (Edges.from_dense(a_next.data), x_next), trace
+    return (Edges.from_dense(a_next), x_next), trace
 
 
 def sshpool_stack(
@@ -299,11 +321,18 @@ def sshpool_stack(
     keep_self_loops: bool = False,
     frozen: list[np.ndarray] | None = None,
 ) -> tuple[Tensor, CoarseningTrace]:
-    """Apply the pooling layer once per entry of ``layer_sizes``.
+    """Apply the pooling layer once per entry of ``layer_sizes``, as one tape record.
 
     Sizes must be strictly decreasing; ``frozen`` holds one layer's cluster
     labels per layer. Returns the final coarsened feature matrix together
     with the full per-layer trace.
+
+    The backward walks the layers in reverse. Each adds dW_j = s_j^T g_j
+    into ``grads[j]`` for its occupied clusters only, so an empty
+    cluster's gradient stays +0.0, and hands the previous layer
+    dX_v = (1 + deg(v)) g_labels[v] W_labels[v]^T. The assignment
+    projections get no gradient. ``x`` gets one push, where a record per
+    layer would have pushed layer 0's, so its gradient keeps its bits.
     """
     if len(layers) != len(layer_sizes):
         raise ContractError(
@@ -314,7 +343,7 @@ def sshpool_stack(
     if frozen is not None and len(frozen) != len(layers):
         raise ContractError("frozen assignments must cover every layer")
 
-    a_cur, x_cur = adjacency, x
+    a_cur, x_cur = adjacency, x.data
     entries = []
     for depth, (params, size) in enumerate(zip(layers, layer_sizes)):
         frozen_labels = frozen[depth] if frozen is not None else None
@@ -322,7 +351,17 @@ def sshpool_stack(
             a_cur, x_cur, params, size, keep_self_loops, frozen_labels
         )
         entries.append(entry)
-    return x_cur, CoarseningTrace(layers=entries)
+
+    def rule(g, push):
+        for entry, params in zip(reversed(entries), reversed(layers)):
+            labels, weights = entry.labels, entry.weights
+            for j in np.flatnonzero(np.bincount(labels, minlength=len(weights))):
+                params.grads[j] += entry.sums[j].T * g[j]
+            back = g[:, None, :] @ weights.transpose(0, 2, 1)
+            g = entry.scale[:, None] * back[labels, 0]
+        push(x, g)
+
+    return _record(Tensor(x_cur), rule), CoarseningTrace(layers=entries)
 
 
 def diffpool_stack(

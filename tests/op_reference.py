@@ -4,11 +4,14 @@
 op-by-op functions, each its own record, are the reference compositions:
 the bit-for-bit tests run a fused record and the composition on the same
 operands and require equal outputs and gradients, and the
-finite-difference tests check each op's own backward rule.
+finite-difference tests check each op's own backward rule. ``local_conv``
+is one pooling layer's convolution and coarsening as its own record, the
+per-layer reference for ``sshpool_stack``.
 """
 
 import numpy as np
 
+from sshpool.data import Edges
 from sshpool.errors import ContractError, ShapeError
 from sshpool.tensor import Tensor, _record, softmax_rows
 
@@ -101,5 +104,36 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
 
     def rule(g, push, x=x, keep=keep):
         push(x, g * keep)
+
+    return _record(out, rule)
+
+
+def local_conv(
+    x: Tensor, a_mask: Edges, labels: np.ndarray, weights: np.ndarray, grads: np.ndarray
+) -> Tensor:
+    """Convolve every cluster and compress it to one coarse row, as one record.
+
+    Z_u = ((A_mask + I) X)_u W_labels[u], with no degree normalisation and
+    no activation, and coarse row j sums cluster j's rows of Z. ``a_mask``
+    only joins nodes of one cluster, so that sum is s_j W_j, where s_j adds
+    (1 + deg(v)) X_v over cluster j's nodes v in ascending order from +0.0
+    and deg(v) is the weight of ``a_mask``'s column v. Row j is bit for bit
+    ``s_j[None] @ weights[j]``, and an empty cluster has s_j = 0.
+    Backward: dW_j = s_j^T g_j, added into ``grads[j]`` for occupied
+    clusters only, and dX_v = (1 + deg(v)) g_labels[v] W_labels[v]^T.
+    """
+    c, d = weights.shape[0], x.cols
+    scale = np.bincount(a_mask.src, weights=a_mask.weight, minlength=x.rows) + 1.0
+    bins = labels[:, None] * d + np.arange(d)
+    wx = scale[:, None] * x.data
+    # Bin (j, k) adds column k of cluster j's rows in node order.
+    s = np.bincount(bins.ravel(), weights=wx.ravel(), minlength=c * d).reshape(c, 1, d)
+    out = Tensor((s @ weights).reshape(c, -1))
+
+    def rule(g, push):
+        occupied = np.bincount(labels, minlength=c) > 0
+        grads[occupied] += s[occupied].transpose(0, 2, 1) * g[occupied, None, :]
+        back = g[:, None, :] @ weights.transpose(0, 2, 1)
+        push(x, scale[:, None] * back[labels, 0])
 
     return _record(out, rule)

@@ -20,13 +20,10 @@ from sshpool.model import ModelConfig, ModelParams
 from sshpool.pooling import (
     coarsen,
     extract_subgraphs,
-    harden,
     local_conv,
     local_embedding,
-    soft_assign,
 )
 from sshpool.synth import triangle_dataset
-from sshpool.tensor import Tensor
 from sshpool.trainer import TrainConfig, cross_validate, train_graphs, _config_for
 
 from conftest import write_chordal_corpus
@@ -87,11 +84,12 @@ class TestCoarseningOracle:
             labels = random_labels(rng, n, c)
             weights = rng.normal(size=(c, 4, 4))
 
-            a_e, x_t = Edges.from_dense(adj), Tensor(feats)
-            a_mask = extract_subgraphs(a_e, labels)
-            x_next = local_conv(x_t, a_mask, labels, weights, np.zeros_like(weights))
-            z = local_embedding(feats, a_mask, labels, weights)
-            a_next = coarsen(labels, a_e, c)
+            a_e = Edges.from_dense(adj)
+            ends = labels[a_e.dst], labels[a_e.src]
+            mask = extract_subgraphs(ends)
+            x_next, _, _ = local_conv(feats, a_e, mask, labels, weights)
+            z = local_embedding(feats, a_e.select(mask), labels, weights)
+            a_next = coarsen(ends, a_e, c)
 
             for j in range(c):
                 # brute force: s_j sums (1 + kept degree) * features over
@@ -101,10 +99,10 @@ class TestCoarseningOracle:
                     if labels[r] == j:
                         deg = sum(adj[u, r] for u in range(n) if labels[u] == j)
                         s_j = s_j + (1.0 + deg) * feats[r]
-                assert np.array_equal(x_next.data[j], (s_j[None] @ weights[j])[0])
+                assert np.array_equal(x_next[j], (s_j[None] @ weights[j])[0])
                 # and the sum of the cluster's per-node embeddings, to rounding
                 rows = z[labels == j]
-                gap = np.abs(x_next.data[j] - rows.sum(axis=0))
+                gap = np.abs(x_next[j] - rows.sum(axis=0))
                 assert np.all(gap <= 1e-12 * np.abs(rows).sum(axis=0))
 
             # brute force: pairwise inter-cluster edge counting
@@ -113,7 +111,7 @@ class TestCoarseningOracle:
                 for v in range(n):
                     if adj[u, v] == 1.0 and labels[u] != labels[v]:
                         want[labels[u], labels[v]] += 1.0
-            assert np.array_equal(a_next.data, want)
+            assert np.array_equal(a_next, want)
         elapsed = time.time() - start
         emit("coarsening oracle equivalence", elapsed < 5.0,
              f"200 graphs exact in 64-bit, {elapsed:.1f}s")
@@ -167,7 +165,8 @@ class TestPartitionAndIdentityInvariants:
             assert labels.shape == (n,)
             assert np.all((labels >= 0) & (labels < c))
 
-            a_mask = extract_subgraphs(a_e, labels)
+            ends = labels[a_e.dst], labels[a_e.src]
+            a_mask = a_e.select(extract_subgraphs(ends))
             members = [[u for u in range(n) if labels[u] == j] for j in range(c)]
             ids = [i for m in members for i in m]
             assert sorted(ids) == list(range(n))
@@ -176,9 +175,9 @@ class TestPartitionAndIdentityInvariants:
             for m in members:
                 a_m = adj[np.ix_(m, m)] + np.eye(len(m))
                 assert np.allclose(z[m], a_m @ feats[m], rtol=1e-12, atol=1e-12)
-            a_next = coarsen(labels, a_e, c)
+            a_next = coarsen(ends, a_e, c)
             intra = sum(int(adj[np.ix_(m, m)].sum()) // 2 for m in members)
-            assert a_next.data.sum() + 2 * intra == adj.sum()
+            assert a_next.sum() + 2 * intra == adj.sum()
             checked += 1
 
         # identity coarsening: c = n, permutation assignment, identity weights
@@ -188,13 +187,13 @@ class TestPartitionAndIdentityInvariants:
             perm = rng.permutation(n)
             hard = np.zeros((n, n))
             hard[np.arange(n), perm] = 1.0
-            a_e, x_t = Edges.from_dense(adj), Tensor(feats)
-            a_mask = extract_subgraphs(a_e, perm)
+            a_e = Edges.from_dense(adj)
+            ends = perm[a_e.dst], perm[a_e.src]
             weights = np.broadcast_to(np.eye(4), (n, 4, 4))
-            x_next = local_conv(x_t, a_mask, perm, weights, np.zeros_like(weights))
-            a_next = coarsen(perm, a_e, n)
-            assert np.array_equal(x_next.data, hard.T @ feats)
-            assert np.array_equal(a_next.data, hard.T @ adj @ hard)
+            x_next, _, _ = local_conv(feats, a_e, extract_subgraphs(ends), perm, weights)
+            a_next = coarsen(ends, a_e, n)
+            assert np.array_equal(x_next, hard.T @ feats)
+            assert np.array_equal(a_next, hard.T @ adj @ hard)
         emit("partition/identity invariants", True,
              "1000 assignments + 50 identity-coarsening cases")
 

@@ -12,7 +12,6 @@ from sshpool.diagnostics import (
 from sshpool.errors import ContractError
 from sshpool.model import ModelConfig, ModelParams
 from sshpool.pooling import sshpool_layer
-from sshpool.tensor import Tensor
 
 from conftest import make_graph, random_graph
 from slice_reference import slice_layer
@@ -114,14 +113,14 @@ class TestCertifyLocality:
                 adjacency, x, params, clusters, keep_self_loops, frozen_labels
             )
             ref = slice_layer(
-                adjacency.dense(), x.data, trace.labels, trace.assignment.soft.cols,
+                adjacency.dense(), x, trace.labels, trace.assignment.soft.shape[1],
                 params.weights, keep_self_loops, masked=False,
             )
-            z = np.empty((x.rows, params.weights.shape[2]))
+            z = np.empty((x.shape[0], params.weights.shape[2]))
             for members, z_j in zip(ref.clusters, ref.local_embeddings):
                 z[members] = z_j
             leak = SimpleNamespace(labels=trace.labels, local_embedding=z)
-            return (a_next, Tensor(ref.coarse_features)), leak
+            return (a_next, ref.coarse_features), leak
 
         # seed 0 assigns {0, 5} vs {1, 2, 3, 4}: both clusters non-empty and
         # the path edges 0-1 and 4-5 cross the boundary, so the leak shows

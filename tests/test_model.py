@@ -18,12 +18,21 @@ from sshpool.model import (
     loss,
     predict,
 )
-from sshpool.pooling import _first_cols, diffpool_stack, sshpool_stack
-from sshpool.tensor import Tape, Tensor, mean_rows
+from sshpool.pooling import CoarseningTrace, _first_cols, diffpool_stack, sshpool_stack
+from sshpool.tensor import Tape, Tensor, mean_rows, softmax_rows, sum_rows
 from sshpool.trainer import METHOD_VARIANTS
 
 from conftest import make_graph, random_graph
-from op_reference import add, dropout, matmul, relu, row_softmax, scale, transpose
+from op_reference import (
+    add,
+    dropout,
+    local_conv,
+    matmul,
+    relu,
+    row_softmax,
+    scale,
+    transpose,
+)
 
 
 def small_config(**overrides):
@@ -143,14 +152,17 @@ class TestGlobalConv:
         def composed(graph, x, weight):
             return relu(matmul(matmul(Tensor(graph.gcn_norm.dense()), x), weight))
 
-        g = make_graph([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], 5, d=3, seed=2)
-        r, c = rng.normal(size=(1, 5)), rng.normal(size=(4, 1))
+        # Past 16 rows a product's bits depend on its operands' memory order.
+        n = 18
+        ring = [(u, (u + 1) % n) for u in range(n)]
+        g = make_graph(ring + [(0, 2), (3, 9), (5, 14)], n, d=3, seed=2)
+        r, c = rng.normal(size=(1, n)), rng.normal(size=(4, 1))
         grads, outputs = [], []
         for conv in (global_conv, composed):
             seed = np.random.default_rng(3)  # about half of each ReLU's inputs are positive
             w0, w1, leaf = (
                 Tensor(seed.normal(size=shape), requires_grad=True)
-                for shape in ((3, 4), (4, 4), (5, 4))
+                for shape in ((3, 4), (4, 4), (n, 4))
             )
             with Tape() as tape:
                 if source == "features":
@@ -249,15 +261,18 @@ class TestAttention:
             scores = scale(matmul(q, transpose(k)), 1.0 / np.sqrt(x0.cols))
             return matmul(row_softmax(scores), v)
 
-        a = Tensor(rng.normal(size=(6, 5)))
-        b = Tensor(rng.normal(size=(3, 5)))
-        r, c, e = rng.normal(size=(1, 3)), rng.normal(size=(8, 1)), rng.normal(size=(2, 6))
+        # Operands this large show a product's dependence on their memory
+        # order: the fused record must copy the keys' transpose, as
+        # ``transpose`` does, to keep every bit.
+        a = Tensor(rng.normal(size=(20, 5)))
+        b = Tensor(rng.normal(size=(18, 5)))
+        r, c, e = rng.normal(size=(1, 18)), rng.normal(size=(16, 1)), rng.normal(size=(2, 20))
         grads, outputs = [], []
         for attend in (attention_fuse, composed):
             seed = np.random.default_rng(7)
             w0, w1, wq, wk, wv = (
                 Tensor(seed.normal(size=shape), requires_grad=True)
-                for shape in ((5, 8), (5, 8), (8, 8), (8, 8), (8, 8))
+                for shape in ((5, 16), (5, 16), (16, 16), (16, 16), (16, 16))
             )
             with Tape() as tape:
                 # x0 also feeds paths recorded before and after the attention,
@@ -324,7 +339,8 @@ class TestClassify:
             hidden = dropout(hidden, params.config.dropout, training, rng)
             return add(matmul(hidden, params.mlp_w2), params.mlp_b2)
 
-        a, r = Tensor(rng.normal(size=(5, 4))), rng.normal(size=(2, 1))
+        # Past 16 rows a product's bits depend on its operands' memory order.
+        a, r = Tensor(rng.normal(size=(20, 4))), rng.normal(size=(2, 1))
         outputs, grads, draws = [], [], []
         for head in (classify, composed):
             params = ModelParams(small_config(dropout=0.5), seed=3)
@@ -369,11 +385,11 @@ class TestForward:
             logits, trace = forward(g, params)
             assert logits.shape == (1, 2)
             assert np.all(np.isfinite(logits.data))
-            counts = [g.n] + [t.coarse_features.rows for t in trace.layers]
+            counts = [g.n] + [t.coarse_features.shape[0] for t in trace.layers]
             for a, b in zip(counts, counts[1:]):
                 assert b <= a
             for size, t in zip(cfg.layer_sizes, trace.layers):
-                assert t.coarse_features.rows <= size
+                assert t.coarse_features.shape[0] <= size
 
     def test_single_node_graph(self, rng):
         cfg = small_config()
@@ -405,7 +421,7 @@ class TestForward:
         logits_off, trace_off = forward(g, p_off)
         # identical seeds: traces agree through pooling, logits differ after fusion
         for a, b in zip(trace_on.layers, trace_off.layers):
-            assert np.array_equal(a.coarse_features.data, b.coarse_features.data)
+            assert np.array_equal(a.coarse_features, b.coarse_features)
         assert not np.array_equal(logits_on.data, logits_off.data)
 
     def test_attention_params_get_zero_grad_when_disabled(self, rng):
@@ -446,7 +462,7 @@ class TestForward:
         kept = on.a_mask
         kept_per_cluster = np.array([kept[np.ix_(c, c)].sum() / 2 for c in on.clusters])
         assert kept_per_cluster.sum() > 0
-        a_on, a_off = on.coarse_adjacency.data, off.coarse_adjacency.data
+        a_on, a_off = on.coarse_adjacency, off.coarse_adjacency
         assert np.array_equal(np.diag(a_on), 2.0 * kept_per_cluster)
         assert np.array_equal(np.diag(a_off), np.zeros(len(kept_per_cluster)))
         assert np.array_equal(a_on - np.diag(np.diag(a_on)), a_off)
@@ -470,9 +486,9 @@ class TestForward:
     @pytest.mark.parametrize(
         "method, gconv_layers, records",
         [
-            ("sshpool", 1, 7),
-            ("sshpool", 2, 8),
-            ("sshpool_non", 1, 6),
+            ("sshpool", 1, 5),
+            ("sshpool", 2, 6),
+            ("sshpool_non", 1, 4),
             ("diffpool", 1, 4),
             ("global_sum", 1, 4),
             ("global_sum", 2, 5),
@@ -480,8 +496,8 @@ class TestForward:
         ],
     )
     def test_tape_records_per_training_forward(self, rng, method, gconv_layers, records):
-        # Global convolution, each pooling layer, attention, classifier head
-        # and loss are one record each; so is the whole diffpool stack.
+        # Global convolution, the whole pooling stack (either method),
+        # attention, classifier head and loss are one record each.
         cfg = small_config(
             layer_sizes=(8, 4, 2), depth=3, dropout=0.5, global_conv_layers=gconv_layers,
             **METHOD_VARIANTS[method],
@@ -491,6 +507,32 @@ class TestForward:
             logits, _ = forward(g, ModelParams(cfg, seed=1), True, np.random.default_rng(0))
             loss(logits, g.label)
         assert len(tape) == records
+
+    @pytest.mark.parametrize("method, records", [("sshpool", 5), ("sshpool_non", 4)])
+    def test_tape_records_with_coarse_self_loops(self, rng, method, records):
+        cfg = small_config(
+            layer_sizes=(8, 4, 2), depth=3, dropout=0.5, keep_coarse_self_loops=True,
+            **METHOD_VARIANTS[method],
+        )
+        g = random_graph(rng, n_lo=10, n_hi=12, d=4)
+        with Tape() as tape:
+            logits, _ = forward(g, ModelParams(cfg, seed=1), True, np.random.default_rng(0))
+            loss(logits, g.label)
+        assert len(tape) == records
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_assignment_weights_untouched_by_a_training_step(self, rng, keep):
+        cfg = small_config(layer_sizes=(8, 4, 2), depth=3, dropout=0.5, keep_coarse_self_loops=keep)
+        params = ModelParams(cfg, seed=2)
+        g = random_graph(rng, n_lo=10, n_hi=12, d=4)
+        with Tape() as tape:
+            logits, _ = forward(g, params, True, np.random.default_rng(0))
+            objective = loss(logits, g.label)
+        tape.backward(objective)
+        assert params.grad.any()
+        for l in range(3):
+            grad = params.named()[f"pool.{l}.assign"].grad
+            assert not grad.any() and not np.signbit(grad).any()
 
     def test_structure_derived_once_across_forwards(self, rng, monkeypatch):
         g = random_graph(rng, n_lo=8, n_hi=12, d=4)  # more nodes than clusters
@@ -581,6 +623,63 @@ class TestDiffpoolStack:
                 loss(forward(graph, params)[0], graph.label)
             records.append(len(tape))
         assert records == [5, 22]
+
+
+def composed_sshpool(adjacency, x, layers, layer_sizes, keep_self_loops=False, frozen=None):
+    """``sshpool_stack`` as one ``local_conv`` record per layer."""
+    for depth, (params, size) in enumerate(zip(layers, layer_sizes)):
+        c = min(size, x.rows)
+        soft = softmax_rows(x.data @ _first_cols(params.assign, c).data)
+        labels = soft.argmax(axis=1) if frozen is None else frozen[depth]
+        ends = labels[adjacency.dst], labels[adjacency.src]
+        a_mask = adjacency.select(ends[0] == ends[1])
+        x = local_conv(x, a_mask, labels, params.weights[:c], params.grads[:c])
+        a_next = np.bincount(ends[0] * c + ends[1], weights=adjacency.weight, minlength=c * c)
+        if not keep_self_loops:
+            a_next[:: c + 1] = 0.0
+        adjacency = data.Edges.from_dense(a_next.reshape(c, c))
+    return x, CoarseningTrace(layers=[])
+
+
+class TestSshpoolStack:
+    def test_matches_per_layer_records_bit_for_bit(self, rng, monkeypatch):
+        narrowed = 0
+        for trial in range(200):
+            # Past 16 rows a product's bits depend on its operands' memory order.
+            n = int(rng.integers(17, 41))
+            sizes = tuple(int(s) for s in sorted(rng.choice(np.arange(1, 33), 3, False))[::-1])
+            narrowed += n < sizes[0]
+            keep = trial % 2 == 0
+            cfg = small_config(
+                layer_sizes=sizes, depth=3, dropout=0.5, keep_coarse_self_loops=keep,
+                attention_enabled=trial // 2 % 2 == 0, global_conv_layers=1 + trial // 4 % 2,
+            )
+            g = random_graph(rng, n_lo=n, n_hi=n, d=4)
+            e = rng.normal(size=(2, n))
+            c = Tensor(rng.normal(size=(6, 1)))
+            runs = []
+            for stack in (sshpool_stack, composed_sshpool):
+                monkeypatch.setattr(model, "sshpool_stack", stack)
+                params = ModelParams(cfg, seed=trial)
+                with Tape() as tape:
+                    logits, _ = forward(g, params, True, np.random.default_rng(trial))
+                    objective = loss(logits, g.label)
+                tape.backward(objective)
+                model_grad = params.grad.copy()
+                # A trainable input, also read before and after the stack, so
+                # the order of its gradient pushes shows in the bits.
+                params.zero_grad()
+                x = Tensor(np.random.default_rng(trial).normal(size=(n, 6)), requires_grad=True)
+                with Tape() as tape:
+                    before = matmul(Tensor(e[:1]), matmul(x, c))
+                    pooled, _ = stack(g.edges, x, params.pool_layers, sizes, keep)
+                    after = matmul(Tensor(e[1:]), matmul(x, c))
+                    objective = matmul(matmul(matmul(sum_rows(pooled), c), before), after)
+                tape.backward(objective)
+                runs.append((logits.data, model_grad, pooled.data, params.grad, x.grad))
+            for fused, reference in zip(*runs):
+                assert fused.tobytes() == reference.tobytes()
+        assert narrowed > 20  # c_eff < clusters on the first layer
 
 
 class TestGradCheckSmall:

@@ -27,14 +27,25 @@ def random_labels(rng, n, c):
     return rng.integers(0, c, size=n)
 
 
-def run_steps(adjacency, x, labels, weights, keep_self_loops=False, grads=None):
+def ends_of(adjacency, labels):
+    """Each entry's ``labels[dst]`` and ``labels[src]``, as the layer gathers them."""
+    return labels[adjacency.dst], labels[adjacency.src]
+
+
+def kept_edges(adjacency, labels):
+    """The intra-cluster edge list that ``extract_subgraphs``'s mask selects."""
+    return adjacency.select(extract_subgraphs(ends_of(adjacency, labels)))
+
+
+def run_steps(adjacency, x, labels, weights, keep_self_loops=False):
     """extract_subgraphs -> local_conv -> coarsen under fixed labels, with
     one cluster per c x d x d weight stack entry; Z from local_embedding."""
-    a_mask = extract_subgraphs(adjacency, labels)
-    grads = np.zeros_like(weights) if grads is None else grads
-    x_next = local_conv(x, a_mask, labels, weights, grads)
-    z = local_embedding(x.data, a_mask, labels, weights)
-    a_next = coarsen(labels, adjacency, len(weights), keep_self_loops)
+    ends = ends_of(adjacency, labels)
+    mask = extract_subgraphs(ends)
+    x_next, _, _ = local_conv(x, adjacency, mask, labels, weights)
+    a_mask = adjacency.select(mask)
+    z = local_embedding(x, a_mask, labels, weights)
+    a_next = coarsen(ends, adjacency, len(weights), keep_self_loops)
     return a_mask.dense(), z, x_next, a_next
 
 
@@ -74,19 +85,19 @@ def layer_params(rng, d, c):
 
 class TestSoftAssign:
     def test_single_cluster(self, rng):
-        x = Tensor(rng.normal(size=(4, 3)))
-        w = Tensor(rng.normal(size=(3, 1)))
-        assert np.array_equal(soft_assign(x, w).data, np.ones((4, 1)))
+        x = rng.normal(size=(4, 3))
+        w = rng.normal(size=(3, 1))
+        assert np.array_equal(soft_assign(x, w), np.ones((4, 1)))
 
     def test_zero_logits_uniform(self):
-        x = Tensor(np.zeros((3, 5)))
-        w = Tensor(np.zeros((5, 4)))
-        assert np.allclose(soft_assign(x, w).data, 0.25)
+        x = np.zeros((3, 5))
+        w = np.zeros((5, 4))
+        assert np.allclose(soft_assign(x, w), 0.25)
 
     def test_matches_scalar_exp_oracle(self, rng):
         x = rng.normal(size=(5, 3))
         w = rng.normal(size=(3, 2))
-        got = soft_assign(Tensor(x), Tensor(w)).data
+        got = soft_assign(x, w)
         logits = x @ w
         for i in range(5):
             denom = sum(math.exp(v) for v in logits[i])
@@ -95,10 +106,11 @@ class TestSoftAssign:
         assert np.allclose(got.sum(axis=1), 1.0, atol=1e-9)
 
     def test_records_nothing(self, rng):
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        g = random_graph(rng, n_lo=5, n_hi=5, d=3)
+        params = layer_params(rng, 3, 4)
         with Tape() as tape:
-            soft_assign(x, w)
+            soft_assign(g.features.data, params.assign.data)
+            sshpool_layer(g.edges, g.features.data, params, 4)
         assert len(tape) == 0
 
     def test_layer_matches_taped_softmax_bit_for_bit(self, rng):
@@ -107,28 +119,28 @@ class TestSoftAssign:
             g = random_graph(rng, n_lo=2, n_hi=12, d=16)
             clusters = int(rng.integers(1, 16))
             params = layer_params(rng, 16, clusters)
-            _, trace = sshpool_layer(g.edges, g.features, params, clusters)
+            _, trace = sshpool_layer(g.edges, g.features.data, params, clusters)
             c_eff = min(clusters, g.n)
             w = params.assign
             if c_eff < clusters:
                 # A plain numpy column gather is the reference for the narrowed weight.
                 w = Tensor(w.data[:, list(range(c_eff))])
             want = row_softmax(matmul(g.features, w)).data
-            assert np.array_equal(trace.assignment.soft.data, want)
+            assert np.array_equal(trace.assignment.soft, want)
 
 
 class TestHarden:
     def test_tie_breaks_low_column(self):
-        assert harden(Tensor([[0.5, 0.5]])).tolist() == [0]
+        assert harden(np.array([[0.5, 0.5]])).tolist() == [0]
 
     def test_plain_argmax(self):
-        got = harden(Tensor([[0.2, 0.8], [0.9, 0.1]]))
+        got = harden(np.array([[0.2, 0.8], [0.9, 0.1]]))
         assert got.tolist() == [1, 0]
 
     def test_random_rows_one_hot_at_max(self, rng):
         raw = rng.random((6, 3))
         soft = raw / raw.sum(axis=1, keepdims=True)
-        labels = harden(Tensor(soft))
+        labels = harden(soft)
         assert labels.shape == (6,)
         for i in range(6):
             assert soft[i, labels[i]] == soft[i].max()
@@ -136,36 +148,36 @@ class TestHarden:
     def test_detached_from_tape(self, rng):
         x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         with Tape() as tape:
-            labels = harden(soft_assign(x, Tensor(np.eye(2))))
+            labels = harden(soft_assign(x.data, np.eye(2)))
         assert len(tape) == 0 and labels.dtype.kind == "i"
 
     def test_argmax_invariant_under_positive_logit_scaling(self, rng):
         x = rng.normal(size=(6, 4))
         w = rng.normal(size=(4, 3))
-        base = harden(soft_assign(Tensor(x), Tensor(w)))
+        base = harden(soft_assign(x, w))
         for factor in (0.01, 3.0, 250.0):
-            scaled = harden(soft_assign(Tensor(x * factor), Tensor(w)))
+            scaled = harden(soft_assign(x * factor, w))
             assert np.array_equal(base, scaled)
 
 
 class TestExtractSubgraphs:
     def test_path_graph_clusters(self):
         g = make_graph([(0, 1), (1, 2)], 3, d=2)
-        a_mask = extract_subgraphs(g.edges, np.array([0, 0, 1])).dense()
+        a_mask = kept_edges(g.edges, np.array([0, 0, 1])).dense()
         assert a_mask.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         # the crossing edge (1, 2) is masked out
         assert a_mask.sum() == 2.0
 
     def test_single_cluster_keeps_whole_graph(self, rng):
         g = random_graph(rng)
-        a_mask = extract_subgraphs(g.edges, np.zeros(g.n, dtype=int))
+        a_mask = kept_edges(g.edges, np.zeros(g.n, dtype=int))
         assert np.array_equal(a_mask.dense(), g.adjacency.data)
 
     def test_partition_oracle(self, rng):
         for _ in range(25):
             g = random_graph(rng, n_lo=8, n_hi=8)
             labels = random_labels(rng, 8, 3)
-            a_mask = extract_subgraphs(g.edges, labels).dense()
+            a_mask = kept_edges(g.edges, labels).dense()
             for u in range(8):
                 for v in range(8):
                     want = g.adjacency.data[u, v] if labels[u] == labels[v] else 0.0
@@ -175,20 +187,20 @@ class TestExtractSubgraphs:
 class TestLocalConv:
     def test_single_node_identity_weight(self, rng):
         g = make_graph([], 1, features=[[2.0, -1.0]], d=2)
-        _, z, _, _ = run_steps(g.edges, g.features, np.array([0]), np.eye(2)[None])
+        _, z, _, _ = run_steps(g.edges, g.features.data, np.array([0]), np.eye(2)[None])
         assert np.array_equal(z, [[2.0, -1.0]])
 
     def test_isolated_nodes_identity(self):
         g = make_graph([], 2, features=[[1.0, 0.0], [0.0, 1.0]], d=2)
         _, z, _, _ = run_steps(
-            g.edges, g.features, np.array([0, 0]), np.eye(2)[None]
+            g.edges, g.features.data, np.array([0, 0]), np.eye(2)[None]
         )
         assert np.array_equal(z, g.features.data)
 
     def test_triangle_matches_triple_loop(self, rng):
         g = make_graph([(0, 1), (1, 2), (0, 2)], 3, d=4, seed=3)
         w = rng.normal(size=(4, 4))
-        _, z, _, _ = run_steps(g.edges, g.features, np.zeros(3, dtype=int), w[None])
+        _, z, _, _ = run_steps(g.edges, g.features.data, np.zeros(3, dtype=int), w[None])
         a_tilde = g.adjacency.data + np.eye(3)
         want = np.zeros((3, 4))
         for i in range(3):
@@ -204,15 +216,13 @@ class TestLocalConv:
         labels = np.array([0, 0])
         params = layer_params(rng, 3, 2)
         with Tape() as tape:
-            _, z, x_next, _ = run_steps(
-                g.edges, g.features, labels, params.weights, grads=params.grads
-            )
+            x_next, trace = sshpool_stack(g.edges, g.features, [params], (2,), frozen=[labels])
             objective = sum_rows(matmul(x_next, Tensor(np.ones((3, 1)))))
         tape.backward(objective)
+        z = trace.layers[0].local_embedding
         assert z[labels == 1].shape == (0, 3)
         assert params.grads[0].any()
         assert_untouched_grad(params.grads[1])
-
 
     @pytest.mark.parametrize(
         "edges, labels",
@@ -225,11 +235,11 @@ class TestLocalConv:
         g = make_graph(edges, 4, d=3)
         labels = np.array(labels)
         params = layer_params(rng, 3, 3)
-        a_mask = extract_subgraphs(g.edges, labels)
+        a_mask = kept_edges(g.edges, labels)
         assert a_mask.weight.size == 0
         x = Tensor(g.features.data.copy(), requires_grad=True)
         with Tape() as tape:
-            x_next = local_conv(x, a_mask, labels, params.weights, params.grads)
+            x_next, _ = sshpool_stack(g.edges, x, [params], (3,), frozen=[labels])
             objective = sum_rows(matmul(x_next, Tensor(np.ones((3, 1)))))
         tape.backward(objective)
         assert x_next.data.dtype == np.float64
@@ -249,22 +259,22 @@ class TestCoarsen:
         hard = np.zeros((5, 5))
         hard[np.arange(5), perm] = 1.0
         weights = np.broadcast_to(np.eye(4), (5, 4, 4))
-        *_, x_next, a_next = run_steps(g.edges, g.features, perm, weights)
-        assert np.array_equal(x_next.data, hard.T @ g.features.data)
-        assert np.array_equal(a_next.data, hard.T @ g.adjacency.data @ hard)
+        *_, x_next, a_next = run_steps(g.edges, g.features.data, perm, weights)
+        assert np.array_equal(x_next, hard.T @ g.features.data)
+        assert np.array_equal(a_next, hard.T @ g.adjacency.data @ hard)
 
     def test_path_crossing_edge_count(self):
         g = make_graph([(0, 1), (1, 2), (2, 3)], 4, d=2)
         weights = np.broadcast_to(np.eye(2), (2, 2, 2))
-        *_, a_next = run_steps(g.edges, g.features, np.array([0, 0, 1, 1]), weights)
-        assert a_next.data.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        *_, a_next = run_steps(g.edges, g.features.data, np.array([0, 0, 1, 1]), weights)
+        assert a_next.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_empty_cluster_zero_row_and_col(self, rng):
         g = make_graph([(0, 1)], 2, d=3)
         weights = rng.normal(size=(2, 3, 3))
-        *_, x_next, a_next = run_steps(g.edges, g.features, np.array([0, 0]), weights)
-        assert np.array_equal(x_next.data[1], np.zeros(3))
-        assert np.all(a_next.data[1] == 0) and np.all(a_next.data[:, 1] == 0)
+        *_, x_next, a_next = run_steps(g.edges, g.features.data, np.array([0, 0]), weights)
+        assert np.array_equal(x_next[1], np.zeros(3))
+        assert np.all(a_next[1] == 0) and np.all(a_next[:, 1] == 0)
 
     def test_column_sum_oracle(self, rng):
         for _ in range(25):
@@ -272,17 +282,17 @@ class TestCoarsen:
             c = int(rng.integers(1, 5))
             labels = random_labels(rng, g.n, c)
             weights = rng.normal(size=(c, 4, 4))
-            _, z, x_next, a_next = run_steps(g.edges, g.features, labels, weights)
+            _, z, x_next, a_next = run_steps(g.edges, g.features.data, labels, weights)
             want = closed_form_rows(g.edges, g.features.data, labels, weights)
-            assert np.array_equal(x_next.data, want)
-            assert_close_to_z_sums(x_next.data, z, labels)
+            assert np.array_equal(x_next, want)
+            assert_close_to_z_sums(x_next, z, labels)
             # pairwise inter-cluster edge counting
             want = np.zeros((c, c))
             for u in range(g.n):
                 for v in range(g.n):
                     if g.adjacency.data[u, v] and labels[u] != labels[v]:
                         want[labels[u], labels[v]] += 1
-            assert np.array_equal(a_next.data, want)
+            assert np.array_equal(a_next, want)
 
     def test_single_column_sums_in_ascending_order(self, rng):
         # one feature column: numpy's own column sum would go pairwise here
@@ -292,10 +302,10 @@ class TestCoarsen:
             labels = random_labels(rng, n, 2)
             g = make_graph([], n, features=x, d=1)
             weights = np.array([[[1.0]], [[-3.0]]])
-            _, z, x_next, _ = run_steps(g.edges, g.features, labels, weights)
+            _, z, x_next, _ = run_steps(g.edges, x, labels, weights)
             want = closed_form_rows(g.edges, x, labels, weights)
-            assert np.array_equal(x_next.data, want)
-            assert_close_to_z_sums(x_next.data, z, labels)
+            assert np.array_equal(x_next, want)
+            assert_close_to_z_sums(x_next, z, labels)
 
     def test_edge_conservation(self, rng):
         for _ in range(25):
@@ -303,75 +313,80 @@ class TestCoarsen:
             c = int(rng.integers(1, 5))
             labels = random_labels(rng, g.n, c)
             weights = rng.normal(size=(c, 4, 4))
-            a_mask, _, _, a_next = run_steps(g.edges, g.features, labels, weights)
+            a_mask, _, _, a_next = run_steps(g.edges, g.features.data, labels, weights)
             intra = int(a_mask.sum()) // 2
-            assert a_next.data.sum() + 2 * intra == 2 * g.num_edges
+            assert a_next.sum() + 2 * intra == 2 * g.num_edges
 
     def test_keep_self_loops_flag(self, rng):
         g = make_graph([(0, 1)], 2, d=2)
         hard = np.eye(2)
         weights = np.broadcast_to(np.eye(2), (2, 2, 2))
-        *_, a_keep = run_steps(g.edges, g.features, np.array([0, 1]), weights, keep_self_loops=True)
-        assert np.array_equal(a_keep.data, hard.T @ g.adjacency.data @ hard)
+        *_, a_keep = run_steps(
+            g.edges, g.features.data, np.array([0, 1]), weights, keep_self_loops=True
+        )
+        assert np.array_equal(a_keep, hard.T @ g.adjacency.data @ hard)
 
 
 class TestLayerAndStack:
     def test_single_node_any_cluster_count(self, rng):
         g = make_graph([], 1, features=[[1.0, 2.0, 3.0]], d=3)
         params = layer_params(rng, 3, 5)
-        (a_next, x_next), trace = sshpool_layer(g.edges, g.features, params, 5)
+        (a_next, x_next), trace = sshpool_layer(g.edges, g.features.data, params, 5)
         assert x_next.shape == (1, 3)
-        assert np.array_equal(x_next.data, g.features.data @ params.weights[0])
+        assert np.array_equal(x_next, g.features.data @ params.weights[0])
         assert a_next.dense().shape == (1, 1)
 
     def test_one_cluster_column_sum(self, rng):
         g = random_graph(rng, n_lo=4, n_hi=6)
         params = layer_params(rng, 4, 1)
-        (_, x_next), _ = sshpool_layer(g.edges, g.features, params, 1)
+        (_, x_next), _ = sshpool_layer(g.edges, g.features.data, params, 1)
         a_tilde = g.adjacency.data + np.eye(g.n)
         z = a_tilde @ g.features.data @ params.weights[0]
         acc = np.zeros(4)
         for r in range(g.n):
             acc = acc + z[r]
-        assert np.allclose(x_next.data[0], acc, rtol=1e-12)
+        assert np.allclose(x_next[0], acc, rtol=1e-12)
 
     def test_two_triangles_compositional_oracle(self, rng):
         g = make_graph(
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)], 6, d=4, seed=11
         )
         params = layer_params(rng, 4, 2)
-        (a_next, x_next), trace = sshpool_layer(g.edges, g.features, params, 2)
+        (a_next, x_next), trace = sshpool_layer(g.edges, g.features.data, params, 2)
         # replay the five steps by hand
-        soft = soft_assign(g.features, params.assign)
+        soft = soft_assign(g.features.data, params.assign.data)
         labels = harden(soft)
-        *_, x_want, a_want = run_steps(g.edges, g.features, labels, params.weights)
-        assert np.array_equal(x_next.data, x_want.data)
-        assert np.array_equal(a_next.dense(), a_want.data)
+        *_, x_want, a_want = run_steps(g.edges, g.features.data, labels, params.weights)
+        assert np.array_equal(x_next, x_want)
+        assert np.array_equal(a_next.dense(), a_want)
         assert np.array_equal(trace.labels, labels)
 
     @pytest.mark.parametrize("clusters", [3, 9])
-    def test_layer_records_one_local_conv(self, rng, clusters):
-        # convolution and coarsening are one record; its output is the coarse rows
+    def test_stack_is_one_record(self, rng, clusters):
+        # every layer's convolution and coarsening are one record; its
+        # output is the last layer's coarse rows, and a layer records nothing
         g = random_graph(rng, n_lo=6, n_hi=6)
-        params = layer_params(rng, 4, clusters)
+        params = [layer_params(rng, 4, clusters), layer_params(rng, 4, 2)]
         with Tape() as tape:
-            (_, x_next), _ = sshpool_layer(g.edges, g.features, params, clusters)
+            sshpool_layer(g.edges, g.features.data, params[0], clusters)
+            assert len(tape) == 0
+            x_next, _ = sshpool_stack(g.edges, g.features, params, (clusters, 2))
         assert [output for output, _ in tape._records] == [x_next]
 
     def test_effective_clusters_capped_at_nodes(self, rng):
         g = random_graph(rng, n_lo=3, n_hi=3)
         params = layer_params(rng, 4, 8)
-        (a_next, x_next), trace = sshpool_layer(g.edges, g.features, params, 8)
-        assert x_next.rows == 3
+        (a_next, x_next), trace = sshpool_layer(g.edges, g.features.data, params, 8)
+        assert x_next.shape[0] == 3
         assert a_next.dense().shape == (3, 3)
         assert trace.assignment.hard.shape == (3, 3)
 
     def test_stack_depth_one_equals_layer(self, rng):
         g = random_graph(rng, n_lo=5, n_hi=8)
         params = layer_params(rng, 4, 3)
-        (_, x_layer), _ = sshpool_layer(g.edges, g.features, params, 3)
+        (_, x_layer), _ = sshpool_layer(g.edges, g.features.data, params, 3)
         x_stack, trace = sshpool_stack(g.edges, g.features, [params], (3,))
-        assert np.array_equal(x_layer.data, x_stack.data)
+        assert np.array_equal(x_layer, x_stack.data)
         assert len(trace.layers) == 1
 
     def test_stack_two_layers_chained_oracle(self, rng):
@@ -379,9 +394,9 @@ class TestLayerAndStack:
         p0 = layer_params(rng, 4, 4)
         p1 = layer_params(rng, 4, 2)
         x_stack, trace = sshpool_stack(g.edges, g.features, [p0, p1], (4, 2))
-        (a1, x1), _ = sshpool_layer(g.edges, g.features, p0, 4)
+        (a1, x1), _ = sshpool_layer(g.edges, g.features.data, p0, 4)
         (_, x2), _ = sshpool_layer(a1, x1, p1, 2)
-        assert np.array_equal(x_stack.data, x2.data)
+        assert np.array_equal(x_stack.data, x2)
         assert x_stack.rows <= 2
         assert len(trace.layers) == 2
 
@@ -389,7 +404,7 @@ class TestLayerAndStack:
         g = random_graph(rng, n_lo=5, n_hi=5)
         params = layer_params(rng, 4, 8)  # 8 clusters cap at min(8, 5) = 5
         good = np.array([0, 4, 2, 2, 1], dtype=np.int32)
-        sshpool_layer(g.edges, g.features, params, 8, frozen_labels=good)
+        sshpool_layer(g.edges, g.features.data, params, 8, frozen_labels=good)
         for bad, error in (
             (good[:4], ShapeError),
             (np.append(good, 0), ShapeError),
@@ -398,7 +413,7 @@ class TestLayerAndStack:
             (np.array([0, 5, 2, 2, 1]), ContractError),
         ):
             with pytest.raises(error):
-                sshpool_layer(g.edges, g.features, params, 8, frozen_labels=bad)
+                sshpool_layer(g.edges, g.features.data, params, 8, frozen_labels=bad)
             with pytest.raises(error):
                 sshpool_stack(g.edges, g.features, [params], (8,), frozen=[bad])
 
@@ -415,19 +430,19 @@ class TestLayerAndStack:
             c = int(rng.integers(2, 4))
             labels = random_labels(rng, g.n, c)
             weights = rng.normal(size=(c, 4, 4))
-            _, z, x_next, _ = run_steps(g.edges, g.features, labels, weights)
+            _, z, x_next, _ = run_steps(g.edges, g.features.data, labels, weights)
 
             u = int(rng.integers(g.n))
             bumped = g.features.data.copy()
             bumped[u] += rng.normal(size=4)
-            _, z_b, x_next_b, _ = run_steps(g.edges, Tensor(bumped), labels, weights)
+            _, z_b, x_next_b, _ = run_steps(g.edges, bumped, labels, weights)
             home = labels[u]
             for k in range(c):
                 if k == home:
                     continue
                 rows = labels == k
                 assert np.array_equal(z[rows], z_b[rows])
-                assert np.array_equal(x_next.data[k], x_next_b.data[k])
+                assert np.array_equal(x_next[k], x_next_b[k])
 
     def test_stack_gradients_match_finite_differences(self, rng):
         g = random_graph(rng, n_lo=6, n_hi=8)
@@ -538,7 +553,7 @@ class TestPartitionProperty:
             # the layer caps its clusters at the node count
             labels = random_labels(rng, g.n, min(c, g.n))
             params = layer_params(rng, 4, c)
-            _, trace = sshpool_layer(g.edges, g.features, params, c, frozen_labels=labels)
+            _, trace = sshpool_layer(g.edges, g.features.data, params, c, frozen_labels=labels)
             ids = [i for members in trace.clusters for i in members]
             assert sorted(ids) == list(range(g.n))
             assert trace.cluster_sizes == [len(m) for m in trace.clusters]
@@ -557,13 +572,13 @@ class TestAgainstSliceReference:
             keep = bool(trial % 3 == 0)
             frozen = random_labels(rng, g.n, min(c, g.n)) if trial % 2 else None
             (a_next, x_next), trace = sshpool_layer(
-                g.edges, g.features, params, c, keep, frozen_labels=frozen
+                g.edges, g.features.data, params, c, keep, frozen_labels=frozen
             )
             ref = slice_layer(
                 g.adjacency.data, g.features.data, trace.labels, min(c, g.n),
                 params.weights, keep,
             )
-            assert np.allclose(x_next.data, ref.coarse_features, rtol=1e-12, atol=1e-12)
+            assert np.allclose(x_next, ref.coarse_features, rtol=1e-12, atol=1e-12)
             for members, z_j in zip(ref.clusters, ref.local_embeddings):
                 assert np.allclose(
                     trace.local_embedding[members], z_j, rtol=1e-12, atol=1e-12
@@ -574,25 +589,25 @@ class TestAgainstSliceReference:
 
 
 class TestLayerFiniteDifferences:
-    """Central differences of the fused layer w.r.t. x and every local weight."""
+    """Central differences of the stack record w.r.t. x and every local weight."""
 
-    def check(self, g, clusters, rng, frozen=None):
-        params = layer_params(rng, g.features.cols, clusters)
+    def check(self, g, sizes, rng, frozen=None, keep_self_loops=False):
+        params = [layer_params(rng, g.features.cols, clusters) for clusters in sizes]
         x = Tensor(g.features.data.copy(), requires_grad=True)
         with Tape() as tape:
-            (_, x_next), trace = sshpool_layer(g.edges, x, params, clusters, frozen_labels=frozen)
+            x_next, trace = sshpool_stack(g.edges, x, params, sizes, keep_self_loops, frozen)
             r = rng.normal(size=(1, x_next.rows))
             c = rng.normal(size=(x_next.cols, 1))
             objective = matmul(Tensor(r), matmul(x_next, Tensor(c)))
         tape.backward(objective)
-        labels = trace.labels
+        labels = trace.hard_assignments()
 
         def probe():
-            (_, x_e), _ = sshpool_layer(g.edges, x, params, clusters, frozen_labels=labels)
+            x_e, _ = sshpool_stack(g.edges, x, params, sizes, keep_self_loops, labels)
             return float((r @ x_e.data @ c)[0, 0])
 
         step = 1e-5
-        for data, grad in [(x.data, x.grad), (params.weights, params.grads)]:
+        for data, grad in [(x.data, x.grad)] + [(p.weights, p.grads) for p in params]:
             analytic = grad.reshape(-1)
             flat = data.reshape(-1)
             for idx in range(flat.size):
@@ -605,33 +620,47 @@ class TestLayerFiniteDifferences:
                 numeric = (up - down) / (2 * step)
                 denom = max(abs(analytic[idx]), abs(numeric), 1e-6)
                 assert abs(analytic[idx] - numeric) / denom <= 1e-6
-        occupied = set(trace.labels.tolist())
-        for j, grad in enumerate(params.grads):
-            if j in occupied:
-                assert grad.any()
-            else:
-                assert_untouched_grad(grad)
-        return trace
+        for p, entry in zip(params, trace.layers):
+            occupied = set(entry.labels.tolist())
+            for j, grad in enumerate(p.grads):
+                if j in occupied:
+                    assert grad.any()
+                else:
+                    assert_untouched_grad(grad)
+        return trace.layers
 
     def test_empty_and_singleton_clusters(self, rng):
         g = make_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)], 5, d=4, seed=5)
-        trace = self.check(g, 4, rng, frozen=np.array([0, 0, 3, 0, 2]))
+        (trace,) = self.check(g, (4,), rng, frozen=[np.array([0, 0, 3, 0, 2])])
         assert trace.cluster_sizes == [3, 0, 1, 1]
 
     def test_one_node(self, rng):
         g = make_graph([], 1, d=4, seed=6)
-        trace = self.check(g, 3, rng)
+        (trace,) = self.check(g, (3,), rng)
         assert trace.cluster_sizes == [1]
 
     def test_fewer_nodes_than_clusters(self, rng):
         g = make_graph([(0, 1), (1, 2)], 3, d=4, seed=7)
-        trace = self.check(g, 6, rng)
+        (trace,) = self.check(g, (6,), rng)
         assert trace.assignment.hard.shape == (3, 3)
 
     def test_single_column_large_cluster(self, rng):
         g = make_graph([(u, u + 1) for u in range(11)], 12, d=1, seed=8)
-        trace = self.check(g, 3, rng, frozen=np.array([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]))
+        frozen = [np.array([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0])]
+        (trace,) = self.check(g, (3,), rng, frozen=frozen)
         assert trace.cluster_sizes == [11, 1, 0]
+
+    def test_three_layers_with_self_loops_and_empty_clusters(self, rng):
+        # Layer 0 leaves clusters 1 and 3 empty, so their zero rows enter
+        # layer 1; each of layer 1's clusters also holds a non-zero row.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (0, 4), (2, 6)]
+        g = make_graph(edges, 8, d=3, seed=9)
+        frozen = [np.array([0, 0, 2, 2, 4, 4, 0, 2]), np.array([0, 0, 1, 1, 2]), np.array([0, 1, 1])]
+        traces = self.check(g, (5, 3, 2), rng, frozen=frozen, keep_self_loops=True)
+        assert traces[0].cluster_sizes == [3, 0, 3, 0, 2]
+        assert not traces[1].features[[1, 3]].any()
+        assert np.diag(traces[0].coarse_adjacency).any()  # the kept self-loops
+        assert [t.cluster_sizes for t in traces[1:]] == [[2, 2, 1], [1, 2]]
 
 
 class TestEdgeListMatchesDenseFormulas:
@@ -668,7 +697,7 @@ class TestEdgeListMatchesDenseFormulas:
             for depth, entry in enumerate(trace.layers):
                 a_in = entry.adjacency
                 if depth:
-                    assert np.array_equal(a_in, trace.layers[depth - 1].coarse_adjacency.data)
+                    assert np.array_equal(a_in, trace.layers[depth - 1].coarse_adjacency)
                 else:
                     assert np.array_equal(a_in, a)
                 labels = entry.labels
@@ -678,7 +707,7 @@ class TestEdgeListMatchesDenseFormulas:
                 want = hard.T @ a_in @ hard
                 if not keep:
                     np.fill_diagonal(want, 0.0)
-                assert np.array_equal(entry.coarse_adjacency.data, want)
-                assert np.signbit(entry.coarse_adjacency.data).sum() == 0
+                assert np.array_equal(entry.coarse_adjacency, want)
+                assert np.signbit(entry.coarse_adjacency).sum() == 0
                 assert entry.edges_in == int(a_in.sum()) // 2
                 assert entry.edges_kept == int((a_in * same).sum()) // 2
