@@ -66,7 +66,9 @@ class Graph:
 
     The adjacency is symmetric 0/1 with a zero diagonal; self-loops are
     added only inside convolutions. ``edges``, its row-major nonzeros, is
-    the graph's only structure, so everything held is O(n + E).
+    the graph's only structure, so everything held is O(n * f + E).
+    ``gcn_norm`` and ``propagated`` are derived on first use and kept, so
+    a graph's features and edges must not change after its first forward.
     """
 
     edges: Edges
@@ -120,6 +122,17 @@ class Graph:
         dst = np.concatenate([e.dst, loops])
         src = np.concatenate([e.src, loops])
         return Edges(n, dst, src, dst * n + src, inv_sqrt[dst] * inv_sqrt[src])
+
+    @cached_property
+    def propagated(self) -> np.ndarray:
+        """Â X, the features propagated once through ``gcn_norm``, read-only.
+
+        The expression ``model.global_conv`` runs on the same operands, so
+        the same bits; it is n x f, the size of ``features``.
+        """
+        ax = self.gcn_norm.dense() @ self.features.data
+        ax.flags.writeable = False
+        return ax
 
     @property
     def num_edges(self) -> int:

@@ -96,7 +96,7 @@ def certify_locality(
 
     layer0 = params.pool_layers[0]
     clusters = params.config.layer_sizes[0]
-    (_, base_xn), base = layer_impl(graph.edges, base_x.copy(), layer0, clusters)
+    base_xn, base = layer_impl(graph.edges, base_x.copy(), layer0, clusters)
     labels = base.labels
     base_z = base.local_embedding
 
@@ -106,7 +106,7 @@ def certify_locality(
         u = int(rng.integers(graph.n))
         bumped = base_x.copy()
         bumped[u] += rng.normal(scale=1.0, size=base_x.shape[1])
-        (_, new_xn), new = layer_impl(
+        new_xn, new = layer_impl(
             graph.edges, bumped, layer0, clusters, frozen_labels=labels
         )
         new_z = new.local_embedding

@@ -257,7 +257,10 @@ def global_conv(graph: Graph, x: Tensor, weight: Tensor) -> Tensor:
     """One symmetric-normalised convolution: ReLU(D^-1/2 (A+I) D^-1/2 X W).
 
     The self-loop keeps every degree >= 1, so the normaliser always exists;
-    its nonzeros are cached on the graph and scattered into a dense operand.
+    its nonzeros are cached on the graph. When ``x`` is the graph's own,
+    untrainable, feature matrix, Â X is the graph's cached ``propagated``
+    and no n x n operand is built; any other input (a second layer, a
+    trainable input) is multiplied by Â scattered into a dense operand.
 
     One tape record. The forward and backward run the expressions of the
     op-by-op composition ``relu(matmul(matmul(Â, x), weight))`` (the
@@ -270,11 +273,14 @@ def global_conv(graph: Graph, x: Tensor, weight: Tensor) -> Tensor:
         raise ShapeError(
             f"global_conv: {x.shape} features on {graph.n} nodes, weight {weight.shape}"
         )
-    norm = graph.gcn_norm.dense()
-    ax = norm @ x.data
+    to_x = x is not graph.features or x.grad is not None
+    if to_x:
+        norm = graph.gcn_norm.dense()
+        ax = norm @ x.data
+    else:
+        ax = graph.propagated
     h = ax @ weight.data
     out = Tensor(np.maximum(h, 0.0))
-    to_x = x is not graph.features or x.grad is not None
 
     def rule(g, push):
         g = g * (h > 0.0)

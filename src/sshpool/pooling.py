@@ -275,14 +275,15 @@ def sshpool_layer(
     clusters: int,
     keep_self_loops: bool = False,
     frozen_labels: np.ndarray | None = None,
-) -> tuple[tuple[Edges, np.ndarray], LayerTrace]:
+) -> tuple[np.ndarray, LayerTrace]:
     """One full pooling layer on plain arrays: assign, harden, mask,
     convolve, coarsen. It records nothing; :func:`sshpool_stack` does.
 
     The effective cluster count is min(clusters, node count), so coarsened
     graphs never grow. ``frozen_labels`` substitutes fixed cluster labels
     for the hardened ones (used by gradient checks and locality probes).
-    Returns the coarse adjacency's edge list and the coarse features.
+    Returns the coarse features; the coarse adjacency is the trace's
+    ``coarse_adjacency``.
     """
     if clusters < 1:
         raise ContractError(f"cluster count must be >= 1, got {clusters}")
@@ -310,7 +311,7 @@ def sshpool_layer(
         scale=scale,
         sums=sums,
     )
-    return (Edges.from_dense(a_next), x_next), trace
+    return x_next, trace
 
 
 def sshpool_stack(
@@ -346,10 +347,10 @@ def sshpool_stack(
     a_cur, x_cur = adjacency, x.data
     entries = []
     for depth, (params, size) in enumerate(zip(layers, layer_sizes)):
+        if entries:  # the previous layer's coarse graph, listed only when a layer reads it
+            a_cur = Edges.from_dense(entries[-1].coarse_adjacency)
         frozen_labels = frozen[depth] if frozen is not None else None
-        (a_cur, x_cur), entry = sshpool_layer(
-            a_cur, x_cur, params, size, keep_self_loops, frozen_labels
-        )
+        x_cur, entry = sshpool_layer(a_cur, x_cur, params, size, keep_self_loops, frozen_labels)
         entries.append(entry)
 
     def rule(g, push):

@@ -9,6 +9,7 @@ import pytest
 
 from sshpool.data import (
     DEGREE_CAP,
+    Edges,
     Graph,
     _read_table,
     atomic_open,
@@ -18,6 +19,7 @@ from sshpool.data import (
     stratified_subset,
 )
 from sshpool.errors import ContractError, IngestError, IntegrityError, ParseError
+from sshpool.model import ModelConfig, ModelParams, forward
 from sshpool.synth import triangle_dataset
 
 from conftest import make_graph, random_graph, write_chordal_corpus, write_tu
@@ -444,13 +446,28 @@ class TestGraphStructure:
         assert g.adjacency.data[0, 2] == 0.0 and g.adjacency.data is not a
 
     def test_structure_is_linear_in_nodes_and_edges(self, rng):
+        # Features wider than any graph, so no n x f array is square.
+        f = 40
+        config = ModelConfig(feature_dim_in=f, num_classes=2, hidden_dim=6,
+                             layer_sizes=(4, 2), depth=2, dropout=0.0)
+        params = ModelParams(config, seed=0)
         for _ in range(20):
-            g = random_graph(rng, n_lo=1, n_hi=30)
+            g = random_graph(rng, n_lo=1, n_hi=30, d=f)
             e = g.edges.flat.size
             for part in (g.edges, g.gcn_norm):
                 for arr in (part.dst, part.src, part.flat, part.weight):
                     assert arr.ndim == 1 and arr.size <= g.n + e
             assert g.num_edges == int(g.adjacency.data.sum()) // 2
+            forward(g, params)  # fills what a graph caches on its first forward
+            assert {"gcn_norm", "propagated"} <= set(vars(g))
+            for value in vars(g).values():
+                if isinstance(value, Edges):
+                    arrays = [value.dst, value.src, value.flat, value.weight]
+                else:
+                    arrays = [getattr(value, "data", value)]
+                for arr in (a for a in arrays if isinstance(a, np.ndarray)):
+                    assert arr.size <= g.n * f + e
+                    assert arr.shape != (g.n, g.n)
 
 
 class TestAtomicWrite:

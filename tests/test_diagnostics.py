@@ -109,7 +109,7 @@ class TestCertifyLocality:
         # edges that cross a cluster boundary carry information into foreign
         # embeddings; the labels are the real layer's
         def leaky_layer(adjacency, x, params, clusters, keep_self_loops=False, frozen_labels=None):
-            (a_next, _), trace = sshpool_layer(
+            _, trace = sshpool_layer(
                 adjacency, x, params, clusters, keep_self_loops, frozen_labels
             )
             ref = slice_layer(
@@ -120,7 +120,7 @@ class TestCertifyLocality:
             for members, z_j in zip(ref.clusters, ref.local_embeddings):
                 z[members] = z_j
             leak = SimpleNamespace(labels=trace.labels, local_embedding=z)
-            return (a_next, ref.coarse_features), leak
+            return ref.coarse_features, leak
 
         # seed 0 assigns {0, 5} vs {1, 2, 3, 4}: both clusters non-empty and
         # the path edges 0-1 and 4-5 cross the boundary, so the leak shows

@@ -147,7 +147,7 @@ class TestGlobalConv:
             out = global_conv(g, g.features, Tensor(rng.normal(size=(3, 4)), requires_grad=True))
         assert [output for output, _ in tape._records] == [out]
 
-    @pytest.mark.parametrize("source", ["features", "stacked", "trainable"])
+    @pytest.mark.parametrize("source", ["features", "stacked", "trainable", "own_trainable"])
     def test_gradients_match_op_by_op_composition_bit_for_bit(self, rng, source):
         def composed(graph, x, weight):
             return relu(matmul(matmul(Tensor(graph.gcn_norm.dense()), x), weight))
@@ -164,8 +164,11 @@ class TestGlobalConv:
                 Tensor(seed.normal(size=shape), requires_grad=True)
                 for shape in ((3, 4), (4, 4), (n, 4))
             )
+            if source == "own_trainable":  # the graph's own features, made trainable
+                g = data.Graph(g.edges, Tensor(g.features.data, requires_grad=True), g.label)
+                leaf = g.features
             with Tape() as tape:
-                if source == "features":
+                if source in ("features", "own_trainable"):
                     out = conv(g, g.features, w0)
                 elif source == "stacked":  # as --gconv-layers 2 stacks them
                     out = conv(g, conv(g, g.features, w0), w1)
@@ -173,6 +176,8 @@ class TestGlobalConv:
                     out = conv(g, leaf, w1)
                 objective = matmul(Tensor(r), matmul(out, Tensor(c)))
             tape.backward(objective)
+            if source == "own_trainable":  # a trainable input takes the dense path
+                assert "propagated" not in vars(g)
             outputs.append(out.data)
             grads.append([w0.grad, w1.grad, leaf.grad])
         assert np.array_equal(outputs[0], outputs[1])
@@ -180,8 +185,50 @@ class TestGlobalConv:
             assert np.array_equal(fused, reference)
         if source == "stacked":
             assert grads[0][0].any()  # w0's only gradient comes through the input push
-        if source == "trainable":
+        if source in ("trainable", "own_trainable"):
             assert grads[0][2].any()
+
+    def test_propagated_features_cached_bit_for_bit_and_read_only(self, rng):
+        # Past 16 rows, at width 4, a product's bits depend on the features' memory order.
+        g = random_graph(rng, n_lo=18, n_hi=30, d=4)
+        w = Tensor(rng.normal(size=(4, 4)))
+        assert "propagated" not in vars(g)  # filled by the first forward, not before
+        out = global_conv(g, g.features, w)
+        ax = vars(g)["propagated"]
+        assert ax.tobytes() == (g.gcn_norm.dense() @ g.features.data).tobytes()
+        assert not ax.flags.writeable
+        with pytest.raises(ValueError):
+            ax[0, 0] = 1.0
+        assert global_conv(g, g.features, w).data.tobytes() == out.data.tobytes()
+        assert g.propagated is ax
+        # The same graph with trainable features takes the dense path.
+        dense = data.Graph(g.edges, Tensor(g.features.data, requires_grad=True), g.label)
+        assert global_conv(dense, dense.features, w).data.tobytes() == out.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "variant, gconv_layers, dense_calls",
+        [("sshpool", 1, 1), ("global_sum", 1, 1), ("sshpool", 2, 1 + 3)],
+    )
+    def test_dense_operands_across_three_forwards(
+        self, rng, monkeypatch, variant, gconv_layers, dense_calls
+    ):
+        g = random_graph(rng, n_lo=18, n_hi=24, d=4)
+        calls = []
+        dense = data.Edges.dense
+
+        def counting(edges):
+            calls.append(edges.n)
+            return dense(edges)
+
+        monkeypatch.setattr(data.Edges, "dense", counting)
+        cfg = small_config(variant=variant, global_conv_layers=gconv_layers)
+        params = ModelParams(cfg, seed=5)
+        first, _ = forward(g, params)
+        for _ in range(2):
+            again, _ = forward(g, params)
+            assert again.data.tobytes() == first.data.tobytes()
+        # once to fill the cache, then once per forward for a second convolution
+        assert calls == [g.n] * dense_calls
 
 
 class TestAttention:
@@ -547,12 +594,14 @@ class TestForward:
         params = ModelParams(small_config(), seed=5)
         assert "gcn_norm" not in vars(g)
         first, _ = forward(g, params)
-        edges, norm = g.edges, vars(g)["gcn_norm"]
+        edges, norm, ax = g.edges, vars(g)["gcn_norm"], vars(g)["propagated"]
         for _ in range(3):
             again, _ = forward(g, params)
             assert np.array_equal(again.data, first.data)
-        assert shapes and (g.n, g.n) not in shapes  # only coarse adjacencies
-        assert g.edges is edges and g.gcn_norm is norm
+        # only coarse adjacencies, one per layer that reads one, per forward
+        assert len(shapes) == 4 * (len(params.config.layer_sizes) - 1)
+        assert (g.n, g.n) not in shapes
+        assert g.edges is edges and g.gcn_norm is norm and g.propagated is ax
 
     def test_permutation_with_frozen_assignments(self, rng):
         g = make_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)], 5, d=4, seed=12)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sshpool.data import Edges
 from sshpool.errors import ContractError, ShapeError
 from sshpool.pooling import (
     PoolLayerParams,
@@ -331,15 +332,15 @@ class TestLayerAndStack:
     def test_single_node_any_cluster_count(self, rng):
         g = make_graph([], 1, features=[[1.0, 2.0, 3.0]], d=3)
         params = layer_params(rng, 3, 5)
-        (a_next, x_next), trace = sshpool_layer(g.edges, g.features.data, params, 5)
+        x_next, trace = sshpool_layer(g.edges, g.features.data, params, 5)
         assert x_next.shape == (1, 3)
         assert np.array_equal(x_next, g.features.data @ params.weights[0])
-        assert a_next.dense().shape == (1, 1)
+        assert trace.coarse_adjacency.shape == (1, 1)
 
     def test_one_cluster_column_sum(self, rng):
         g = random_graph(rng, n_lo=4, n_hi=6)
         params = layer_params(rng, 4, 1)
-        (_, x_next), _ = sshpool_layer(g.edges, g.features.data, params, 1)
+        x_next, _ = sshpool_layer(g.edges, g.features.data, params, 1)
         a_tilde = g.adjacency.data + np.eye(g.n)
         z = a_tilde @ g.features.data @ params.weights[0]
         acc = np.zeros(4)
@@ -352,13 +353,13 @@ class TestLayerAndStack:
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)], 6, d=4, seed=11
         )
         params = layer_params(rng, 4, 2)
-        (a_next, x_next), trace = sshpool_layer(g.edges, g.features.data, params, 2)
+        x_next, trace = sshpool_layer(g.edges, g.features.data, params, 2)
         # replay the five steps by hand
         soft = soft_assign(g.features.data, params.assign.data)
         labels = harden(soft)
         *_, x_want, a_want = run_steps(g.edges, g.features.data, labels, params.weights)
         assert np.array_equal(x_next, x_want)
-        assert np.array_equal(a_next.dense(), a_want)
+        assert np.array_equal(trace.coarse_adjacency, a_want)
         assert np.array_equal(trace.labels, labels)
 
     @pytest.mark.parametrize("clusters", [3, 9])
@@ -376,15 +377,15 @@ class TestLayerAndStack:
     def test_effective_clusters_capped_at_nodes(self, rng):
         g = random_graph(rng, n_lo=3, n_hi=3)
         params = layer_params(rng, 4, 8)
-        (a_next, x_next), trace = sshpool_layer(g.edges, g.features.data, params, 8)
+        x_next, trace = sshpool_layer(g.edges, g.features.data, params, 8)
         assert x_next.shape[0] == 3
-        assert a_next.dense().shape == (3, 3)
+        assert trace.coarse_adjacency.shape == (3, 3)
         assert trace.assignment.hard.shape == (3, 3)
 
     def test_stack_depth_one_equals_layer(self, rng):
         g = random_graph(rng, n_lo=5, n_hi=8)
         params = layer_params(rng, 4, 3)
-        (_, x_layer), _ = sshpool_layer(g.edges, g.features.data, params, 3)
+        x_layer, _ = sshpool_layer(g.edges, g.features.data, params, 3)
         x_stack, trace = sshpool_stack(g.edges, g.features, [params], (3,))
         assert np.array_equal(x_layer, x_stack.data)
         assert len(trace.layers) == 1
@@ -394,8 +395,8 @@ class TestLayerAndStack:
         p0 = layer_params(rng, 4, 4)
         p1 = layer_params(rng, 4, 2)
         x_stack, trace = sshpool_stack(g.edges, g.features, [p0, p1], (4, 2))
-        (a1, x1), _ = sshpool_layer(g.edges, g.features.data, p0, 4)
-        (_, x2), _ = sshpool_layer(a1, x1, p1, 2)
+        x1, t1 = sshpool_layer(g.edges, g.features.data, p0, 4)
+        x2, _ = sshpool_layer(Edges.from_dense(t1.coarse_adjacency), x1, p1, 2)
         assert np.array_equal(x_stack.data, x2)
         assert x_stack.rows <= 2
         assert len(trace.layers) == 2
@@ -571,7 +572,7 @@ class TestAgainstSliceReference:
             params = layer_params(rng, 4, c)
             keep = bool(trial % 3 == 0)
             frozen = random_labels(rng, g.n, min(c, g.n)) if trial % 2 else None
-            (a_next, x_next), trace = sshpool_layer(
+            x_next, trace = sshpool_layer(
                 g.edges, g.features.data, params, c, keep, frozen_labels=frozen
             )
             ref = slice_layer(
@@ -583,7 +584,7 @@ class TestAgainstSliceReference:
                 assert np.allclose(
                     trace.local_embedding[members], z_j, rtol=1e-12, atol=1e-12
                 )
-            assert np.array_equal(a_next.dense(), ref.coarse_adjacency)
+            assert np.array_equal(trace.coarse_adjacency, ref.coarse_adjacency)
             assert trace.clusters == ref.clusters
             assert trace.edges_kept == ref.edges_kept
 
