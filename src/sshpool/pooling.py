@@ -1,15 +1,17 @@
 """Separated-subgraph hierarchical pooling and the DiffPool baseline stack.
 
-One pooling layer: project node features and row-softmax them into a soft
-cluster assignment, harden it to one cluster label per node, with one-hot
-form H (both are constants, computed off the gradient tape), mask the
-adjacency to intra-cluster edges, A_mask = A * (H H^T), convolve
-Y = (A_mask + I) X, apply each node's own cluster weight, Z_u = Y_u W_c(u),
-and compress every cluster to a single coarsened node: features are the
-sums of its rows of Z, adjacency is H^T A H with the diagonal zeroed
-(inter-cluster edge counts). Restricted to cluster j's nodes this is
-exactly the per-subgraph convolution Z_j = (A_j + I) X_j W_j. The layer
-sums Z's rows in closed form (see :func:`local_conv`) and never forms Z.
+One pooling layer: project node features to cluster logits X W_assign,
+harden them to one cluster label per node, the row argmax of their
+softmax (the soft assignment), found without building the softmax (see
+:func:`harden`), with one-hot form H (all constants, computed off the
+gradient tape), mask the adjacency to intra-cluster edges,
+A_mask = A * (H H^T), convolve Y = (A_mask + I) X, apply each node's own
+cluster weight, Z_u = Y_u W_c(u), and compress every cluster to a single
+coarsened node: features are the sums of its rows of Z, adjacency is
+H^T A H with the diagonal zeroed (inter-cluster edge counts). Restricted
+to cluster j's nodes this is exactly the per-subgraph convolution
+Z_j = (A_j + I) X_j W_j. The layer sums Z's rows in closed form (see
+:func:`local_conv`) and never forms Z.
 
 Adjacencies travel as :class:`~sshpool.data.Edges` lists: the mask, the
 kept degrees and the coarse adjacency are O(E) gathers and sums over
@@ -38,15 +40,20 @@ from .tensor import Tensor, _record, softmax_rows
 
 @dataclass
 class AssignmentPair:
-    """Row-stochastic soft assignment and the cluster labels hardened from it."""
+    """Cluster logits X W_assign and the labels hardened from them."""
 
-    soft: np.ndarray
+    logits: np.ndarray
     labels: np.ndarray
+
+    @property
+    def soft(self) -> np.ndarray:
+        """The row-stochastic soft assignment softmax(logits), built on each read."""
+        return softmax_rows(self.logits)
 
     @property
     def hard(self) -> Tensor:
         """The labels as a one-hot n x c matrix H, built on each read."""
-        return Tensor(np.eye(self.soft.shape[1])[self.labels])
+        return Tensor(np.eye(self.logits.shape[1])[self.labels])
 
 
 @dataclass
@@ -106,14 +113,14 @@ class LayerTrace:
 
     @property
     def cluster_sizes(self) -> list[int]:
-        return np.bincount(self.labels, minlength=self.assignment.soft.shape[1]).tolist()
+        return np.bincount(self.labels, minlength=self.assignment.logits.shape[1]).tolist()
 
     @property
     def clusters(self) -> list[list[int]]:
         """Member node ids per cluster, ascending; empty clusters give []."""
         return [
             np.flatnonzero(self.labels == j).tolist()
-            for j in range(self.assignment.soft.shape[1])
+            for j in range(self.assignment.logits.shape[1])
         ]
 
 
@@ -174,19 +181,37 @@ def _first_cols(w: Tensor, c: int) -> Tensor:
 def soft_assign(x: np.ndarray, w_assign: np.ndarray) -> np.ndarray:
     """Row-stochastic cluster membership softmax(x @ w_assign), a constant.
 
-    Only its row argmax is used, and no gradient flows through the argmax.
+    A layer never builds it: it hardens the logits x @ w_assign directly,
+    and its trace gives this matrix as ``assignment.soft``.
     """
     if w_assign.shape[1] < 1:
         raise ContractError("soft_assign needs at least one cluster column")
     return softmax_rows(x @ w_assign)
 
 
-def harden(soft: np.ndarray) -> np.ndarray:
-    """Each row's argmax as its cluster label, ties to the lowest column.
+# Rounding in the softmax can tie two columns only when their logits differ
+# by a few times 2**-53; TIE leaves a wide margin.
+TIE = 2.0**-40
 
-    The labels are constants: gradients do not flow through the argmax.
+
+def harden(logits: np.ndarray) -> np.ndarray:
+    """Each row's cluster label, exactly ``softmax_rows(logits).argmax(axis=1)``
+    (ties to the lowest column), without building the softmax.
+
+    exp and the division by the row sum are monotone, so the softmax's
+    argmax is the logits' unless rounding ties an earlier column with the
+    top, which needs ``top - z_a`` below a few times 2**-53. Rows where a
+    column before the top lies within ``TIE`` of it take the softmax; so do
+    rows whose top is not finite (their differences are NaN), unless their
+    label is 0, which the softmax gives too. The labels are constants:
+    gradients do not flow through the argmax.
     """
-    return soft.argmax(axis=1)
+    labels = logits.argmax(axis=1)
+    top = logits[np.arange(len(labels)), labels]
+    off = (logits - top[:, None] >= -TIE).argmax(axis=1) != labels
+    if off.any():
+        labels[off] = softmax_rows(logits[off]).argmax(axis=1)
+    return labels
 
 
 def extract_subgraphs(ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -230,7 +255,7 @@ def local_conv(
     """
     c, (n, d) = weights.shape[0], x.shape
     scale = np.bincount(adjacency.src, weights=adjacency.weight * mask, minlength=n) + 1.0
-    bins = labels[:, None] * d + np.arange(d)
+    bins = (labels * d)[:, None] + np.arange(d)
     # Bin (j, k) adds column k of cluster j's rows in node order.
     sums = np.bincount(bins.ravel(), weights=(scale[:, None] * x).ravel(), minlength=c * d)
     sums = sums.reshape(c, 1, d)
@@ -289,9 +314,11 @@ def sshpool_layer(
         raise ContractError(f"cluster count must be >= 1, got {clusters}")
     n = x.shape[0]
     c_eff = min(clusters, n)
-    soft = soft_assign(x, _leading_cols(params.assign.data, c_eff))
+    if c_eff < 1:
+        raise ContractError("sshpool_layer needs at least one cluster column, got 0 nodes")
+    logits = x @ _leading_cols(params.assign.data, c_eff)
     if frozen_labels is None:
-        labels = harden(soft)
+        labels = harden(logits)
     else:
         labels = _check_labels(frozen_labels, n, c_eff)
     ends = labels[adjacency.dst], labels[adjacency.src]
@@ -301,7 +328,7 @@ def sshpool_layer(
     a_next = coarsen(ends, adjacency, c_eff, keep_self_loops)
 
     trace = LayerTrace(
-        assignment=AssignmentPair(soft=soft, labels=labels),
+        assignment=AssignmentPair(logits=logits, labels=labels),
         coarse_features=x_next,
         coarse_adjacency=a_next,
         edges=adjacency,

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from sshpool import pooling
 from sshpool.data import Edges
 from sshpool.errors import ContractError, ShapeError
+from sshpool.model import ModelConfig, ModelParams, forward
 from sshpool.pooling import (
     PoolLayerParams,
+    _leading_cols,
     coarsen,
     diffpool_stack,
     extract_subgraphs,
@@ -17,7 +20,7 @@ from sshpool.pooling import (
     sshpool_layer,
     sshpool_stack,
 )
-from sshpool.tensor import Tape, Tensor, sum_rows
+from sshpool.tensor import Tape, Tensor, softmax_rows, sum_rows
 
 from conftest import make_graph, random_graph
 from op_reference import matmul, row_softmax, transpose
@@ -130,15 +133,40 @@ class TestSoftAssign:
             assert np.array_equal(trace.assignment.soft, want)
 
 
+def fuzzed_logits(rng):
+    """A logit matrix drawn at a random scale, with planted rows that make
+    the softmax's argmax hard to predict: near-ties just below a row's top
+    (``np.nextafter``), zero rows, and +inf, -inf, NaN and all -inf entries."""
+    n, c = int(rng.integers(0, 12)), int(rng.integers(1, 40))
+    z = rng.normal(size=(n, c)) * rng.choice([1e-12, 1e-3, 1.0, 30.0, 1e5, 1e300])
+    for _ in range(int(rng.integers(0, 4)) if n else 0):
+        i, k = int(rng.integers(n)), int(rng.integers(c))
+        near = z[i].max()
+        for _ in range(int(rng.integers(0, 4))):
+            near = np.nextafter(near, -np.inf)
+        z[i, k] = near
+    if n:
+        i, k = int(rng.integers(n)), int(rng.integers(c))
+        plant = int(rng.integers(8))
+        if plant == 0:
+            z[i] = 0.0
+        elif plant == 4:
+            z[i] = -np.inf
+        elif plant < 4:
+            z[i, k] = (np.inf, -np.inf, np.nan)[plant - 1]
+    return np.asfortranarray(z) if rng.random() < 0.3 else z
+
+
 class TestHarden:
     def test_tie_breaks_low_column(self):
         assert harden(np.array([[0.5, 0.5]])).tolist() == [0]
 
     def test_plain_argmax(self):
-        got = harden(np.array([[0.2, 0.8], [0.9, 0.1]]))
+        got = harden(np.array([[-1.2, 0.8], [3.0, -0.1]]))
         assert got.tolist() == [1, 0]
 
     def test_random_rows_one_hot_at_max(self, rng):
+        # Fed probabilities, it gives their argmax.
         raw = rng.random((6, 3))
         soft = raw / raw.sum(axis=1, keepdims=True)
         labels = harden(soft)
@@ -149,16 +177,68 @@ class TestHarden:
     def test_detached_from_tape(self, rng):
         x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         with Tape() as tape:
-            labels = harden(soft_assign(x.data, np.eye(2)))
+            labels = harden(x.data @ np.eye(2))
         assert len(tape) == 0 and labels.dtype.kind == "i"
 
     def test_argmax_invariant_under_positive_logit_scaling(self, rng):
         x = rng.normal(size=(6, 4))
         w = rng.normal(size=(4, 3))
-        base = harden(soft_assign(x, w))
+        base = harden(x @ w)
         for factor in (0.01, 3.0, 250.0):
-            scaled = harden(soft_assign(x * factor, w))
+            scaled = harden((x * factor) @ w)
             assert np.array_equal(base, scaled)
+
+    def test_equals_softmax_argmax_on_fuzzed_logits(self, rng):
+        # The labels must be the softmax's argmax bit for bit, though harden
+        # never builds the softmax on rows without a near-tie.
+        plain_differs = 0
+        for _ in range(2000):
+            z = fuzzed_logits(rng)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = softmax_rows(z).argmax(axis=1)
+                got = harden(z)
+            assert np.array_equal(got, want)
+            plain_differs += not np.array_equal(z.argmax(axis=1), want)
+        # A plain logits argmax is wrong on some, so the fallback ran.
+        assert plain_differs > 0
+
+    def test_near_tie_before_the_top_takes_the_softmax(self):
+        # One ulp below 0.1 is a difference exp rounds to 1: the softmax ties
+        # the two columns and takes the earlier one.
+        top = 0.1
+        z = np.array([[np.nextafter(top, -np.inf), top, -3.0]])
+        assert z.argmax(axis=1).tolist() == [1]
+        assert harden(z).tolist() == softmax_rows(z).argmax(axis=1).tolist() == [0]
+
+    def test_non_finite_rows_match_the_softmax(self):
+        z = np.array(
+            [[0.0, np.inf, 1.0], [2.0, np.nan, 5.0], [-np.inf, -np.inf, -np.inf], [np.inf, 0.0, 1.0]]
+        )
+        with np.errstate(invalid="ignore"):
+            assert harden(z).tolist() == softmax_rows(z).argmax(axis=1).tolist() == [0, 0, 0, 0]
+
+    def test_default_forward_builds_no_softmax(self, rng, monkeypatch):
+        # Real logits have no near-ties, so no layer of a default forward
+        # calls softmax_rows; the trace still rebuilds the old soft
+        # assignment bit for bit.
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return softmax_rows(a)
+
+        monkeypatch.setattr(pooling, "softmax_rows", counted)
+        params = ModelParams(ModelConfig(feature_dim_in=4, num_classes=2, hidden_dim=16))
+        traces = []
+        for _ in range(10):
+            g = random_graph(rng, n_lo=20, n_hi=160, p=0.05)
+            traces.append(forward(g, params)[1])
+        assert calls == []
+        for trace in traces:
+            for entry, layer in zip(trace.layers, params.pool_layers):
+                c = entry.assignment.logits.shape[1]
+                want = soft_assign(entry.features, _leading_cols(layer.assign.data, c))
+                assert np.array_equal(entry.assignment.soft, want)
 
 
 class TestExtractSubgraphs:
@@ -355,8 +435,7 @@ class TestLayerAndStack:
         params = layer_params(rng, 4, 2)
         x_next, trace = sshpool_layer(g.edges, g.features.data, params, 2)
         # replay the five steps by hand
-        soft = soft_assign(g.features.data, params.assign.data)
-        labels = harden(soft)
+        labels = soft_assign(g.features.data, params.assign.data).argmax(axis=1)
         *_, x_want, a_want = run_steps(g.edges, g.features.data, labels, params.weights)
         assert np.array_equal(x_next, x_want)
         assert np.array_equal(trace.coarse_adjacency, a_want)
@@ -424,6 +503,15 @@ class TestLayerAndStack:
         p1 = layer_params(rng, 4, 2)
         with pytest.raises(ContractError):
             sshpool_stack(g.edges, g.features, [p0, p1], (2, 2))
+
+    def test_zero_node_input_raises_contract_error(self, rng):
+        # Zero nodes leave no cluster column: a ContractError, not numpy's
+        # ValueError from an argmax over an empty axis.
+        edges, x = Edges.from_dense(np.zeros((0, 0))), np.zeros((0, 4))
+        params = layer_params(rng, 4, 3)
+        for frozen in (None, np.zeros(0, dtype=int)):
+            with pytest.raises(ContractError, match="at least one cluster column"):
+                sshpool_layer(edges, x, params, 3, frozen_labels=frozen)
 
     def test_locality_literal_form(self, rng):
         for _ in range(10):
