@@ -251,6 +251,11 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     params = ModelParams.load(ns.ckpt)
     dataset = _load_dataset(ns)
     _check_feature_width(params, dataset)
+    if dataset.num_classes > params.config.num_classes:
+        raise ContractError(
+            f"checkpoint predicts {params.config.num_classes} classes; dataset "
+            f"{dataset.name!r} has {dataset.num_classes}"
+        )
     count = len(dataset.graphs)
     mean_loss, accuracy = evaluate(dataset, list(range(count)), params)
     print(

@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, Graph
+from .data import Graph
 from .errors import ContractError
-from .model import ModelConfig, ModelParams, _glorot, forward, global_conv
+from .model import ModelParams, _glorot, forward, global_conv
 from .pooling import sshpool_layer
 from .tensor import Tensor
 
@@ -31,33 +31,26 @@ class LayerSmoothing:
     skipped_pairs: int
 
 
-@dataclass
-class SmoothingProfile:
-    layers: list[LayerSmoothing]
-
-
-def smoothing_profile(embeddings: Sequence[np.ndarray]) -> SmoothingProfile:
+def smoothing_profile(embeddings: Sequence[np.ndarray]) -> list[LayerSmoothing]:
     """Mean pairwise cosine similarity of the rows of each embedding matrix.
 
-    Pairs touching a zero-norm row are skipped and counted; matrices with
-    fewer than two rows yield an undefined (None) entry.
+    Pairs touching a zero-norm row are skipped and counted; a matrix with
+    fewer than two live rows yields an undefined (None) mean. Over the live
+    unit rows u the pairwise cosines sum to (|sum u|^2 - sum |u|^2) / 2, so
+    the work is O(n d) and no n x n matrix is built.
     """
     layers = []
     for depth, mat in enumerate(embeddings):
         n = mat.shape[0]
-        if n < 2:
-            layers.append(LayerSmoothing(depth, None, n, 0))
-            continue
         norms = np.linalg.norm(mat, axis=1)
         live = norms != 0.0
-        unit = mat / np.where(live, norms, 1.0)[:, None]
-        rows, cols = np.triu_indices(n, k=1)
-        kept = live[rows] & live[cols]
-        cosines = (unit @ unit.T)[rows[kept], cols[kept]]
-        mean = float(cosines.mean()) if cosines.size else None
-        skipped = int(np.count_nonzero(~kept))
-        layers.append(LayerSmoothing(depth, mean, n, skipped))
-    return SmoothingProfile(layers=layers)
+        unit = mat[live] / norms[live, None]
+        k = len(unit)
+        pairs = k * (k - 1) // 2
+        total = unit.sum(axis=0)
+        mean = float((total @ total - (unit * unit).sum()) / (2 * pairs)) if pairs else None
+        layers.append(LayerSmoothing(depth, mean, n, n * (n - 1) // 2 - pairs))
+    return layers
 
 
 @dataclass
@@ -137,15 +130,21 @@ def compare_smoothing(
     The reference stack has one convolution per pooling layer on top of the
     shared initial convolution, initialised from the same seed policy. The
     result holds one averaged profile per model for side-by-side reading.
+    Only an ``sshpool`` model has per-layer embeddings to profile; any
+    other variant raises ``ContractError``.
     """
     config = params.config
+    if config.variant != "sshpool":
+        raise ContractError(
+            f"smoothing needs an sshpool model, got variant {config.variant!r}"
+        )
     depth = len(config.layer_sizes)
     rng = np.random.default_rng(seed)
     d = config.hidden_dim
     ref_weights = [_glorot(rng, d, d) for _ in range(depth)]
 
-    pool_profiles: list[SmoothingProfile] = []
-    ref_profiles: list[SmoothingProfile] = []
+    pool_profiles: list[list[LayerSmoothing]] = []
+    ref_profiles: list[list[LayerSmoothing]] = []
     for graph in graphs:
         _, trace = forward(graph, params, training=False)
         pool_profiles.append(smoothing_profile(trace.feature_sequence()))
@@ -156,25 +155,17 @@ def compare_smoothing(
             ref_seq.append(h.data)
         ref_profiles.append(smoothing_profile(ref_seq))
 
-    def average(profiles: list[SmoothingProfile]) -> list[dict]:
-        depth_count = max(len(p.layers) for p in profiles)
+    def average(profiles: list[list[LayerSmoothing]]) -> list[dict]:
+        # Every profile has depth + 1 entries: x0, then one per layer.
         rows = []
-        for layer in range(depth_count):
-            values = [
-                p.layers[layer].mean_cosine
-                for p in profiles
-                if layer < len(p.layers) and p.layers[layer].mean_cosine is not None
-            ]
-            nodes = [p.layers[layer].nodes for p in profiles if layer < len(p.layers)]
-            skipped = sum(
-                p.layers[layer].skipped_pairs for p in profiles if layer < len(p.layers)
-            )
+        for layer, entries in enumerate(zip(*profiles)):
+            values = [e.mean_cosine for e in entries if e.mean_cosine is not None]
             rows.append(
                 {
                     "layer": layer,
                     "mean_cosine": float(np.mean(values)) if values else None,
-                    "nodes": float(np.mean(nodes)) if nodes else 0.0,
-                    "skipped_pairs": skipped,
+                    "nodes": float(np.mean([e.nodes for e in entries])),
+                    "skipped_pairs": sum(e.skipped_pairs for e in entries),
                 }
             )
         return rows

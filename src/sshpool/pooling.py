@@ -166,18 +166,6 @@ def _leading_cols(w: np.ndarray, c: int) -> np.ndarray:
     return w if c >= w.shape[1] else np.asfortranarray(w[:, :c])
 
 
-def _first_cols(w: Tensor, c: int) -> Tensor:
-    """``_leading_cols`` of a tensor, with a ``grad`` that is a view of ``w.grad``.
-
-    Gradients pushed into the narrowed tensor land in the parent.
-    """
-    if c >= w.cols:
-        return w
-    view = Tensor(_leading_cols(w.data, c))
-    view.grad = None if w.grad is None else w.grad[:, :c]
-    return view
-
-
 def soft_assign(x: np.ndarray, w_assign: np.ndarray) -> np.ndarray:
     """Row-stochastic cluster membership softmax(x @ w_assign), a constant.
 
@@ -409,7 +397,8 @@ def diffpool_stack(
     composition (``matmul``, ``add``, ``transpose`` and ``row_softmax`` of
     ``tests/op_reference.py``) on the same operands, and ``x0`` gets its
     two pushes in that composition's tape order; so every gradient keeps
-    its bits. A record has one output, so the gradient into each inner
+    its bits. The gradient of the narrowed ``W_a`` is added straight into
+    the leading columns of ``W_a.grad``. A record has one output, so the gradient into each inner
     coarse adjacency stays inside the record. The products that only feed
     the constant input adjacency are skipped.
     """
@@ -418,8 +407,8 @@ def diffpool_stack(
     saved = []
     a, x = adjacency, x0.data
     for w_a, w_e in layers:
-        w_a = _first_cols(w_a, x.shape[0])
-        s = softmax_rows(x @ w_a.data)
+        w_c = _leading_cols(w_a.data, x.shape[0])
+        s = softmax_rows(x @ w_c)
         a_self = a + np.eye(a.shape[0])
         # A contiguous copy, as ``transpose`` makes: the product's rounding
         # depends on the operand's memory order.
@@ -427,13 +416,13 @@ def diffpool_stack(
         ax = a_self @ x
         axw = ax @ w_e.data
         sa = st @ a
-        saved.append((a, x, w_a, w_e, s, a_self, st, ax, axw, sa))
+        saved.append((a, x, w_a, w_c, w_e, s, a_self, st, ax, axw, sa))
         a, x = sa @ s, st @ axw
 
     def rule(g, push):
         g_a = None  # into the coarse adjacency that the next layer reads
         for depth in reversed(range(len(saved))):
-            a, x, w_a, w_e, s, a_self, st, ax, axw, sa = saved[depth]
+            a, x, w_a, w_c, w_e, s, a_self, st, ax, axw, sa = saved[depth]
             g_axw = st.T @ g
             g_ax = g_axw @ w_e.data.T
             push(w_e, ax.T @ g_axw)
@@ -446,12 +435,13 @@ def diffpool_stack(
                 g_s = sa.T @ g_a + g_st.T
             dot = (g_s * s).sum(axis=1, keepdims=True)
             g_logits = s * (g_s - dot)
-            push(w_a, x.T @ g_logits)
+            if w_a.grad is not None:
+                w_a.grad[:, : w_c.shape[1]] += x.T @ g_logits
             if depth == 0:
                 push(x0, a_self.T @ g_ax)
-                push(x0, g_logits @ w_a.data.T)
+                push(x0, g_logits @ w_c.T)
             else:
                 g_a = g_ax @ x.T if g_a is None else st.T @ g_sa + g_ax @ x.T
-                g = a_self.T @ g_ax + g_logits @ w_a.data.T
+                g = a_self.T @ g_ax + g_logits @ w_c.T
 
     return _record(Tensor(x), rule), a

@@ -13,6 +13,7 @@ import numpy as np
 
 from sshpool.data import Edges
 from sshpool.errors import ContractError, ShapeError
+from sshpool.pooling import _leading_cols
 from sshpool.tensor import Tensor, _record, softmax_rows
 
 
@@ -71,6 +72,19 @@ def transpose(x: Tensor) -> Tensor:
         push(x, g.T)
 
     return _record(out, rule)
+
+
+def first_cols(w: Tensor, c: int) -> Tensor:
+    """The first c columns of ``w``, with a ``grad`` that is a view of ``w.grad``.
+
+    Gradients pushed into the narrowed tensor land in the parent; its data
+    is ``_leading_cols``' copy, so products keep the model's bits.
+    """
+    if c >= w.cols:
+        return w
+    view = Tensor(_leading_cols(w.data, c))
+    view.grad = None if w.grad is None else w.grad[:, :c]
+    return view
 
 
 def row_softmax(x: Tensor) -> Tensor:

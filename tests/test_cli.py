@@ -9,6 +9,7 @@ import pytest
 
 from sshpool.cli import _OPTIONS, build_parser, main, read_config_file
 from sshpool.data import load_tu_dataset, graph_stats
+from sshpool.model import ModelConfig, ModelParams
 from conftest import write_chordal_corpus, write_tu
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
@@ -269,6 +270,20 @@ class TestEvalAndTrace:
         err = capsys.readouterr().err
         assert "64" in err and "has 1 (constant)" in err
 
+    def test_eval_more_classes_than_checkpoint_exit_2(self, tmp_path, capsys):
+        d = write_tu(tmp_path / "three", "three", [(TRIANGLE, 3, c) for c in (1, 2, 3)])
+        width = load_tu_dataset(str(d), "three").feature_dim
+        ckpt = str(tmp_path / "two.ckpt")
+        config = ModelConfig(feature_dim_in=width, num_classes=2, hidden_dim=8,
+                             layer_sizes=(2,), depth=1)
+        ModelParams(config, seed=0).save(ckpt)
+        data = ["--ckpt", ckpt, "--data", str(d), "--name", "three"]
+        assert main(["eval", *data]) == 2
+        assert "checkpoint predicts 2 classes; dataset 'three' has 3" in capsys.readouterr().err
+        # Only eval reads labels.
+        assert main(["pool-trace", *data]) == 0
+        assert main(["diagnose", "smoothing", "--graphs", "2", *data]) == 0
+
     @pytest.mark.parametrize(
         "key, value",
         [("layer_sizes", [0]), ("layer_sizes", [2, 4]), ("variant", "nope"),
@@ -449,6 +464,20 @@ class TestDiagnoseCommand:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"pooled", "stacked_conv"}
         assert os.path.isfile(os.path.join(out, "smoothing_pooled.csv"))
+
+    @pytest.mark.parametrize("variant", ["diffpool", "global_sum"])
+    def test_smoothing_other_variants_exit_2(self, corpus, tmp_path, capsys, variant):
+        args = ["diagnose", "smoothing", "--graphs", "2"]
+        model = ["--variant", variant, "--hidden-dim", "8", "--layer-sizes", "4,2"]
+        assert main(args + model) == 2
+        assert f"got variant {variant!r}" in capsys.readouterr().err
+        ckpt = str(tmp_path / "model.ckpt")
+        width = load_tu_dataset(corpus, "synth").feature_dim
+        config = ModelConfig(feature_dim_in=width, num_classes=2, hidden_dim=8,
+                             layer_sizes=(4, 2), depth=2, variant=variant)
+        ModelParams(config, seed=0).save(ckpt)
+        assert main(args + ["--ckpt", ckpt, "--data", corpus, "--name", "synth"]) == 2
+        assert f"got variant {variant!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ratio", ["nan", "inf"])
     def test_smoothing_non_finite_ratio_exit_2(self, capsys, ratio):

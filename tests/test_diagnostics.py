@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,7 @@ from conftest import make_graph, random_graph
 from slice_reference import slice_layer
 
 
-def probe_config(d_in=4, clusters=(3,), hidden=6):
+def probe_config(d_in=4, clusters=(3,), hidden=6, variant="sshpool"):
     return ModelConfig(
         feature_dim_in=d_in,
         num_classes=2,
@@ -26,6 +27,7 @@ def probe_config(d_in=4, clusters=(3,), hidden=6):
         assignment_ratio=0.5,
         depth=len(clusters),
         dropout=0.0,
+        variant=variant,
     )
 
 
@@ -33,26 +35,26 @@ class TestSmoothingProfile:
     def test_identical_rows_give_one(self):
         mat = np.tile([1.0, 2.0, 3.0], (4, 1))
         prof = smoothing_profile([mat])
-        assert prof.layers[0].mean_cosine == pytest.approx(1.0)
+        assert prof[0].mean_cosine == pytest.approx(1.0)
 
     def test_orthogonal_rows_give_zero(self):
         prof = smoothing_profile([np.eye(3)])
-        assert prof.layers[0].mean_cosine == pytest.approx(0.0, abs=1e-12)
+        assert prof[0].mean_cosine == pytest.approx(0.0, abs=1e-12)
 
     def test_known_pair(self):
         mat = np.array([[1.0, 0.0], [1.0, 1.0]])
         prof = smoothing_profile([mat])
-        assert prof.layers[0].mean_cosine == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+        assert prof[0].mean_cosine == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
     def test_undefined_below_two_rows(self):
         prof = smoothing_profile([np.ones((1, 3))])
-        assert prof.layers[0].mean_cosine is None
-        assert prof.layers[0].nodes == 1
+        assert prof[0].mean_cosine is None
+        assert prof[0].nodes == 1
 
     def test_zero_norm_rows_skipped_and_counted(self):
         mat = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         prof = smoothing_profile([mat])
-        entry = prof.layers[0]
+        entry = prof[0]
         assert entry.skipped_pairs == 2
         assert entry.mean_cosine == pytest.approx(1.0)
 
@@ -74,8 +76,17 @@ class TestSmoothingProfile:
             mat = rng.normal(size=(int(rng.integers(2, 40)), int(rng.integers(1, 6))))
             mat[rng.random(len(mat)) < 0.2] = 0.0
             mats.append(mat)
-        mats += [np.zeros((3, 2)), np.array([[0.0, 0.0], [1.0, 2.0]])]
-        for mat, entry in zip(mats, smoothing_profile(mats).layers):
+        for n in (150, 220, 300):  # full-width layer-0 sizes of the large corpus
+            mat = rng.normal(size=(n, 8))
+            mat[rng.random(n) < 0.3] = 0.0
+            mats.append(mat)
+        mats += [
+            np.zeros((3, 2)),
+            np.array([[0.0, 0.0], [1.0, 2.0]]),
+            np.array([[0.0, 0.0], [0.0, 0.0], [3.0, -1.0], [0.0, 0.0]]),
+            np.tile(rng.normal(size=8), (200, 1)),
+        ]
+        for mat, entry in zip(mats, smoothing_profile(mats)):
             mean, skipped = loop_profile(mat)
             assert entry.skipped_pairs == skipped
             assert entry.nodes == len(mat)
@@ -84,9 +95,20 @@ class TestSmoothingProfile:
             else:
                 assert abs(entry.mean_cosine - mean) <= 1e-12
 
+    def test_builds_no_pair_sized_array(self, rng):
+        mat = rng.normal(size=(2000, 8))
+        tracemalloc.start()
+        try:
+            smoothing_profile([mat])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # An n x n float matrix alone would be 32 MB.
+        assert peak < 2**20
+
     def test_values_in_range(self, rng):
         mats = [rng.normal(size=(int(rng.integers(2, 9)), 5)) for _ in range(6)]
-        for entry in smoothing_profile(mats).layers:
+        for entry in smoothing_profile(mats):
             assert entry.mean_cosine is None or -1.0 <= entry.mean_cosine <= 1.0 + 1e-12
 
 
@@ -173,6 +195,13 @@ class TestCompareSmoothing:
         # one forward convolution plus one per reference layer, per graph
         assert len(calls) == 3 * (1 + 2)
         assert sum(w is params.gconv[0] for w in calls) == 3
+
+    @pytest.mark.parametrize("variant", ["diffpool", "global_sum"])
+    def test_other_variants_rejected(self, rng, variant):
+        graphs = [random_graph(rng, d=4)]
+        params = ModelParams(probe_config(clusters=(4, 2), variant=variant), seed=1)
+        with pytest.raises(ContractError, match=f"got variant '{variant}'"):
+            compare_smoothing(graphs, params, seed=0)
 
     def test_single_node_graphs_give_undefined_entries(self, rng):
         graphs = [make_graph([], 1, d=4, seed=i) for i in range(2)]

@@ -18,7 +18,7 @@ from sshpool.model import (
     loss,
     predict,
 )
-from sshpool.pooling import CoarseningTrace, _first_cols, diffpool_stack, sshpool_stack
+from sshpool.pooling import CoarseningTrace, _leading_cols, diffpool_stack, sshpool_stack
 from sshpool.tensor import Tape, Tensor, mean_rows, softmax_rows, sum_rows
 from sshpool.trainer import METHOD_VARIANTS
 
@@ -26,6 +26,7 @@ from conftest import make_graph, random_graph
 from op_reference import (
     add,
     dropout,
+    first_cols,
     local_conv,
     matmul,
     relu,
@@ -628,7 +629,7 @@ def composed_diffpool(adjacency, x0, layers):
     """``diffpool_stack`` as the op-by-op composition, one tape record per op."""
     a, x = Tensor(adjacency), x0
     for w_a, w_e in layers:
-        s = row_softmax(matmul(x, _first_cols(w_a, x.rows)))
+        s = row_softmax(matmul(x, first_cols(w_a, x.rows)))
         a_self = add(a, Tensor(np.eye(a.rows)))
         st = transpose(s)
         x = matmul(st, matmul(matmul(a_self, x), w_e))
@@ -678,7 +679,7 @@ def composed_sshpool(adjacency, x, layers, layer_sizes, keep_self_loops=False, f
     """``sshpool_stack`` as one ``local_conv`` record per layer."""
     for depth, (params, size) in enumerate(zip(layers, layer_sizes)):
         c = min(size, x.rows)
-        soft = softmax_rows(x.data @ _first_cols(params.assign, c).data)
+        soft = softmax_rows(x.data @ _leading_cols(params.assign.data, c))
         labels = soft.argmax(axis=1) if frozen is None else frozen[depth]
         ends = labels[adjacency.dst], labels[adjacency.src]
         a_mask = adjacency.select(ends[0] == ends[1])
