@@ -117,6 +117,65 @@ class TestConfig:
         assert np.array_equal(loaded.data, params.data)
 
 
+def reference_init(cfg, seed):
+    """Name -> value of every parameter, drawn one tensor at a time in
+    checkpoint order: Glorot-uniform weights, zero biases."""
+    d, k = cfg.hidden_dim, cfg.num_classes
+    shapes = {}
+    fan_in = cfg.feature_dim_in
+    for i in range(cfg.global_conv_layers):
+        shapes[f"gconv.{i}.weight"] = (fan_in, d)
+        fan_in = d
+    for l, size in enumerate(cfg.layer_sizes):
+        if cfg.variant == "sshpool":
+            shapes[f"pool.{l}.assign"] = (d, size)
+            shapes.update({f"pool.{l}.local.{j}": (d, d) for j in range(size)})
+        elif cfg.variant == "diffpool":
+            shapes[f"pool.{l}.assign"] = (d, size)
+            shapes[f"pool.{l}.embed"] = (d, d)
+    for name in ("attn.query", "attn.key", "attn.value", "mlp.hidden.weight"):
+        shapes[name] = (d, d)
+    shapes.update({"mlp.hidden.bias": (1, d), "mlp.out.weight": (d, k), "mlp.out.bias": (1, k)})
+    rng = np.random.default_rng(seed)
+    values = {}
+    for name, (rows, cols) in shapes.items():
+        if name.endswith(".bias"):
+            values[name] = np.zeros((rows, cols))
+        else:
+            limit = np.sqrt(6.0 / (rows + cols))
+            values[name] = rng.uniform(-limit, limit, size=(rows, cols))
+    return values
+
+
+class TestParamsInit:
+    @pytest.mark.parametrize("gconv_layers", [1, 2])
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_matches_per_tensor_reference_bit_for_bit(self, variant, gconv_layers):
+        cfg = small_config(variant=variant, global_conv_layers=gconv_layers,
+                           layer_sizes=(5, 3, 1), depth=3, num_classes=3)
+        for seed in (0, 7):
+            params = ModelParams(cfg, seed=seed)
+            want = reference_init(cfg, seed)
+            assert list(params.named()) == list(want)
+            for name, t in params.named().items():
+                assert t.data.tobytes() == want[name].tobytes() and t.shape == want[name].shape
+                assert np.shares_memory(t.data, params.data)
+                assert np.shares_memory(t.grad, params.grad)
+                assert t.grad.shape == t.shape and not t.grad.any()
+            assert params.data.tobytes() == b"".join(v.tobytes() for v in want.values())
+            for l, layer in enumerate(params.pool_layers):
+                size = cfg.layer_sizes[l]
+                assert layer.weights.shape == layer.grads.shape == (size, 6, 6)
+                assert np.shares_memory(layer.weights, params.data)
+                assert np.shares_memory(layer.grads, params.grad)
+                assert layer.assign is params.named()[f"pool.{l}.assign"]
+                for j in range(size):
+                    local = params.named()[f"pool.{l}.local.{j}"]
+                    assert np.shares_memory(layer.weights[j], local.data)
+                    assert np.shares_memory(layer.grads[j], local.grad)
+            assert len(params.pool_layers) == (3 if variant == "sshpool" else 0)
+
+
 class TestGlobalConv:
     def test_single_node(self):
         g = make_graph([], 1, features=[[3.0, -2.0]], d=2)
