@@ -152,6 +152,8 @@ def _require(ns: argparse.Namespace, *keys: str) -> None:
 
 def _load_dataset(ns: argparse.Namespace) -> Dataset:
     _require(ns, "data", "name")
+    if ns.limit_graphs is not None and ns.limit_graphs < 1:
+        raise ContractError(f"--limit-graphs must be >= 1, got {ns.limit_graphs}")
     if not os.path.isdir(ns.data):
         raise IngestError(f"missing dataset directory: {ns.data}")
     dataset = load_tu_dataset(ns.data, ns.name, ns.feature_mode)

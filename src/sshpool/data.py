@@ -142,9 +142,7 @@ class Graph:
 def degree_one_hot(edges: Edges) -> np.ndarray:
     """One-hot node degrees bucketed at ``DEGREE_CAP``, an n x (DEGREE_CAP + 1) array."""
     degree = np.bincount(edges.dst, minlength=edges.n)
-    f = np.zeros((edges.n, DEGREE_CAP + 1))
-    f[np.arange(edges.n), np.minimum(degree, DEGREE_CAP)] = 1.0
-    return f
+    return np.eye(DEGREE_CAP + 1)[np.minimum(degree, DEGREE_CAP)]
 
 
 @dataclass
@@ -209,9 +207,14 @@ def _where(path: str, row: int) -> str:
 
 
 def _reject(path: str, bad: np.ndarray, problem: str) -> None:
-    """``IntegrityError`` naming the line of the first row set in ``bad``, if any."""
-    if bad.any():
-        raise IntegrityError(f"{_where(path, int(bad.argmax()))}: {problem}")
+    """``IntegrityError`` naming the line of the first row set in ``bad``."""
+    raise IntegrityError(f"{_where(path, int(bad.argmax()))}: {problem}")
+
+
+def _check_ids(path: str, ids: np.ndarray, top: int, what: str) -> None:
+    """``IntegrityError`` naming the first line (row of ``ids``) with an id outside 1..top."""
+    if ids.min(initial=1) < 1 or ids.max(initial=1) > top:
+        _reject(path, ((ids < 1) | (ids > top)).any(axis=1), f"{what} outside 1..{top}")
 
 
 # Bytes at which ``str.splitlines`` ends a line and numpy does not; with
@@ -260,24 +263,29 @@ def _read_table(path: str, width: int) -> np.ndarray:
 
 
 def _edge_lists(
-    pairs: np.ndarray, graph_of: np.ndarray, local: np.ndarray, sizes: np.ndarray
+    pairs: np.ndarray, graph: np.ndarray, local: np.ndarray, sizes: np.ndarray
 ) -> list[Edges]:
     """Each graph's row-major edge list from ``pairs``, (u, v) rows of global
-    node ids with u != v in one graph: both directions, repeats merged.
+    node ids with u != v, both in graph ``graph[k]``: both directions,
+    repeats merged.
 
-    One sort orders all graphs' entries, keyed ``start[g] + flat``; the
-    lists are slices of arrays they share.
+    A line's size, key offset and local ids are gathered once; both its
+    keys ``start[g] + row * n + col`` go into one array, which one sort
+    orders for all graphs. The lists are slices of arrays they share.
     """
     start = np.concatenate(([0], np.cumsum(sizes * sizes)))
-    dst, src = np.concatenate([pairs, pairs[:, ::-1]]).T
-    g = graph_of[dst]
-    key = np.sort(start[g] + local[dst] * sizes[g] + local[src])
-    key = key[np.diff(key, prepend=-1) != 0]  # sorted: a repeat follows its first copy
-    g = np.searchsorted(start, key, side="right") - 1
-    flat = key - start[g]
-    dst, src = np.divmod(flat, sizes[g])
+    size, base, lu, lv = sizes[graph], start[graph], local[pairs[:, 0]], local[pairs[:, 1]]
+    key = np.concatenate([base + lu * size + lv, base + lv * size + lu])
+    key.sort()
+    first = np.ones(key.size, dtype=bool)  # sorted: a repeat follows its first copy
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    key = key[first]
+    bounds = np.searchsorted(key, start)
+    counts = np.diff(bounds)
+    flat = key - np.repeat(start[:-1], counts)
+    dst, src = np.divmod(flat, np.repeat(sizes, counts))
     weight = np.ones(key.size)
-    bounds = np.searchsorted(key, start).tolist()
+    bounds = bounds.tolist()
     return [
         Edges(n, dst[lo:hi], src[lo:hi], flat[lo:hi], weight[lo:hi])
         for n, lo, hi in zip(sizes.tolist(), bounds, bounds[1:])
@@ -302,21 +310,23 @@ def load_tu_dataset(directory: str, name: str, feature_mode: str | None = None) 
             raise IngestError(f"missing dataset file: {path_of(suffix)}")
 
     ind_path = path_of("graph_indicator")
-    graph_ids = _read_table(ind_path, 1)[:, 0]
-    n_nodes = graph_ids.size
+    graph_ids = _read_table(ind_path, 1)
+    n_nodes = len(graph_ids)
     if not n_nodes:
         raise IngestError(f"empty indicator file: {ind_path}")
     # Every graph has a node, so no id can exceed the node count.
-    _reject(ind_path, (graph_ids < 1) | (graph_ids > n_nodes), f"graph id outside 1..{n_nodes}")
-    graph_of = graph_ids - 1
+    _check_ids(ind_path, graph_ids, n_nodes, "graph id")
+    graph_of = graph_ids[:, 0] - 1
     sizes = np.bincount(graph_of)
     if not sizes.all():
         raise IntegrityError(f"{name}: graph with zero nodes in indicator file")
     # The nodes graph by graph, ascending ids inside a graph, and each
     # node's index in its graph.
     order = np.argsort(graph_of, kind="stable")
+    ends = np.cumsum(sizes).tolist()
+    starts = [0] + ends[:-1]
     local = np.empty(n_nodes, dtype=np.int64)
-    local[order] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    local[order] = np.arange(n_nodes) - np.repeat(starts, sizes)
 
     raw_labels = _read_table(path_of("graph_labels"), 1)[:, 0]
     if raw_labels.size != sizes.size:
@@ -324,15 +334,20 @@ def load_tu_dataset(directory: str, name: str, feature_mode: str | None = None) 
     values, first, inverse = np.unique(raw_labels, return_index=True, return_inverse=True)
     labels = np.argsort(np.argsort(first))[inverse].tolist()  # classes in first-seen order
 
-    # Both ends of every edge line, as global 0-based node ids.
+    # Both ends of every edge line, as global 0-based node ids; the range
+    # is checked before any id indexes an array.
     a_path = path_of("A")
-    ends = _read_table(a_path, 2)
-    _reject(a_path, ((ends < 1) | (ends > n_nodes)).any(axis=1), f"node id outside 1..{n_nodes}")
-    ends -= 1
-    owner = graph_of[ends]
-    _reject(a_path, owner[:, 0] != owner[:, 1], "edge joins nodes of two graphs")
+    pairs = _read_table(a_path, 2)
+    _check_ids(a_path, pairs, n_nodes, "node id")
+    pairs -= 1
+    graph = graph_of[pairs[:, 0]]
+    if not np.array_equal(graph, graph_of[pairs[:, 1]]):
+        _reject(a_path, graph != graph_of[pairs[:, 1]], "edge joins nodes of two graphs")
     # The diagonal stays zero; self-loops live inside convolutions.
-    edges = _edge_lists(ends[ends[:, 0] != ends[:, 1]], graph_of, local, sizes)
+    loop = pairs[:, 0] == pairs[:, 1]
+    if loop.any():
+        pairs, graph = pairs[~loop], graph[~loop]
+    edges = _edge_lists(pairs, graph, local, sizes)
 
     node_labels = None
     nl_path = path_of("node_labels")
@@ -346,26 +361,27 @@ def load_tu_dataset(directory: str, name: str, feature_mode: str | None = None) 
     if feature_mode == "node-label-one-hot" and node_labels is None:
         raise IngestError(f"missing dataset file: {nl_path}")
 
+    # Each graph gathers its own rows of ``table[col]``: views of one
+    # corpus-wide block measured a higher peak RSS.
     if feature_mode == "node-label-one-hot":
         alphabet, col = np.unique(node_labels, return_inverse=True)
-        dim = alphabet.size
-        feats = np.split(np.eye(dim)[col[order]], np.cumsum(sizes)[:-1])
-    elif feature_mode == "degree-one-hot":
-        dim = DEGREE_CAP + 1
-        feats = [degree_one_hot(e) for e in edges]
+        table, col = np.eye(alphabet.size), col[order]
+    elif feature_mode == "degree-one-hot":  # degrees from the merged lists
+        counts = [e.dst.size for e in edges]
+        rows = np.concatenate([e.dst for e in edges]) + np.repeat(starts, counts)
+        table = np.eye(DEGREE_CAP + 1)
+        col = np.minimum(np.bincount(rows, minlength=n_nodes), DEGREE_CAP)
     else:
-        dim = 1
-        feats = [np.ones((sz, 1)) for sz in sizes]
-
+        table, col = np.ones((1, 1)), np.zeros(n_nodes, dtype=np.int64)
     graphs = [
-        Graph(edges=e, features=Tensor(f), label=lab)
-        for e, f, lab in zip(edges, feats, labels)
+        Graph(edges=e, features=Tensor(table.take(col[lo:hi], axis=0)), label=lab)
+        for e, lab, lo, hi in zip(edges, labels, starts, ends)
     ]
     return Dataset(
         name=name,
         graphs=graphs,
         num_classes=values.size,
-        feature_dim=dim,
+        feature_dim=table.shape[1],
         feature_mode=feature_mode,
     )
 
@@ -393,6 +409,8 @@ def make_folds(dataset: Dataset, k: int, seed: int) -> FoldPlan:
 
 def stratified_subset(dataset: Dataset, size: int, seed: int) -> Dataset:
     """A class-balanced subsample of ``size`` graphs (at most the full set)."""
+    if size < 1:
+        raise ContractError(f"subset size must be >= 1, got {size}")
     if size >= len(dataset.graphs):
         return dataset
     rng = np.random.default_rng(seed)

@@ -141,7 +141,7 @@ def compare_smoothing(
     depth = len(config.layer_sizes)
     rng = np.random.default_rng(seed)
     d = config.hidden_dim
-    ref_weights = [_glorot(rng, d, d) for _ in range(depth)]
+    ref_weights = [Tensor(w) for w in _glorot(rng, depth, d, d)]
 
     pool_profiles: list[list[LayerSmoothing]] = []
     ref_profiles: list[list[LayerSmoothing]] = []

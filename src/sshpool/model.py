@@ -120,9 +120,11 @@ class ModelConfig:
         return cls(**d)
 
 
-def _glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
+def _glorot(rng: np.random.Generator, count: int, rows: int, cols: int) -> np.ndarray:
+    """``count`` Glorot-uniform rows x cols draws in one call: the same stream,
+    bit for bit, as ``count`` calls of one each."""
     limit = np.sqrt(6.0 / (rows + cols))
-    return Tensor(rng.uniform(-limit, limit, size=(rows, cols)), requires_grad=True)
+    return rng.uniform(-limit, limit, size=(count, rows, cols))
 
 
 class ModelParams:
@@ -138,53 +140,51 @@ class ModelParams:
     reshaped views of them: callers write them in place, never rebind them.
     A pooling layer's local weights are consecutive, so its
     ``PoolLayerParams`` views them as one c x d x d stretch of each vector.
+
+    Weights are Glorot-uniform, drawn in that order straight into ``data``;
+    biases start at zero. A layer's local weights share their shape, so one
+    draw of c x d x d fills them: the same stream as one draw per weight.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        self._named: dict[str, Tensor] = {}
-        self.gconv: list[Tensor] = []
-        self.pool_layers: list[PoolLayerParams] = []
-        self.diff_layers: list[tuple[Tensor, Tensor]] = []
-        rng = np.random.default_rng(seed)
-        d = config.hidden_dim
-        fan_in = config.feature_dim_in
-        for i in range(config.global_conv_layers):
-            self.gconv.append(self._add(f"gconv.{i}.weight", _glorot(rng, fan_in, d)))
-            fan_in = d
-        if config.variant == "sshpool":
-            for l, size in enumerate(config.layer_sizes):
-                self._add(f"pool.{l}.assign", _glorot(rng, d, size))
-                for j in range(size):
-                    self._add(f"pool.{l}.local.{j}", _glorot(rng, d, d))
-        elif config.variant == "diffpool":
-            for l, size in enumerate(config.layer_sizes):
-                assign = self._add(f"pool.{l}.assign", _glorot(rng, d, size))
-                embed = self._add(f"pool.{l}.embed", _glorot(rng, d, d))
-                self.diff_layers.append((assign, embed))
-        self.attn_q = self._add("attn.query", _glorot(rng, d, d))
-        self.attn_k = self._add("attn.key", _glorot(rng, d, d))
-        self.attn_v = self._add("attn.value", _glorot(rng, d, d))
-        self.mlp_w1 = self._add("mlp.hidden.weight", _glorot(rng, d, d))
-        self.mlp_b1 = self._add("mlp.hidden.bias", Tensor(np.zeros((1, d)), requires_grad=True))
-        self.mlp_w2 = self._add("mlp.out.weight", _glorot(rng, d, config.num_classes))
-        self.mlp_b2 = self._add(
-            "mlp.out.bias", Tensor(np.zeros((1, config.num_classes)), requires_grad=True)
-        )
-        self.data = np.concatenate([t.data.reshape(-1) for t in self._named.values()])
-        self.grad = np.zeros_like(self.data)
-        for t, value, g in zip(self._named.values(), self.split(self.data), self.split(self.grad)):
-            t.data, t.grad = value.reshape(t.shape), g.reshape(t.shape)
-        if config.variant == "sshpool":
-            ends = dict(zip(self._named, np.cumsum([t.data.size for t in self._named.values()])))
-            for l, size in enumerate(config.layer_sizes):
-                block = slice(ends[f"pool.{l}.assign"], ends[f"pool.{l}.local.{size - 1}"])
-                stacks = (v[block].reshape(size, d, d) for v in (self.data, self.grad))
-                self.pool_layers.append(PoolLayerParams(self._named[f"pool.{l}.assign"], *stacks))
+        d, k = config.hidden_dim, config.num_classes
+        # (names, rows, cols) in order; one entry's names are consecutive
+        # tensors of one shape.
+        layout = [([f"gconv.{i}.weight"], d if i else config.feature_dim_in, d)
+                  for i in range(config.global_conv_layers)]
+        pooling = config.layer_sizes if config.variant in ("sshpool", "diffpool") else ()
+        for l, size in enumerate(pooling):
+            local = [f"pool.{l}.local.{j}" for j in range(size)]
+            layout += [([f"pool.{l}.assign"], d, size),
+                       (local if config.variant == "sshpool" else [f"pool.{l}.embed"], d, d)]
+        layout += [([f"attn.{x}"], d, d) for x in ("query", "key", "value")]
+        layout += [(["mlp.hidden.weight"], d, d), (["mlp.hidden.bias"], 1, d),
+                   (["mlp.out.weight"], d, k), (["mlp.out.bias"], 1, k)]
 
-    def _add(self, name: str, tensor: Tensor) -> Tensor:
-        self._named[name] = tensor
-        return tensor
+        self.data = np.empty(sum(len(names) * r * c for names, r, c in layout))
+        self.grad = np.zeros_like(self.data)
+        rng = np.random.default_rng(seed)
+        self._named: dict[str, Tensor] = {}
+        stacks, at = {}, 0  # the first name of an entry -> its values and grads
+        for names, r, c in layout:
+            shape, span = (len(names), r, c), slice(at, at + len(names) * r * c)
+            values, grads = self.data[span].reshape(shape), self.grad[span].reshape(shape)
+            values[...] = 0.0 if names[0].endswith(".bias") else _glorot(rng, *shape)
+            stacks[names[0]], at = (values, grads), span.stop
+            for name, value, grad in zip(names, values, grads):
+                self._named[name] = Tensor(value)
+                self._named[name].grad = grad
+        named, layers = self._named, range(len(config.layer_sizes))
+        self.gconv = [named[f"gconv.{i}.weight"] for i in range(config.global_conv_layers)]
+        self.pool_layers = [PoolLayerParams(named[f"pool.{l}.assign"], *stacks[f"pool.{l}.local.0"])
+                            for l in layers if config.variant == "sshpool"]
+        self.diff_layers = [(named[f"pool.{l}.assign"], named[f"pool.{l}.embed"])
+                            for l in layers if config.variant == "diffpool"]
+        self.attn_q, self.attn_k = named["attn.query"], named["attn.key"]
+        self.attn_v = named["attn.value"]
+        self.mlp_w1, self.mlp_b1 = named["mlp.hidden.weight"], named["mlp.hidden.bias"]
+        self.mlp_w2, self.mlp_b2 = named["mlp.out.weight"], named["mlp.out.bias"]
 
     def named(self) -> dict[str, Tensor]:
         return self._named

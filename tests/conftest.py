@@ -20,7 +20,9 @@ def _load_bench_corpora():
     return module
 
 
-write_chordal_corpus = _load_bench_corpora().write_chordal_corpus
+_corpora = _load_bench_corpora()
+write_chordal_corpus = _corpora.write_chordal_corpus
+write_large_corpus = _corpora.write_large_corpus
 
 
 def make_graph(edges, n, features=None, label=0, d=4, seed=0):

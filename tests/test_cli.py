@@ -420,6 +420,17 @@ class TestStatsCommand:
         )
 
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_graphs_below_one_exit_2_before_reading(self, corpus, capsys, monkeypatch,
+                                                          limit):
+        def unreachable(*args):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr("sshpool.cli.load_tu_dataset", unreachable)
+        args = ["stats", "--data", corpus, "--name", "synth", "--limit-graphs", limit]
+        assert main(args) == 2
+        assert f"--limit-graphs must be >= 1, got {limit}" in capsys.readouterr().err
+
     def test_dataset_file_not_utf8_exit_3(self, tmp_path, capsys):
         write_tu(tmp_path, "u", [(TRIANGLE, 3, 1)])
         (tmp_path / "u_graph_labels.txt").write_bytes(b"\xff\n")

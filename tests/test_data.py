@@ -22,7 +22,7 @@ from sshpool.errors import ContractError, IngestError, IntegrityError, ParseErro
 from sshpool.model import ModelConfig, ModelParams, forward
 from sshpool.synth import triangle_dataset
 
-from conftest import make_graph, random_graph, write_chordal_corpus, write_tu
+from conftest import make_graph, random_graph, write_chordal_corpus, write_large_corpus, write_tu
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
@@ -244,6 +244,34 @@ class TestLoadTU:
         (tmp_path / "r_A.txt").write_text("1, 99\n")
         with pytest.raises(IntegrityError):
             load_tu_dataset(str(tmp_path), "r")
+
+
+class TestWholeArrayIngest:
+    @pytest.mark.parametrize("bad_id", ["7", "-1"])
+    def test_out_of_range_id_rejected_before_any_gather(self, tmp_path, bad_id):
+        # Line 2 joins the two triangles; line 5's id would index past the
+        # end (7) or wrap around (-1) if any array were gathered first.
+        write_tu(tmp_path, "o", [(TRIANGLE, 3, 1), (TRIANGLE, 3, 2)])
+        (tmp_path / "o_A.txt").write_text(f"1, 2\n1, 4\n2, 3\n4, 5\n5, {bad_id}\n")
+        with pytest.raises(IntegrityError) as err:
+            load_tu_dataset(str(tmp_path), "o")
+        assert str(err.value) == "o_A.txt:5: node id outside 1..6"
+
+    @pytest.mark.parametrize("corpus", ["desk", "large"])
+    def test_peak_memory_at_most_one_and_a_half_times_the_dataset(self, tmp_path, corpus):
+        if corpus == "desk":
+            directory, name = pathlib.Path(__file__).parent / "_desk_corpus", "chordal"
+        else:
+            directory, name = tmp_path, "large"
+            write_large_corpus(str(directory), name, 130, 3)
+        tracemalloc.start()
+        try:
+            ds = load_tu_dataset(str(directory), name)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == (344 if corpus == "desk" else 130)
+        assert peak <= 1.5 * kept
 
 
 # (file suffix, edit of its text, expected error class); non-integer A
@@ -559,6 +587,11 @@ class TestStratifiedSubset:
     def test_full_size_returns_same(self):
         ds = triangle_dataset(8, seed=0)
         assert stratified_subset(ds, 8, seed=0) is ds
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_size_below_one_rejected(self, size):
+        with pytest.raises(ContractError, match="size must be >= 1"):
+            stratified_subset(triangle_dataset(8, seed=0), size, seed=0)
 
 
 @pytest.mark.skipif(not tu_available("PROTEINS"), reason="PROTEINS corpus not present")
