@@ -138,6 +138,8 @@ def _resolve(ns: argparse.Namespace) -> argparse.Namespace:
             setattr(ns, key, option.default)
         elif getattr(ns, key) is None:
             setattr(ns, key, file_values.get(key, option.default))
+    if ns.seed < 0:  # numpy seeds no generator from a negative number
+        raise ContractError(f"--seed must be >= 0, got {ns.seed}")
     return ns
 
 

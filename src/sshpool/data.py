@@ -170,9 +170,7 @@ class Dataset:
 class FoldPlan:
     """Per-graph fold indices; fold sizes differ by at most one."""
 
-    k: int
     assignments: list[int]
-    seed: int
 
     def train_indices(self, fold: int) -> list[int]:
         return [i for i, f in enumerate(self.assignments) if f != fold]
@@ -386,6 +384,20 @@ def load_tu_dataset(directory: str, name: str, feature_mode: str | None = None) 
     )
 
 
+def _by_class(dataset: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The graph indices grouped by class in class order, each group ascending,
+    then shuffled group after group by one ``default_rng(seed)``; and each
+    index's position (round) in its group."""
+    labels = np.array([g.label for g in dataset.graphs])
+    order = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels, minlength=dataset.num_classes)
+    starts = np.cumsum(counts) - counts
+    rng = np.random.default_rng(seed)
+    for lo, count in zip(starts.tolist(), counts.tolist()):
+        rng.shuffle(order[lo : lo + count])
+    return order, np.arange(order.size) - np.repeat(starts, counts)
+
+
 def make_folds(dataset: Dataset, k: int, seed: int) -> FoldPlan:
     """Stratified fold assignment: per-class round-robin after a seeded shuffle.
 
@@ -395,16 +407,10 @@ def make_folds(dataset: Dataset, k: int, seed: int) -> FoldPlan:
     n = len(dataset.graphs)
     if not 2 <= k <= n:
         raise ContractError(f"fold count {k} outside [2, {n}]")
-    rng = np.random.default_rng(seed)
-    assignments = [0] * n
-    counter = 0
-    for cls in range(dataset.num_classes):
-        members = [i for i, g in enumerate(dataset.graphs) if g.label == cls]
-        rng.shuffle(members)
-        for i in members:
-            assignments[i] = counter % k
-            counter += 1
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    order, _ = _by_class(dataset, seed)
+    assignments = np.empty(n, dtype=np.int64)
+    assignments[order] = np.arange(n) % k
+    return FoldPlan(assignments.tolist())
 
 
 def stratified_subset(dataset: Dataset, size: int, seed: int) -> Dataset:
@@ -413,27 +419,12 @@ def stratified_subset(dataset: Dataset, size: int, seed: int) -> Dataset:
         raise ContractError(f"subset size must be >= 1, got {size}")
     if size >= len(dataset.graphs):
         return dataset
-    rng = np.random.default_rng(seed)
-    per_class: list[list[int]] = [[] for _ in range(dataset.num_classes)]
-    for i, g in enumerate(dataset.graphs):
-        per_class[g.label].append(i)
-    for members in per_class:
-        rng.shuffle(members)
-    picked: list[int] = []
-    slot = 0
-    while len(picked) < size:
-        took = False
-        for members in per_class:
-            if slot < len(members) and len(picked) < size:
-                picked.append(members[slot])
-                took = True
-        if not took:
-            break
-        slot += 1
-    picked.sort()
+    order, rounds = _by_class(dataset, seed)
+    # The first ``size`` in (round, class) order: the sort is stable.
+    picked = np.sort(order[np.argsort(rounds, kind="stable")[:size]])
     return Dataset(
         name=f"{dataset.name}-subset{size}",
-        graphs=[dataset.graphs[i] for i in picked],
+        graphs=[dataset.graphs[i] for i in picked.tolist()],
         num_classes=dataset.num_classes,
         feature_dim=dataset.feature_dim,
         feature_mode=dataset.feature_mode,
@@ -445,9 +436,7 @@ def graph_stats(dataset: Dataset) -> dict:
     sizes = [g.n for g in dataset.graphs]
     total_nodes = sum(sizes)
     total_degree = 2 * sum(g.num_edges for g in dataset.graphs)
-    histogram = [0] * dataset.num_classes
-    for g in dataset.graphs:
-        histogram[g.label] += 1
+    histogram = np.bincount([g.label for g in dataset.graphs], minlength=dataset.num_classes)
     return {
         "name": dataset.name,
         "graphs": len(dataset.graphs),
@@ -455,7 +444,7 @@ def graph_stats(dataset: Dataset) -> dict:
         "max_nodes": max(sizes),
         "mean_nodes": total_nodes / len(sizes),
         "mean_degree": total_degree / total_nodes,
-        "class_histogram": histogram,
+        "class_histogram": histogram.tolist(),
         "feature_dim": dataset.feature_dim,
         "feature_mode": dataset.feature_mode,
     }

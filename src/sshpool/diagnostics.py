@@ -78,8 +78,14 @@ def certify_locality(
     local embedding rows for every node of every other cluster and
     bitwise-identical coarsened rows for every other coarse node.
     ``layer_impl`` (called like :func:`sshpool_layer`) is injectable so tests
-    can prove the certifier catches a leaky implementation.
+    can prove the certifier catches a leaky implementation. Only an
+    ``sshpool`` model has hard clusters to certify; any other variant
+    raises ``ContractError``.
     """
+    if params.config.variant != "sshpool":
+        raise ContractError(
+            f"locality needs an sshpool model, got variant {params.config.variant!r}"
+        )
     if trials < 1:
         raise ContractError(f"trials must be >= 1, got {trials}")
     x = graph.features

@@ -344,8 +344,8 @@ def sshpool_stack(
     with the full per-layer trace.
 
     The backward walks the layers in reverse. Each adds dW_j = s_j^T g_j
-    into ``grads[j]`` for its occupied clusters only, so an empty
-    cluster's gradient stays +0.0, and hands the previous layer
+    into ``grads[j]`` for its occupied clusters only, in one indexed add,
+    so an empty cluster's gradient stays +0.0, and hands the previous layer
     dX_v = (1 + deg(v)) g_labels[v] W_labels[v]^T. The assignment
     projections get no gradient. ``x`` gets one push, where a record per
     layer would have pushed layer 0's, so its gradient keeps its bits.
@@ -371,8 +371,8 @@ def sshpool_stack(
     def rule(g, push):
         for entry, params in zip(reversed(entries), reversed(layers)):
             labels, weights = entry.labels, entry.weights
-            for j in np.flatnonzero(np.bincount(labels, minlength=len(weights))):
-                params.grads[j] += entry.sums[j].T * g[j]
+            occ = np.flatnonzero(np.bincount(labels, minlength=len(weights)))
+            params.grads[occ] += entry.sums[occ].transpose(0, 2, 1) * g[occ, None, :]
             back = g[:, None, :] @ weights.transpose(0, 2, 1)
             g = entry.scale[:, None] * back[labels, 0]
         push(x, g)

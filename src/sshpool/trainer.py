@@ -10,7 +10,7 @@ seeds, configs) triple fully determines every reported number.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +41,8 @@ class TrainConfig:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ContractError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.folds < 2:
             raise ContractError(f"fold count must be >= 2, got {self.folds}")
         if self.repeats < 1:
@@ -111,7 +113,6 @@ class FoldResult:
     final_accuracy: float
     best_accuracy: float
     curve: list[dict] = field(repr=False, default_factory=list)
-    updated_indices: list[int] = field(repr=False, default_factory=list)
     params: ModelParams | None = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
@@ -147,7 +148,6 @@ def train_graphs(
     dropout_rng = np.random.default_rng(drop_seed)
 
     curve: list[dict] = []
-    touched: set[int] = set()
     best_acc, final_acc = 0.0, 0.0
     for epoch in range(1, train_config.epochs + 1):
         order = [train_idx[i] for i in shuffle_rng.permutation(len(train_idx))]
@@ -168,7 +168,6 @@ def train_graphs(
                 tape.backward(objective)
                 epoch_losses.append(value)
                 epoch_correct += int(predict(logits) == g.label)
-                touched.add(i)
             if not np.isfinite(params.grad).all():
                 bad = next(n for n, t in params.named().items() if not np.isfinite(t.grad).all())
                 raise ContractError(f"non-finite gradient of {bad} at epoch {epoch}, graphs {batch}")
@@ -193,7 +192,6 @@ def train_graphs(
         final_accuracy=final_acc,
         best_accuracy=best_acc,
         curve=curve,
-        updated_indices=sorted(touched),
         params=params,
     )
 
@@ -230,28 +228,15 @@ def mean_and_std_error(values: list[float]) -> tuple[float, float]:
 
 
 def _mean_curve(results: list[FoldResult]) -> list[dict]:
-    """Per-epoch average of the fold curves, one train and one test row each."""
-    if not results:
-        return []
-    epochs = max(row["epoch"] for row in results[0].curve)
-    out: list[dict] = []
-    for epoch in range(1, epochs + 1):
-        for split in ("train", "test"):
-            rows = [
-                row
-                for r in results
-                for row in r.curve
-                if row["epoch"] == epoch and row["split"] == split
-            ]
-            out.append(
-                {
-                    "epoch": epoch,
-                    "split": split,
-                    "loss": float(np.mean([row["loss"] for row in rows])),
-                    "accuracy": float(np.mean([row["accuracy"] for row in rows])),
-                }
-            )
-    return out
+    """Per-epoch average of the fold curves, one train and one test row each;
+    every fold curve lists the same (epoch, split) rows in the same order."""
+    curve = []
+    for rows in zip(*(r.curve for r in results)):
+        mean = dict(rows[0])
+        for key in ("loss", "accuracy"):
+            mean[key] = float(np.mean([row[key] for row in rows]))
+        curve.append(mean)
+    return curve
 
 
 def cross_validate(
@@ -301,14 +286,10 @@ def _config_for(
     layer_sizes: tuple[int, ...],
     ratio: float | None = None,
 ) -> ModelConfig:
-    override = METHOD_VARIANTS[method]
-    d = base.to_dict()
-    d.update(override)
-    d["layer_sizes"] = list(layer_sizes)
-    d["depth"] = len(layer_sizes)
+    changes = dict(METHOD_VARIANTS[method], layer_sizes=layer_sizes, depth=len(layer_sizes))
     if ratio is not None:
-        d["assignment_ratio"] = ratio
-    return ModelConfig.from_dict(d)
+        changes["assignment_ratio"] = ratio
+    return replace(base, **changes)
 
 
 def sweep(

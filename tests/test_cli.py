@@ -498,6 +498,41 @@ class TestDiagnoseCommand:
         assert f"assignment ratio must be finite, got {ratio}" in capsys.readouterr().err
 
 
+# Commands that seed a generator from --seed, each in its own way.
+SEEDED_COMMANDS = {
+    "train": ["train", "--data", "{corpus}", "--name", "synth", "--out", "{out}",
+              "--epochs", "1", "--folds", "2", "--repeats", "1"],
+    "stats": ["stats", "--data", "{corpus}", "--name", "synth", "--limit-graphs", "4"],
+    "gradcheck": ["gradcheck"],
+    "smoothing": ["diagnose", "smoothing", "--data", "{corpus}", "--name", "synth",
+                  "--graphs", "2"],
+    "locality": ["diagnose", "locality", "--graphs", "2", "--trials", "2"],
+}
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_exit_2_naming_seed_before_reading(self, corpus, tmp_path, capsys, monkeypatch,
+                                              command, source):
+        def unreachable(*args):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr("sshpool.cli.load_tu_dataset", unreachable)
+        out = tmp_path / "o"
+        args = [a.format(corpus=corpus, out=out) for a in SEEDED_COMMANDS[command]]
+        if source == "flag":
+            args += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "seed.cfg"
+            cfg.write_text("seed = -1\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_precedence_flag_over_file_over_default(self, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"

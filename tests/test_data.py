@@ -9,6 +9,7 @@ import pytest
 
 from sshpool.data import (
     DEGREE_CAP,
+    Dataset,
     Edges,
     Graph,
     _read_table,
@@ -21,6 +22,7 @@ from sshpool.data import (
 from sshpool.errors import ContractError, IngestError, IntegrityError, ParseError
 from sshpool.model import ModelConfig, ModelParams, forward
 from sshpool.synth import triangle_dataset
+from sshpool.tensor import Tensor
 
 from conftest import make_graph, random_graph, write_chordal_corpus, write_large_corpus, write_tu
 
@@ -592,6 +594,79 @@ class TestStratifiedSubset:
     def test_size_below_one_rejected(self, size):
         with pytest.raises(ContractError, match="size must be >= 1"):
             stratified_subset(triangle_dataset(8, seed=0), size, seed=0)
+
+
+def per_class_reference(labels, num_classes, seed):
+    """Each class's graph indices as a list, shuffled class by class by one
+    generator: the per-class loop that folds and subsets once wrote out."""
+    rng = np.random.default_rng(seed)
+    per_class = [[i for i, lab in enumerate(labels) if lab == cls] for cls in range(num_classes)]
+    for members in per_class:
+        rng.shuffle(members)
+    return per_class
+
+
+def folds_reference(labels, num_classes, k, seed):
+    """Round-robin over the shuffled classes, one counter across classes."""
+    assignments = [0] * len(labels)
+    counter = 0
+    for members in per_class_reference(labels, num_classes, seed):
+        for i in members:
+            assignments[i] = counter % k
+            counter += 1
+    return assignments
+
+
+def subset_reference(labels, num_classes, size, seed):
+    """One graph per class per round, classes in order, until ``size`` are taken."""
+    per_class = per_class_reference(labels, num_classes, seed)
+    picked, slot = [], 0
+    while len(picked) < size:
+        took = False
+        for members in per_class:
+            if slot < len(members) and len(picked) < size:
+                picked.append(members[slot])
+                took = True
+        if not took:
+            break
+        slot += 1
+    return sorted(picked)
+
+
+class TestClassGroupingMatchesReference:
+    def test_folds_subsets_and_histograms(self):
+        rng = np.random.default_rng(2024)
+        edges, features = Edges.from_dense(np.zeros((1, 1))), np.zeros((1, 1))
+        cases = 0
+        for case in range(2000):
+            num_classes = int(rng.integers(1, 5))
+            n = int(rng.integers(2, 41))
+            # Every fifth vector puts all graphs in one class, not always class 0.
+            if case % 5 == 0:
+                labels = [int(rng.integers(num_classes))] * n
+            else:
+                labels = rng.integers(num_classes, size=n).tolist()
+            graphs = [Graph(edges, Tensor(features), lab) for lab in labels]
+            ds = Dataset("r", graphs, num_classes, 1, "constant")
+            seed = int(rng.integers(2**32))
+            for k in range(2, min(n, 6) + 1):
+                got = make_folds(ds, k, seed=seed).assignments
+                assert [type(f) for f in got] == [int] * n
+                assert got == folds_reference(labels, num_classes, k, seed)
+                cases += 1
+            for size in range(1, n + 2):
+                sub = stratified_subset(ds, size, seed=seed)
+                if size >= n:
+                    assert sub is ds
+                else:
+                    want = subset_reference(labels, num_classes, size, seed)
+                    assert [id(g) for g in sub.graphs] == [id(graphs[i]) for i in want]
+                    assert sub.name == f"r-subset{size}"
+                cases += 1
+            histogram = [labels.count(cls) for cls in range(num_classes)]
+            assert graph_stats(ds)["class_histogram"] == histogram
+            assert [type(c) for c in graph_stats(ds)["class_histogram"]] == [int] * num_classes
+        assert cases > 40_000
 
 
 @pytest.mark.skipif(not tu_available("PROTEINS"), reason="PROTEINS corpus not present")

@@ -11,6 +11,7 @@ from sshpool.diagnostics import (
     smoothing_profile,
 )
 from sshpool.errors import ContractError
+from sshpool.gradcheck import fixture_graph_and_params
 from sshpool.model import ModelConfig, ModelParams
 from sshpool.pooling import sshpool_layer
 
@@ -159,6 +160,12 @@ class TestCertifyLocality:
         params = ModelParams(probe_config(), seed=0)
         with pytest.raises(ContractError):
             certify_locality(g, params, trials=0, rng=rng)
+
+    @pytest.mark.parametrize("variant", ["global_sum", "global_mean", "diffpool"])
+    def test_variant_without_hard_clusters_rejected(self, rng, variant):
+        g, params = fixture_graph_and_params(variant=variant)
+        with pytest.raises(ContractError, match=f"got variant '{variant}'"):
+            certify_locality(g, params, trials=3, rng=rng)
 
     def test_many_random_graphs_and_configs(self, rng):
         for _ in range(20):

@@ -9,7 +9,9 @@ from sshpool.model import ModelConfig, ModelParams
 from sshpool.synth import triangle_dataset
 from sshpool.trainer import (
     AdamState,
+    FoldResult,
     TrainConfig,
+    _mean_curve,
     adam_step,
     cross_validate,
     mean_and_std_error,
@@ -171,6 +173,10 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             TrainConfig(batch_size=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+
 
 class TestTrainFold:
     def test_single_class_dataset_trivial_accuracy(self):
@@ -196,14 +202,34 @@ class TestTrainFold:
         b = train_graphs(ds, plan.train_indices(0), plan.test_indices(0), cfg, tc)
         assert a.curve == b.curve
 
-    def test_no_test_fold_leakage(self):
+    def test_no_test_fold_leakage(self, monkeypatch):
+        # Every epoch trains on each train-fold graph once, then evaluates
+        # each test-fold graph once; no test graph reaches a training forward.
+        import sshpool.trainer as trainer_module
+
+        calls = []
+        real_forward = trainer_module.forward
+
+        def forward(graph, params, training=False, rng=None):
+            calls.append((training, graph))
+            return real_forward(graph, params, training=training, rng=rng)
+
+        monkeypatch.setattr(trainer_module, "forward", forward)
         ds = triangle_dataset(10, seed=0)
         cfg = tiny_model_config(ds)
-        tc = TrainConfig(epochs=2, folds=2, repeats=1, seed=5)
+        tc = TrainConfig(epochs=3, batch_size=2, folds=2, repeats=1, seed=5)
         plan = make_folds(ds, 2, seed=5)
-        result = train_graphs(ds, plan.train_indices(0), plan.test_indices(0), cfg, tc)
-        assert set(result.updated_indices) == set(plan.train_indices(0))
-        assert not set(result.updated_indices) & set(plan.test_indices(0))
+        train_idx, test_idx = plan.train_indices(0), plan.test_indices(0)
+        train_graphs(ds, train_idx, test_idx, cfg, tc)
+        index = {id(g): i for i, g in enumerate(ds.graphs)}
+        per_epoch = len(train_idx) + len(test_idx)
+        assert len(calls) == tc.epochs * per_epoch
+        for start in range(0, len(calls), per_epoch):
+            epoch = calls[start : start + per_epoch]
+            trained = [(t, index[id(g)]) for t, g in epoch[: len(train_idx)]]
+            evaluated = [(t, index[id(g)]) for t, g in epoch[len(train_idx) :]]
+            assert sorted(trained) == [(True, i) for i in sorted(train_idx)]
+            assert evaluated == [(False, i) for i in test_idx]
 
     def test_loss_trend_on_overfit_fixture(self):
         ds = triangle_dataset(8, seed=2)
@@ -271,6 +297,42 @@ class TestCrossValidate:
         mean, se = mean_and_std_error([0.7, 0.9])
         assert mean == pytest.approx(0.8)
         assert se == pytest.approx(0.1)
+
+    def test_mean_curve_matches_filter_scan(self):
+        # The former mean: rescan every fold curve for each (epoch, split).
+        def filter_scan(results):
+            epochs = max(row["epoch"] for row in results[0].curve)
+            out = []
+            for epoch in range(1, epochs + 1):
+                for split in ("train", "test"):
+                    rows = [row for r in results for row in r.curve
+                            if row["epoch"] == epoch and row["split"] == split]
+                    out.append({
+                        "epoch": epoch,
+                        "split": split,
+                        "loss": float(np.mean([row["loss"] for row in rows])),
+                        "accuracy": float(np.mean([row["accuracy"] for row in rows])),
+                    })
+            return out
+
+        def bits(curve):
+            return [(r["epoch"], r["split"], r["loss"].hex(), r["accuracy"].hex()) for r in curve]
+
+        rng = np.random.default_rng(3)
+        for count in (2, 3, 7):
+            results = []
+            for fold in range(count):
+                curve = [
+                    {"epoch": e, "split": s, "loss": float(rng.exponential()),
+                     "accuracy": float(rng.integers(0, 9)) / float(rng.integers(1, 9))}
+                    for e in range(1, 6) for s in ("train", "test")
+                ]
+                results.append(FoldResult(0, fold, 0.0, 0.0, curve=curve))
+            assert bits(_mean_curve(results)) == bits(filter_scan(results))
+        ds = triangle_dataset(6, seed=0)
+        report = cross_validate(ds, tiny_model_config(ds), TrainConfig(epochs=3, folds=3,
+                                                                         repeats=2, seed=4))
+        assert bits(report.curve) == bits(filter_scan(report.results))
 
     def test_deterministic_report(self):
         ds = triangle_dataset(6, seed=0)
