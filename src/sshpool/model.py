@@ -144,9 +144,17 @@ class ModelParams:
     Weights are Glorot-uniform, drawn in that order straight into ``data``;
     biases start at zero. A layer's local weights share their shape, so one
     draw of c x d x d fills them: the same stream as one draw per weight.
+    ``load`` fills the same layout from a file, drawing nothing.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        for name, (values, _) in self._allocate(config).items():
+            values[...] = 0.0 if name.endswith(".bias") else _glorot(rng, *values.shape)
+
+    def _allocate(self, config: ModelConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Lay the tensors over uninitialised ``data`` and zeroed ``grad``; map
+        each same-shape run's first name to its views of both, in order."""
         self.config = config
         d, k = config.hidden_dim, config.num_classes
         # (names, rows, cols) in order; one entry's names are consecutive
@@ -164,13 +172,11 @@ class ModelParams:
 
         self.data = np.empty(sum(len(names) * r * c for names, r, c in layout))
         self.grad = np.zeros_like(self.data)
-        rng = np.random.default_rng(seed)
         self._named: dict[str, Tensor] = {}
         stacks, at = {}, 0  # the first name of an entry -> its values and grads
         for names, r, c in layout:
             shape, span = (len(names), r, c), slice(at, at + len(names) * r * c)
             values, grads = self.data[span].reshape(shape), self.grad[span].reshape(shape)
-            values[...] = 0.0 if names[0].endswith(".bias") else _glorot(rng, *shape)
             stacks[names[0]], at = (values, grads), span.stop
             for name, value, grad in zip(names, values, grads):
                 self._named[name] = Tensor(value)
@@ -185,6 +191,7 @@ class ModelParams:
         self.attn_v = named["attn.value"]
         self.mlp_w1, self.mlp_b1 = named["mlp.hidden.weight"], named["mlp.hidden.bias"]
         self.mlp_w2, self.mlp_b2 = named["mlp.out.weight"], named["mlp.out.bias"]
+        return stacks
 
     def named(self) -> dict[str, Tensor]:
         return self._named
@@ -222,7 +229,8 @@ class ModelParams:
             config = ModelConfig.from_dict(_field(payload, "config", path))
         except (KeyError, TypeError, ValueError) as exc:  # ContractError is a ValueError
             raise IngestError(f"checkpoint {path}: bad config: {exc!r}") from None
-        params = cls(config, seed=0)  # structure only; values overwritten below
+        params = cls.__new__(cls)
+        params._allocate(config)  # every value is filled below
         stored = _field(payload, "params", path)
         if not isinstance(stored, dict) or set(stored) != set(params._named):
             raise IngestError(f"checkpoint {path}: parameter names do not match the config")

@@ -1,17 +1,17 @@
 """Separated-subgraph hierarchical pooling and the DiffPool baseline stack.
 
 One pooling layer: project node features to cluster logits X W_assign,
-harden them to one cluster label per node, the row argmax of their
-softmax (the soft assignment), found without building the softmax (see
-:func:`harden`), with one-hot form H (all constants, computed off the
-gradient tape), mask the adjacency to intra-cluster edges,
-A_mask = A * (H H^T), convolve Y = (A_mask + I) X, apply each node's own
-cluster weight, Z_u = Y_u W_c(u), and compress every cluster to a single
-coarsened node: features are the sums of its rows of Z, adjacency is
-H^T A H with the diagonal zeroed (inter-cluster edge counts). Restricted
-to cluster j's nodes this is exactly the per-subgraph convolution
-Z_j = (A_j + I) X_j W_j. The layer sums Z's rows in closed form (see
-:func:`local_conv`) and never forms Z.
+harden them to one cluster label per node, each row's argmax, the column
+of its largest soft-assignment entry (see :func:`harden`), with one-hot
+form H (all constants, computed off the gradient tape), mask the
+adjacency to intra-cluster edges, A_mask = A * (H H^T), convolve
+Y = (A_mask + I) X, apply each node's own cluster weight,
+Z_u = Y_u W_c(u), and compress every cluster to a single coarsened node:
+features are the sums of its rows of Z, adjacency is H^T A H with the
+diagonal zeroed (inter-cluster edge counts). Restricted to cluster j's
+nodes this is exactly the per-subgraph convolution Z_j = (A_j + I) X_j W_j.
+The layer sums Z's rows in closed form (see :func:`local_conv`) and never
+forms Z.
 
 Adjacencies travel as :class:`~sshpool.data.Edges` lists: the mask, the
 kept degrees and the coarse adjacency are O(E) gathers and sums over
@@ -40,7 +40,7 @@ from .tensor import Tensor, _record, softmax_rows
 
 @dataclass
 class AssignmentPair:
-    """Cluster logits X W_assign and the labels hardened from them."""
+    """Cluster logits X W_assign and their row argmax, the labels."""
 
     logits: np.ndarray
     labels: np.ndarray
@@ -169,37 +169,25 @@ def _leading_cols(w: np.ndarray, c: int) -> np.ndarray:
 def soft_assign(x: np.ndarray, w_assign: np.ndarray) -> np.ndarray:
     """Row-stochastic cluster membership softmax(x @ w_assign), a constant.
 
-    A layer never builds it: it hardens the logits x @ w_assign directly,
-    and its trace gives this matrix as ``assignment.soft``.
+    A layer never builds it: its labels are the argmax of the logits
+    x @ w_assign, and its trace gives this matrix as ``assignment.soft``.
     """
     if w_assign.shape[1] < 1:
         raise ContractError("soft_assign needs at least one cluster column")
     return softmax_rows(x @ w_assign)
 
 
-# Rounding in the softmax can tie two columns only when their logits differ
-# by a few times 2**-53; TIE leaves a wide margin.
-TIE = 2.0**-40
-
-
 def harden(logits: np.ndarray) -> np.ndarray:
-    """Each row's cluster label, exactly ``softmax_rows(logits).argmax(axis=1)``
-    (ties to the lowest column), without building the softmax.
+    """Each row's cluster label, ``logits.argmax(axis=1)``: ties go to the
+    lowest column, and a row with a NaN takes its first NaN.
 
-    exp and the division by the row sum are monotone, so the softmax's
-    argmax is the logits' unless rounding ties an earlier column with the
-    top, which needs ``top - z_a`` below a few times 2**-53. Rows where a
-    column before the top lies within ``TIE`` of it take the softmax; so do
-    rows whose top is not finite (their differences are NaN), unless their
-    label is 0, which the softmax gives too. The labels are constants:
-    gradients do not flow through the argmax.
+    softmax is strictly increasing, so this is the column of the row's
+    largest soft-assignment entry, found without building the softmax; the
+    float softmax's argmax differs only where rounding ties two distinct
+    logits' entries, and then takes the earlier column. The labels are
+    constants: gradients do not flow through the argmax.
     """
-    labels = logits.argmax(axis=1)
-    top = logits[np.arange(len(labels)), labels]
-    off = (logits - top[:, None] >= -TIE).argmax(axis=1) != labels
-    if off.any():
-        labels[off] = softmax_rows(logits[off]).argmax(axis=1)
-    return labels
+    return logits.argmax(axis=1)
 
 
 def extract_subgraphs(ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -7,20 +7,20 @@ import pytest
 from sshpool.data import Graph
 
 
-def _load_bench_corpora():
-    """Import ``bench/corpora.py`` by path, keeping ``bench/`` off ``sys.path``.
+def load_bench_module(name):
+    """Import ``bench/<name>.py`` by path, keeping ``bench/`` off ``sys.path``.
 
-    It holds the one chordal-ring generator, the one that writes
+    ``corpora`` holds the one chordal-ring generator, the one that writes
     ``tests/_desk_corpus``; ``bench/`` also has its own ``conftest.py``.
     """
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpora.py")
-    spec = importlib.util.spec_from_file_location("bench_corpora", path)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_corpora = _load_bench_corpora()
+_corpora = load_bench_module("corpora")
 write_chordal_corpus = _corpora.write_chordal_corpus
 write_large_corpus = _corpora.write_large_corpus
 

@@ -900,6 +900,25 @@ class TestCheckpoint:
         b, _ = forward(g, loaded)
         assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch, variant):
+        # load allocates the structure and fills it from the file; it never
+        # draws a Glorot weight only to overwrite it.
+        params = ModelParams(small_config(variant=variant), seed=21)
+        path = str(tmp_path / "model.ckpt")
+        params.save(path)
+
+        def no_draw(*args):
+            raise AssertionError("load drew Glorot weights")
+
+        monkeypatch.setattr(model, "_glorot", no_draw)
+        loaded = ModelParams.load(path)
+        assert loaded.data.tobytes() == params.data.tobytes()
+        assert list(loaded.named()) == list(params.named())
+        assert not loaded.grad.any()
+        assert len(loaded.pool_layers) == len(params.pool_layers)
+        assert len(loaded.diff_layers) == len(params.diff_layers)
+
     def test_config_with_mlp_hidden_dim_loads(self, tmp_path, rng):
         import json
 

@@ -1,10 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from sshpool import pooling
-from sshpool.data import Edges
+from sshpool.data import Edges, load_tu_dataset
 from sshpool.errors import ContractError, ShapeError
 from sshpool.model import ModelConfig, ModelParams, forward
 from sshpool.pooling import (
@@ -22,7 +23,7 @@ from sshpool.pooling import (
 )
 from sshpool.tensor import Tape, Tensor, softmax_rows, sum_rows
 
-from conftest import make_graph, random_graph
+from conftest import make_graph, random_graph, write_large_corpus
 from op_reference import matmul, row_softmax, transpose
 from slice_reference import slice_layer
 
@@ -189,38 +190,50 @@ class TestHarden:
             assert np.array_equal(base, scaled)
 
     def test_equals_softmax_argmax_on_fuzzed_logits(self, rng):
-        # The labels must be the softmax's argmax bit for bit, though harden
-        # never builds the softmax on rows without a near-tie.
-        plain_differs = 0
+        # Each label is the first column holding its row's max (a NaN row's
+        # first NaN). Where the top is finite and no other column lies within
+        # 2**-40 of it, that is also the float softmax's argmax.
+        clean_rows = 0
         for _ in range(2000):
             z = fuzzed_logits(rng)
+            got = harden(z)
             with np.errstate(invalid="ignore", over="ignore"):
+                top = z.max(axis=1)
+                holds = (z == top[:, None]) | (np.isnan(z) & np.isnan(top)[:, None])
+                near = (z >= top[:, None] - 2.0**-40).sum(axis=1)
                 want = softmax_rows(z).argmax(axis=1)
-                got = harden(z)
-            assert np.array_equal(got, want)
-            plain_differs += not np.array_equal(z.argmax(axis=1), want)
-        # A plain logits argmax is wrong on some, so the fallback ran.
-        assert plain_differs > 0
+            assert np.array_equal(got, holds.argmax(axis=1))
+            clean = np.isfinite(top) & (near == 1)
+            assert np.array_equal(got[clean], want[clean])
+            clean_rows += int(clean.sum())
+        assert clean_rows > 0
 
     def test_near_tie_before_the_top_takes_the_softmax(self):
-        # One ulp below 0.1 is a difference exp rounds to 1: the softmax ties
-        # the two columns and takes the earlier one.
+        # One ulp below 0.1 is a difference exp rounds to 1: the float softmax
+        # ties the two columns and takes the earlier one, while the label
+        # keeps column 1, the true max.
         top = 0.1
         z = np.array([[np.nextafter(top, -np.inf), top, -3.0]])
-        assert z.argmax(axis=1).tolist() == [1]
-        assert harden(z).tolist() == softmax_rows(z).argmax(axis=1).tolist() == [0]
+        assert harden(z).tolist() == z.argmax(axis=1).tolist() == [1]
+        assert softmax_rows(z).argmax(axis=1).tolist() == [0]
 
     def test_non_finite_rows_match_the_softmax(self):
+        # numpy's argmax: the first +inf, the first NaN (even after a +inf),
+        # 0 for an all -inf row. The float softmax gives 0 on every row.
         z = np.array(
-            [[0.0, np.inf, 1.0], [2.0, np.nan, 5.0], [-np.inf, -np.inf, -np.inf], [np.inf, 0.0, 1.0]]
+            [[0.0, np.inf, 1.0], [2.0, np.nan, 5.0], [-np.inf, -np.inf, -np.inf],
+             [np.inf, 0.0, 1.0], [3.0, np.inf, np.nan]]
         )
+        labels = harden(z)
+        assert labels.tolist() == [1, 1, 0, 0, 2]
+        assert ((labels >= 0) & (labels < z.shape[1])).all()
         with np.errstate(invalid="ignore"):
-            assert harden(z).tolist() == softmax_rows(z).argmax(axis=1).tolist() == [0, 0, 0, 0]
+            assert softmax_rows(z).argmax(axis=1).tolist() == [0, 0, 0, 0, 0]
 
     def test_default_forward_builds_no_softmax(self, rng, monkeypatch):
-        # Real logits have no near-ties, so no layer of a default forward
-        # calls softmax_rows; the trace still rebuilds the old soft
-        # assignment bit for bit.
+        # No layer of a default forward calls softmax_rows; the trace still
+        # rebuilds the old soft assignment bit for bit, and each layer's
+        # labels are its argmax.
         calls = []
 
         def counted(a):
@@ -239,6 +252,27 @@ class TestHarden:
                 c = entry.assignment.logits.shape[1]
                 want = soft_assign(entry.features, _leading_cols(layer.assign.data, c))
                 assert np.array_equal(entry.assignment.soft, want)
+                assert np.array_equal(entry.labels, entry.assignment.soft.argmax(axis=1))
+
+    @pytest.mark.parametrize("corpus", ["desk", "large"])
+    def test_real_forwards_label_the_softmax_argmax(self, corpus, tmp_path):
+        # On every layer of a default-initialised forward over real corpora,
+        # the labels equal the float softmax's argmax: no real logit row is
+        # one where the two can differ.
+        if corpus == "desk":
+            ds = load_tu_dataset(os.path.join(os.path.dirname(__file__), "_desk_corpus"), "chordal")
+        else:
+            write_large_corpus(str(tmp_path), "large", 4, 7)
+            ds = load_tu_dataset(str(tmp_path), "large")
+        for config in (
+            ModelConfig(feature_dim_in=ds.feature_dim, num_classes=ds.num_classes),
+            ModelConfig(feature_dim_in=ds.feature_dim, num_classes=ds.num_classes,
+                        hidden_dim=32, layer_sizes=(32, 8, 2)),
+        ):
+            params = ModelParams(config)
+            for g in ds.graphs:
+                for entry in forward(g, params)[1].layers:
+                    assert np.array_equal(entry.labels, entry.assignment.soft.argmax(axis=1))
 
 
 class TestExtractSubgraphs:
