@@ -47,7 +47,7 @@ class Edges:
     def from_dense(cls, a: np.ndarray) -> "Edges":
         n, values = a.shape[0], a.reshape(-1)
         flat = values.nonzero()[0]
-        return cls(n, flat // n, flat % n, flat, values[flat])
+        return cls(n, *np.divmod(flat, n), flat, values.take(flat))
 
     def select(self, keep: np.ndarray) -> "Edges":
         """The entries where the boolean ``keep`` is set."""

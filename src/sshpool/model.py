@@ -10,6 +10,7 @@ Turning ``attention_enabled`` off gives the no-fusion ablation.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 
@@ -218,8 +219,15 @@ class ModelParams:
 
     @classmethod
     def load(cls, path: str) -> "ModelParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except UnicodeDecodeError as exc:
+            why = f"not UTF-8 text ({exc})"
+            raise IngestError(f"checkpoint {path} cannot be read: {why}") from None
+        except json.JSONDecodeError as exc:
+            why = "it is empty" if not exc.doc.strip() else f"truncated or malformed JSON ({exc})"
+            raise IngestError(f"checkpoint {path} cannot be read: {why}") from None
         version = payload.get("version") if isinstance(payload, dict) else None
         if version != CHECKPOINT_VERSION:
             raise ContractError(
@@ -250,6 +258,13 @@ class ModelParams:
                 )
             if not np.isfinite(arr).all():
                 raise IngestError(f"checkpoint {where}: non-finite value")
+            # numpy reads JSON true and false as 1 and 0, so only such entries can be booleans.
+            flag = next((i for i in np.flatnonzero((arr == 0) | (arr == 1))
+                         if isinstance(values[i], bool)), None)
+            if flag is not None:
+                raise IngestError(
+                    f"checkpoint {where}: 'data' entry {flag} is a boolean, not a number"
+                )
             t.data[...] = arr.reshape(t.shape)
         return params
 
@@ -315,7 +330,7 @@ def attention_fuse(
     """
     if x0.cols != pooled.cols:
         raise ShapeError(f"attention: widths differ, {x0.shape} vs {pooled.shape}")
-    c = 1.0 / np.sqrt(x0.cols)
+    c = 1.0 / math.sqrt(x0.cols)
     q = pooled.data @ w_q.data
     # A contiguous copy, as ``transpose`` makes: the product's rounding
     # depends on the operand's memory order.
@@ -327,7 +342,7 @@ def attention_fuse(
     def rule(g, push):
         ds = g @ v.T
         dv = s.T @ g
-        dot = (ds * s).sum(axis=1, keepdims=True)
+        dot = np.add.reduce(ds * s, axis=1, keepdims=True)
         d_scores = s * (ds - dot) * c
         dq = d_scores @ k_t.T
         dk = (q.T @ d_scores).T
@@ -357,7 +372,7 @@ def classify(
     w1, b1, w2, b2 = params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2
     if h.rows == 0 or h.cols != w1.rows:
         raise ShapeError(f"classify: needs rows of width {w1.rows}, got shape {h.shape}")
-    pooled = h.data.mean(axis=0, keepdims=True)
+    pooled = np.add.reduce(h.data, axis=0, keepdims=True) / h.rows
     pre = pooled @ w1.data + b1.data
     hidden = np.maximum(pre, 0.0)
     p = params.config.dropout
@@ -378,7 +393,7 @@ def classify(
         g = g * (pre > 0.0)
         push(b1, g)
         push(w1, pooled.T @ g)
-        push(h, np.repeat(g @ w1.data.T / h.rows, h.rows, axis=0))
+        push(h, (g @ w1.data.T / h.rows).repeat(h.rows, axis=0))
 
     return _record(out, rule)
 

@@ -297,7 +297,7 @@ def sshpool_layer(
         labels = harden(logits)
     else:
         labels = _check_labels(frozen_labels, n, c_eff)
-    ends = labels[adjacency.dst], labels[adjacency.src]
+    ends = labels.take(adjacency.dst), labels.take(adjacency.src)
     mask = extract_subgraphs(ends)
     weights = params.weights[:c_eff]
     x_next, sums, scale = local_conv(x, adjacency, mask, labels, weights)
@@ -359,10 +359,11 @@ def sshpool_stack(
     def rule(g, push):
         for entry, params in zip(reversed(entries), reversed(layers)):
             labels, weights = entry.labels, entry.weights
-            occ = np.flatnonzero(np.bincount(labels, minlength=len(weights)))
-            params.grads[occ] += entry.sums[occ].transpose(0, 2, 1) * g[occ, None, :]
+            occ = np.bincount(labels, minlength=len(weights)).nonzero()[0]
+            s_occ = entry.sums.take(occ, axis=0)
+            params.grads[occ] += s_occ.transpose(0, 2, 1) * g.take(occ, axis=0)[:, None, :]
             back = g[:, None, :] @ weights.transpose(0, 2, 1)
-            g = entry.scale[:, None] * back[labels, 0]
+            g = entry.scale[:, None] * back[:, 0].take(labels, axis=0)
         push(x, g)
 
     return _record(Tensor(x_cur), rule), CoarseningTrace(layers=entries)

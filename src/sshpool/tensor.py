@@ -112,7 +112,7 @@ class Tape:
         if loss.data.shape != (1, 1):
             raise ContractError(f"loss must be 1x1, got shape {loss.data.shape}")
         produced = {id(output) for output, _ in self._records}
-        flowing: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+        flowing: dict[int, np.ndarray] = {id(loss): np.array([[1.0]])}
 
         def push(t: Tensor, g: np.ndarray) -> None:
             if id(t) in produced:
@@ -142,17 +142,17 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
     """Softmax over each row of a plain array, stabilised by per-row max
     subtraction; it records nothing."""
     e = np.exp(a - a.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def mean_rows(x: Tensor) -> Tensor:
     """Column-wise mean, a 1 x d row; the input must have at least one row."""
     if x.rows == 0:
         raise ShapeError(f"mean_rows: no rows to average, shape {x.shape}")
-    out = Tensor(x.data.mean(axis=0, keepdims=True))
+    out = Tensor(np.add.reduce(x.data, axis=0, keepdims=True) / x.rows)
 
     def rule(g, push, x=x):
-        push(x, np.repeat(g / x.rows, x.rows, axis=0))
+        push(x, (g / x.rows).repeat(x.rows, axis=0))
 
     return _record(out, rule)
 
@@ -172,7 +172,7 @@ def sum_rows(x: Tensor) -> Tensor:
         out = Tensor(np.cumsum(rows, axis=0)[-1] + 0.0)
 
     def rule(g, push, x=x):
-        push(x, np.repeat(g, x.rows, axis=0))
+        push(x, g.repeat(x.rows, axis=0))
 
     return _record(out, rule)
 
@@ -189,12 +189,12 @@ def cross_entropy_with_logits(logits: Tensor, label: int) -> Tensor:
         raise ContractError(f"label {label} outside [0, {logits.cols})")
     row = logits.data[0]
     m = row.max()
-    lse = m + np.log(np.exp(row - m).sum())
-    out = Tensor([[lse - row[label]]])
+    lse = m + np.log(np.add.reduce(np.exp(row - m)))
+    out = Tensor(lse - logits.data[:, label : label + 1])
 
     def rule(g, push, logits=logits, label=label, row=row, m=m):
         s = np.exp(row - m)
-        s /= s.sum()
+        s /= np.add.reduce(s)
         s[label] -= 1.0
         push(logits, g[0, 0] * s.reshape(1, -1))
 

@@ -30,6 +30,13 @@ def readme_cli_lines():
     return [line for line in block.splitlines() if line.startswith("sshpool ")]
 
 
+def with_boolean_entry(raw: bytes) -> bytes:
+    """A checkpoint's bytes with its first parameter's first entry set to JSON true."""
+    payload = json.loads(raw)
+    next(iter(payload["params"].values()))["data"][0] = True
+    return json.dumps(payload).encode()
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     directory = tmp_path_factory.mktemp("corpus")
@@ -254,6 +261,22 @@ class TestEvalAndTrace:
         code = main(["eval", "--ckpt", str(ckpt), "--data", corpus, "--name", "synth"])
         assert code == 3
         assert "'config'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda b: b[:300], lambda b: b"", lambda b: b"\xff" + b[1:],
+         with_boolean_entry],
+        ids=["truncated", "empty", "not-utf8", "boolean"],
+    )
+    def test_eval_unreadable_checkpoint_exit_3_naming_it(self, corpus, trained, tmp_path,
+                                                         capsys, damage):
+        with open(os.path.join(trained, "model.ckpt"), "rb") as fh:
+            good = fh.read()
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(damage(good))
+        code = main(["eval", "--ckpt", str(ckpt), "--data", corpus, "--name", "synth"])
+        assert code == 3
+        assert f"checkpoint {ckpt}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args",

@@ -467,6 +467,21 @@ class TestGraphStructure:
         with pytest.raises(ContractError, match="feature rows"):
             Graph.from_dense(np.zeros((3, 3)), np.ones((2, 1)), 0)
 
+    def test_edges_from_dense_match_the_index_arithmetic(self, rng):
+        # ``from_dense`` splits ``flat`` with one divmod and gathers the
+        # weights with ``take``; both give what //, % and fancy indexing give.
+        cases = [np.zeros((1, 1)), np.ones((1, 1)), np.zeros((5, 5))]
+        for n in rng.integers(1, 30, size=40):
+            cases.append((rng.random((n, n)) < 0.3).astype(float))
+            cases.append(rng.integers(0, 4, size=(n, n)).astype(float))
+        for a in cases:
+            edges, values = Edges.from_dense(a), a.reshape(-1)
+            flat = values.nonzero()[0]
+            for got, want in ((edges.dst, flat // len(a)), (edges.src, flat % len(a)),
+                              (edges.flat, flat), (edges.weight, values[flat])):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert edges.n == len(a) and np.array_equal(edges.dense(), a)
+
     def test_adjacency_is_a_fresh_copy_of_the_edges(self):
         g = make_graph([(0, 1), (1, 2)], 3)
         a = g.adjacency.data

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -1001,3 +1002,32 @@ class TestCheckpoint:
         open(path, "w").write(json.dumps(payload))
         with pytest.raises(IngestError):
             ModelParams.load(path)
+
+    @pytest.mark.parametrize("entry", [(False, "mlp.out.bias", 0), (True, "attn.query", 3)],
+                             ids=["false", "true"])
+    def test_boolean_data_entry_is_ingest_error(self, tmp_path, entry):
+        # numpy would read true as 1.0 and false as 0.0 and load silently.
+        import json
+
+        value, name, index = entry
+        path = str(tmp_path / "model.ckpt")
+        ModelParams(small_config(), seed=0).save(path)
+        payload = json.loads(open(path).read())
+        payload["params"][name]["data"][index] = value
+        open(path, "w").write(json.dumps(payload))
+        with pytest.raises(IngestError, match=f"{name}: 'data' entry {index} is a boolean"):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize(
+        "cut, why",
+        [(lambda b: b[:300], "truncated or malformed JSON"), (lambda b: b"", "it is empty"),
+         (lambda b: b"\xff" + b[1:], "not UTF-8 text")],
+        ids=["truncated", "empty", "not-utf8"],
+    )
+    def test_unreadable_file_is_ingest_error_naming_the_path(self, tmp_path, cut, why):
+        path = tmp_path / "model.ckpt"
+        ModelParams(small_config(), seed=0).save(str(path))
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(IngestError, match=f"checkpoint {re.escape(str(path))} cannot be "
+                                              f"read: {why}"):
+            ModelParams.load(str(path))

@@ -115,6 +115,18 @@ class TestElementwiseOps:
             got = sum_rows(Tensor(x)).data[0]
             assert got.tobytes() == acc.tobytes()  # -0.0 sums to +0.0, as from zeros
 
+    def test_ufunc_row_mean_is_ndarray_mean_byte_for_byte(self, rng):
+        # ``mean_rows`` and ``classify`` divide ``np.add.reduce`` by the row
+        # count, the sequence ``ndarray.mean`` runs, without its wrapper.
+        for _ in range(500):
+            rows, cols = int(rng.integers(1, 41)), int(rng.integers(1, 65))
+            x = rng.choice([-1.0, 1.0], size=(rows, cols)) * 10.0 ** rng.uniform(
+                -300, 300, size=(rows, cols))
+            x[rng.random(size=x.shape) < 0.1] = -0.0
+            want = x.mean(axis=0, keepdims=True)
+            assert (np.add.reduce(x, axis=0, keepdims=True) / rows).tobytes() == want.tobytes()
+            assert mean_rows(Tensor(x)).data.tobytes() == want.tobytes()
+
     def test_sum_and_mean_rows_examples(self, rng):
         assert sum_rows(Tensor(np.eye(3))).data.tolist() == [[1.0, 1.0, 1.0]]
         assert mean_rows(Tensor([[4.0, 5.0]])).data.tolist() == [[4.0, 5.0]]
