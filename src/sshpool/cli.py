@@ -184,7 +184,6 @@ def _model_config(ns: argparse.Namespace, dataset: Dataset) -> ModelConfig:
         hidden_dim=ns.hidden_dim,
         layer_sizes=sizes,
         assignment_ratio=ns.ratio,
-        depth=len(sizes),
         dropout=ns.dropout,
         attention_enabled=ns.attention,
         variant=ns.variant,
@@ -370,7 +369,6 @@ def cmd_locality(ns: argparse.Namespace) -> int:
             hidden_dim=hidden,
             layer_sizes=(clusters,),
             assignment_ratio=0.5,
-            depth=1,
             dropout=0.0,
         )
         params = ModelParams(config, seed=int(rng.integers(2**31)))

@@ -88,14 +88,9 @@ def certify_locality(
         )
     if trials < 1:
         raise ContractError(f"trials must be >= 1, got {trials}")
-    x = graph.features
-    for w in params.gconv:
-        x = global_conv(graph, x, w)
-    base_x = x.data
-
+    base_x = forward(graph, params)[1].x0
     layer0 = params.pool_layers[0]
-    clusters = params.config.layer_sizes[0]
-    base_xn, base = layer_impl(graph.edges, base_x.copy(), layer0, clusters)
+    base_xn, base = layer_impl(graph.edges, base_x.copy(), layer0)
     labels = base.labels
     base_z = base.local_embedding
 
@@ -105,9 +100,7 @@ def certify_locality(
         u = int(rng.integers(graph.n))
         bumped = base_x.copy()
         bumped[u] += rng.normal(scale=1.0, size=base_x.shape[1])
-        new_xn, new = layer_impl(
-            graph.edges, bumped, layer0, clusters, frozen_labels=labels
-        )
+        new_xn, new = layer_impl(graph.edges, bumped, layer0, frozen_labels=labels)
         new_z = new.local_embedding
         home = int(labels[u])
         bad = []

@@ -56,7 +56,6 @@ def fixture_graph_and_params(
         hidden_dim=6,
         layer_sizes=(4, 2),
         assignment_ratio=0.5,
-        depth=2,
         dropout=0.0,
         attention_enabled=True,
         variant=variant,

@@ -57,6 +57,8 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "s
 
 def _fits(value, annotation: str) -> bool:
     """Whether ``value`` fits a ``ModelConfig`` field's annotation string; a bool is no number."""
+    if annotation.endswith(" | None"):
+        return value is None or _fits(value, annotation[: -len(" | None")])
     if annotation == "tuple[int, ...]":
         return isinstance(value, (tuple, list)) and all(_fits(v, "int") for v in value)
     kind = _FIELD_TYPES[annotation]
@@ -70,7 +72,7 @@ class ModelConfig:
     hidden_dim: int = 128
     layer_sizes: tuple[int, ...] = (128, 32, 8)
     assignment_ratio: float = 0.25
-    depth: int = 3
+    depth: int | None = None  # len(layer_sizes) when omitted
     dropout: float = 0.5
     attention_enabled: bool = True
     variant: str = "sshpool"
@@ -85,6 +87,7 @@ class ModelConfig:
             if f.type in ("int", "float"):  # numpy numbers become Python ones
                 setattr(self, f.name, int(value) if f.type == "int" else float(value))
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
+        self.depth = len(self.layer_sizes) if self.depth is None else int(self.depth)
         if self.feature_dim_in < 1:
             raise ContractError(f"feature_dim_in must be positive, got {self.feature_dim_in}")
         if self.hidden_dim < 1:
@@ -228,10 +231,10 @@ class ModelParams:
         except json.JSONDecodeError as exc:
             why = "it is empty" if not exc.doc.strip() else f"truncated or malformed JSON ({exc})"
             raise IngestError(f"checkpoint {path} cannot be read: {why}") from None
-        version = payload.get("version") if isinstance(payload, dict) else None
+        version = _field(payload, "version", path)
         if version != CHECKPOINT_VERSION:
             raise ContractError(
-                f"checkpoint version {version!r} unsupported, want {CHECKPOINT_VERSION!r}"
+                f"checkpoint {path}: version {version!r} unsupported, want {CHECKPOINT_VERSION!r}"
             )
         try:
             config = ModelConfig.from_dict(_field(payload, "config", path))
@@ -429,7 +432,6 @@ def forward(
             graph.edges,
             x0,
             params.pool_layers,
-            config.layer_sizes,
             config.keep_coarse_self_loops,
             frozen_assignments,
         )

@@ -46,11 +46,6 @@ class AssignmentPair:
     labels: np.ndarray
 
     @property
-    def soft(self) -> np.ndarray:
-        """The row-stochastic soft assignment softmax(logits), built on each read."""
-        return softmax_rows(self.logits)
-
-    @property
     def hard(self) -> Tensor:
         """The labels as a one-hot n x c matrix H, built on each read."""
         return Tensor(np.eye(self.logits.shape[1])[self.labels])
@@ -63,9 +58,8 @@ class LayerTrace:
 
     ``labels[u]`` is node u's cluster. ``features`` (X), ``edges`` and
     ``weights`` are the layer's inputs; ``mask`` flags the entries of
-    ``edges`` that join two nodes of one cluster, and ``kept`` lists them;
-    ``adjacency`` and ``a_mask`` are their dense forms. ``scale`` and
-    ``sums`` are :func:`local_conv`'s 1 + deg(v) and s_j.
+    ``edges`` that join two nodes of one cluster, and ``kept`` lists them.
+    ``scale`` and ``sums`` are :func:`local_conv`'s 1 + deg(v) and s_j.
     """
 
     assignment: AssignmentPair
@@ -90,14 +84,6 @@ class LayerTrace:
     def local_embedding(self) -> np.ndarray:
         """Z, whose row u is node u's embedding in its cluster, under the current weights."""
         return local_embedding(self.features, self.kept, self.labels, self.weights)
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        return self.edges.dense()
-
-    @property
-    def a_mask(self) -> np.ndarray:
-        return self.kept.dense()
 
     @property
     def edges_in(self) -> int:
@@ -170,7 +156,8 @@ def soft_assign(x: np.ndarray, w_assign: np.ndarray) -> np.ndarray:
     """Row-stochastic cluster membership softmax(x @ w_assign), a constant.
 
     A layer never builds it: its labels are the argmax of the logits
-    x @ w_assign, and its trace gives this matrix as ``assignment.soft``.
+    x @ w_assign, and ``softmax_rows`` of its trace's ``assignment.logits``
+    gives this matrix.
     """
     if w_assign.shape[1] < 1:
         raise ContractError("soft_assign needs at least one cluster column")
@@ -273,25 +260,26 @@ def sshpool_layer(
     adjacency: Edges,
     x: np.ndarray,
     params: PoolLayerParams,
-    clusters: int,
     keep_self_loops: bool = False,
     frozen_labels: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LayerTrace]:
     """One full pooling layer on plain arrays: assign, harden, mask,
     convolve, coarsen. It records nothing; :func:`sshpool_stack` does.
 
-    The effective cluster count is min(clusters, node count), so coarsened
-    graphs never grow. ``frozen_labels`` substitutes fixed cluster labels
-    for the hardened ones (used by gradient checks and locality probes).
+    The effective cluster count is min(c, node count) for the c cluster
+    weights in ``params``, so coarsened graphs never grow. ``frozen_labels``
+    substitutes fixed cluster labels for the hardened ones (used by gradient
+    checks and locality probes).
     Returns the coarse features; the coarse adjacency is the trace's
     ``coarse_adjacency``.
     """
-    if clusters < 1:
-        raise ContractError(f"cluster count must be >= 1, got {clusters}")
     n = x.shape[0]
-    c_eff = min(clusters, n)
+    c_eff = min(len(params.weights), n)
     if c_eff < 1:
-        raise ContractError("sshpool_layer needs at least one cluster column, got 0 nodes")
+        raise ContractError(
+            f"sshpool_layer needs at least one cluster column, got {len(params.weights)} "
+            f"cluster weights for {n} nodes"
+        )
     logits = x @ _leading_cols(params.assign.data, c_eff)
     if frozen_labels is None:
         labels = harden(logits)
@@ -321,13 +309,13 @@ def sshpool_stack(
     adjacency: Edges,
     x: Tensor,
     layers: list[PoolLayerParams],
-    layer_sizes: tuple[int, ...],
     keep_self_loops: bool = False,
     frozen: list[np.ndarray] | None = None,
 ) -> tuple[Tensor, CoarseningTrace]:
-    """Apply the pooling layer once per entry of ``layer_sizes``, as one tape record.
+    """Apply the pooling layer once per entry of ``layers``, as one tape record.
 
-    Sizes must be strictly decreasing; ``frozen`` holds one layer's cluster
+    Each layer's cluster count is its number of cluster weights, and the
+    counts must strictly decrease; ``frozen`` holds one layer's cluster
     labels per layer. Returns the final coarsened feature matrix together
     with the full per-layer trace.
 
@@ -338,10 +326,7 @@ def sshpool_stack(
     projections get no gradient. ``x`` gets one push, where a record per
     layer would have pushed layer 0's, so its gradient keeps its bits.
     """
-    if len(layers) != len(layer_sizes):
-        raise ContractError(
-            f"{len(layers)} layer params for {len(layer_sizes)} layer sizes"
-        )
+    layer_sizes = tuple(len(params.weights) for params in layers)
     if any(b >= a for a, b in zip(layer_sizes, layer_sizes[1:])):
         raise ContractError(f"layer sizes must strictly decrease, got {layer_sizes}")
     if frozen is not None and len(frozen) != len(layers):
@@ -349,11 +334,11 @@ def sshpool_stack(
 
     a_cur, x_cur = adjacency, x.data
     entries = []
-    for depth, (params, size) in enumerate(zip(layers, layer_sizes)):
+    for depth, params in enumerate(layers):
         if entries:  # the previous layer's coarse graph, listed only when a layer reads it
             a_cur = Edges.from_dense(entries[-1].coarse_adjacency)
         frozen_labels = frozen[depth] if frozen is not None else None
-        x_cur, entry = sshpool_layer(a_cur, x_cur, params, size, keep_self_loops, frozen_labels)
+        x_cur, entry = sshpool_layer(a_cur, x_cur, params, keep_self_loops, frozen_labels)
         entries.append(entry)
 
     def rule(g, push):

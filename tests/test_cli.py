@@ -265,8 +265,8 @@ class TestEvalAndTrace:
     @pytest.mark.parametrize(
         "damage",
         [lambda b: b[:300], lambda b: b"", lambda b: b"\xff" + b[1:],
-         with_boolean_entry],
-        ids=["truncated", "empty", "not-utf8", "boolean"],
+         with_boolean_entry, lambda b: b"[]", lambda b: b'{"config": {}}'],
+        ids=["truncated", "empty", "not-utf8", "boolean", "list", "no-version"],
     )
     def test_eval_unreadable_checkpoint_exit_3_naming_it(self, corpus, trained, tmp_path,
                                                          capsys, damage):

@@ -131,12 +131,10 @@ class TestCertifyLocality:
         # leak: the slice reference convolved over the unmasked adjacency, so
         # edges that cross a cluster boundary carry information into foreign
         # embeddings; the labels are the real layer's
-        def leaky_layer(adjacency, x, params, clusters, keep_self_loops=False, frozen_labels=None):
-            _, trace = sshpool_layer(
-                adjacency, x, params, clusters, keep_self_loops, frozen_labels
-            )
+        def leaky_layer(adjacency, x, params, keep_self_loops=False, frozen_labels=None):
+            _, trace = sshpool_layer(adjacency, x, params, keep_self_loops, frozen_labels)
             ref = slice_layer(
-                adjacency.dense(), x, trace.labels, trace.assignment.soft.shape[1],
+                adjacency.dense(), x, trace.labels, trace.assignment.logits.shape[1],
                 params.weights, keep_self_loops, masked=False,
             )
             z = np.empty((x.shape[0], params.weights.shape[2]))

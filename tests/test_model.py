@@ -71,6 +71,11 @@ class TestConfig:
         with pytest.raises(ContractError, match="number of layer sizes"):
             ModelConfig(feature_dim_in=3, num_classes=2, layer_sizes=(128, 10, 8), depth=depth)
 
+    def test_depth_derived_from_layer_sizes(self, tmp_path):
+        cfg = ModelConfig(feature_dim_in=4, num_classes=2, layer_sizes=(4, 2))
+        assert cfg.depth == 2 and cfg.to_dict()["depth"] == 2
+        assert ModelConfig(feature_dim_in=4, num_classes=2, layer_sizes=(4, 2), depth=2) == cfg
+
     def test_bad_dropout(self):
         with pytest.raises(ContractError):
             small_config(dropout=1.0)
@@ -514,7 +519,7 @@ class TestForward:
         g = make_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)], 6, d=4, seed=6)
         logits, _ = forward(g, params)
         x0 = global_conv(g, g.features, params.gconv[0])
-        pooled, _ = sshpool_stack(g.edges, x0, params.pool_layers, cfg.layer_sizes)
+        pooled, _ = sshpool_stack(g.edges, x0, params.pool_layers)
         fused = attention_fuse(x0, pooled, params.attn_q, params.attn_k, params.attn_v)
         want = classify(fused, params)
         assert np.array_equal(logits.data, want.data)
@@ -567,7 +572,7 @@ class TestForward:
             .layers[0]
             for keep in (True, False)
         )
-        kept = on.a_mask
+        kept = on.kept.dense()
         kept_per_cluster = np.array([kept[np.ix_(c, c)].sum() / 2 for c in on.clusters])
         assert kept_per_cluster.sum() > 0
         a_on, a_off = on.coarse_adjacency, off.coarse_adjacency
@@ -735,10 +740,10 @@ class TestDiffpoolStack:
         assert records == [5, 22]
 
 
-def composed_sshpool(adjacency, x, layers, layer_sizes, keep_self_loops=False, frozen=None):
+def composed_sshpool(adjacency, x, layers, keep_self_loops=False, frozen=None):
     """``sshpool_stack`` as one ``local_conv`` record per layer."""
-    for depth, (params, size) in enumerate(zip(layers, layer_sizes)):
-        c = min(size, x.rows)
+    for depth, params in enumerate(layers):
+        c = min(len(params.weights), x.rows)
         soft = softmax_rows(x.data @ _leading_cols(params.assign.data, c))
         labels = soft.argmax(axis=1) if frozen is None else frozen[depth]
         ends = labels[adjacency.dst], labels[adjacency.src]
@@ -782,7 +787,7 @@ class TestSshpoolStack:
                 x = Tensor(np.random.default_rng(trial).normal(size=(n, 6)), requires_grad=True)
                 with Tape() as tape:
                     before = matmul(Tensor(e[:1]), matmul(x, c))
-                    pooled, _ = stack(g.edges, x, params.pool_layers, sizes, keep)
+                    pooled, _ = stack(g.edges, x, params.pool_layers, keep)
                     after = matmul(Tensor(e[1:]), matmul(x, c))
                     objective = matmul(matmul(matmul(sum_rows(pooled), c), before), after)
                 tape.backward(objective)
@@ -963,8 +968,16 @@ class TestCheckpoint:
         payload = json.loads(open(path).read())
         payload["version"] = "other"
         open(path, "w").write(json.dumps(payload))
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=f"checkpoint {re.escape(path)}: version 'other'"):
             ModelParams.load(path)
+
+    @pytest.mark.parametrize("text", ["[]", '{"config": {}}'], ids=["list", "no-version"])
+    def test_payload_without_version_is_ingest_error_naming_the_path(self, tmp_path, text):
+        path = tmp_path / "model.ckpt"
+        path.write_text(text)
+        with pytest.raises(IngestError, match=f"checkpoint {re.escape(str(path))}: missing "
+                                              "'version'"):
+            ModelParams.load(str(path))
 
     @pytest.mark.parametrize(
         "damage",

@@ -115,7 +115,7 @@ class TestSoftAssign:
         params = layer_params(rng, 3, 4)
         with Tape() as tape:
             soft_assign(g.features.data, params.assign.data)
-            sshpool_layer(g.edges, g.features.data, params, 4)
+            sshpool_layer(g.edges, g.features.data, params)
         assert len(tape) == 0
 
     def test_layer_matches_taped_softmax_bit_for_bit(self, rng):
@@ -124,14 +124,14 @@ class TestSoftAssign:
             g = random_graph(rng, n_lo=2, n_hi=12, d=16)
             clusters = int(rng.integers(1, 16))
             params = layer_params(rng, 16, clusters)
-            _, trace = sshpool_layer(g.edges, g.features.data, params, clusters)
+            _, trace = sshpool_layer(g.edges, g.features.data, params)
             c_eff = min(clusters, g.n)
             w = params.assign
             if c_eff < clusters:
                 # A plain numpy column gather is the reference for the narrowed weight.
                 w = Tensor(w.data[:, list(range(c_eff))])
             want = row_softmax(matmul(g.features, w)).data
-            assert np.array_equal(trace.assignment.soft, want)
+            assert np.array_equal(softmax_rows(trace.assignment.logits), want)
 
 
 def fuzzed_logits(rng):
@@ -231,9 +231,9 @@ class TestHarden:
             assert softmax_rows(z).argmax(axis=1).tolist() == [0, 0, 0, 0, 0]
 
     def test_default_forward_builds_no_softmax(self, rng, monkeypatch):
-        # No layer of a default forward calls softmax_rows; the trace still
-        # rebuilds the old soft assignment bit for bit, and each layer's
-        # labels are its argmax.
+        # No layer of a default forward calls softmax_rows; the softmax of
+        # the trace's logits is still the old soft assignment bit for bit,
+        # and each layer's labels are its argmax.
         calls = []
 
         def counted(a):
@@ -251,8 +251,9 @@ class TestHarden:
             for entry, layer in zip(trace.layers, params.pool_layers):
                 c = entry.assignment.logits.shape[1]
                 want = soft_assign(entry.features, _leading_cols(layer.assign.data, c))
-                assert np.array_equal(entry.assignment.soft, want)
-                assert np.array_equal(entry.labels, entry.assignment.soft.argmax(axis=1))
+                soft = softmax_rows(entry.assignment.logits)
+                assert np.array_equal(soft, want)
+                assert np.array_equal(entry.labels, soft.argmax(axis=1))
 
     @pytest.mark.parametrize("corpus", ["desk", "large"])
     def test_real_forwards_label_the_softmax_argmax(self, corpus, tmp_path):
@@ -272,7 +273,8 @@ class TestHarden:
             params = ModelParams(config)
             for g in ds.graphs:
                 for entry in forward(g, params)[1].layers:
-                    assert np.array_equal(entry.labels, entry.assignment.soft.argmax(axis=1))
+                    soft = softmax_rows(entry.assignment.logits)
+                    assert np.array_equal(entry.labels, soft.argmax(axis=1))
 
 
 class TestExtractSubgraphs:
@@ -331,7 +333,7 @@ class TestLocalConv:
         labels = np.array([0, 0])
         params = layer_params(rng, 3, 2)
         with Tape() as tape:
-            x_next, trace = sshpool_stack(g.edges, g.features, [params], (2,), frozen=[labels])
+            x_next, trace = sshpool_stack(g.edges, g.features, [params], frozen=[labels])
             objective = sum_rows(matmul(x_next, Tensor(np.ones((3, 1)))))
         tape.backward(objective)
         z = trace.layers[0].local_embedding
@@ -354,7 +356,7 @@ class TestLocalConv:
         assert a_mask.weight.size == 0
         x = Tensor(g.features.data.copy(), requires_grad=True)
         with Tape() as tape:
-            x_next, _ = sshpool_stack(g.edges, x, [params], (3,), frozen=[labels])
+            x_next, _ = sshpool_stack(g.edges, x, [params], frozen=[labels])
             objective = sum_rows(matmul(x_next, Tensor(np.ones((3, 1)))))
         tape.backward(objective)
         assert x_next.data.dtype == np.float64
@@ -446,7 +448,7 @@ class TestLayerAndStack:
     def test_single_node_any_cluster_count(self, rng):
         g = make_graph([], 1, features=[[1.0, 2.0, 3.0]], d=3)
         params = layer_params(rng, 3, 5)
-        x_next, trace = sshpool_layer(g.edges, g.features.data, params, 5)
+        x_next, trace = sshpool_layer(g.edges, g.features.data, params)
         assert x_next.shape == (1, 3)
         assert np.array_equal(x_next, g.features.data @ params.weights[0])
         assert trace.coarse_adjacency.shape == (1, 1)
@@ -454,7 +456,7 @@ class TestLayerAndStack:
     def test_one_cluster_column_sum(self, rng):
         g = random_graph(rng, n_lo=4, n_hi=6)
         params = layer_params(rng, 4, 1)
-        x_next, _ = sshpool_layer(g.edges, g.features.data, params, 1)
+        x_next, _ = sshpool_layer(g.edges, g.features.data, params)
         a_tilde = g.adjacency.data + np.eye(g.n)
         z = a_tilde @ g.features.data @ params.weights[0]
         acc = np.zeros(4)
@@ -467,7 +469,7 @@ class TestLayerAndStack:
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)], 6, d=4, seed=11
         )
         params = layer_params(rng, 4, 2)
-        x_next, trace = sshpool_layer(g.edges, g.features.data, params, 2)
+        x_next, trace = sshpool_layer(g.edges, g.features.data, params)
         # replay the five steps by hand
         labels = soft_assign(g.features.data, params.assign.data).argmax(axis=1)
         *_, x_want, a_want = run_steps(g.edges, g.features.data, labels, params.weights)
@@ -482,24 +484,37 @@ class TestLayerAndStack:
         g = random_graph(rng, n_lo=6, n_hi=6)
         params = [layer_params(rng, 4, clusters), layer_params(rng, 4, 2)]
         with Tape() as tape:
-            sshpool_layer(g.edges, g.features.data, params[0], clusters)
+            sshpool_layer(g.edges, g.features.data, params[0])
             assert len(tape) == 0
-            x_next, _ = sshpool_stack(g.edges, g.features, params, (clusters, 2))
+            x_next, _ = sshpool_stack(g.edges, g.features, params)
         assert [output for output, _ in tape._records] == [x_next]
 
     def test_effective_clusters_capped_at_nodes(self, rng):
         g = random_graph(rng, n_lo=3, n_hi=3)
         params = layer_params(rng, 4, 8)
-        x_next, trace = sshpool_layer(g.edges, g.features.data, params, 8)
+        x_next, trace = sshpool_layer(g.edges, g.features.data, params)
         assert x_next.shape[0] == 3
         assert trace.coarse_adjacency.shape == (3, 3)
         assert trace.assignment.hard.shape == (3, 3)
 
+    def test_cluster_counts_come_from_the_weights(self, rng):
+        # A layer has one cluster per weight block, capped at the node count.
+        g = random_graph(rng, n_lo=3, n_hi=3)
+        five = layer_params(rng, 4, 5)
+        x_next, trace = sshpool_layer(g.edges, g.features.data, five)
+        assert x_next.shape == (3, 4)
+        assert trace.weights.shape == (3, 4, 4)
+        x_stack, stack_trace = sshpool_stack(g.edges, g.features, [five, layer_params(rng, 4, 2)])
+        assert x_stack.rows == 2
+        assert [len(entry.cluster_sizes) for entry in stack_trace.layers] == [3, 2]
+        with pytest.raises(ContractError, match="got 0 cluster weights for 3 nodes"):
+            sshpool_layer(g.edges, g.features.data, layer_params(rng, 4, 0))
+
     def test_stack_depth_one_equals_layer(self, rng):
         g = random_graph(rng, n_lo=5, n_hi=8)
         params = layer_params(rng, 4, 3)
-        x_layer, _ = sshpool_layer(g.edges, g.features.data, params, 3)
-        x_stack, trace = sshpool_stack(g.edges, g.features, [params], (3,))
+        x_layer, _ = sshpool_layer(g.edges, g.features.data, params)
+        x_stack, trace = sshpool_stack(g.edges, g.features, [params])
         assert np.array_equal(x_layer, x_stack.data)
         assert len(trace.layers) == 1
 
@@ -507,9 +522,9 @@ class TestLayerAndStack:
         g = random_graph(rng, n_lo=10, n_hi=12)
         p0 = layer_params(rng, 4, 4)
         p1 = layer_params(rng, 4, 2)
-        x_stack, trace = sshpool_stack(g.edges, g.features, [p0, p1], (4, 2))
-        x1, t1 = sshpool_layer(g.edges, g.features.data, p0, 4)
-        x2, _ = sshpool_layer(Edges.from_dense(t1.coarse_adjacency), x1, p1, 2)
+        x_stack, trace = sshpool_stack(g.edges, g.features, [p0, p1])
+        x1, t1 = sshpool_layer(g.edges, g.features.data, p0)
+        x2, _ = sshpool_layer(Edges.from_dense(t1.coarse_adjacency), x1, p1)
         assert np.array_equal(x_stack.data, x2)
         assert x_stack.rows <= 2
         assert len(trace.layers) == 2
@@ -518,7 +533,7 @@ class TestLayerAndStack:
         g = random_graph(rng, n_lo=5, n_hi=5)
         params = layer_params(rng, 4, 8)  # 8 clusters cap at min(8, 5) = 5
         good = np.array([0, 4, 2, 2, 1], dtype=np.int32)
-        sshpool_layer(g.edges, g.features.data, params, 8, frozen_labels=good)
+        sshpool_layer(g.edges, g.features.data, params, frozen_labels=good)
         for bad, error in (
             (good[:4], ShapeError),
             (np.append(good, 0), ShapeError),
@@ -527,16 +542,16 @@ class TestLayerAndStack:
             (np.array([0, 5, 2, 2, 1]), ContractError),
         ):
             with pytest.raises(error):
-                sshpool_layer(g.edges, g.features.data, params, 8, frozen_labels=bad)
+                sshpool_layer(g.edges, g.features.data, params, frozen_labels=bad)
             with pytest.raises(error):
-                sshpool_stack(g.edges, g.features, [params], (8,), frozen=[bad])
+                sshpool_stack(g.edges, g.features, [params], frozen=[bad])
 
     def test_stack_requires_decreasing_sizes(self, rng):
         g = random_graph(rng)
         p0 = layer_params(rng, 4, 2)
         p1 = layer_params(rng, 4, 2)
         with pytest.raises(ContractError):
-            sshpool_stack(g.edges, g.features, [p0, p1], (2, 2))
+            sshpool_stack(g.edges, g.features, [p0, p1])
 
     def test_zero_node_input_raises_contract_error(self, rng):
         # Zero nodes leave no cluster column: a ContractError, not numpy's
@@ -545,7 +560,7 @@ class TestLayerAndStack:
         params = layer_params(rng, 4, 3)
         for frozen in (None, np.zeros(0, dtype=int)):
             with pytest.raises(ContractError, match="at least one cluster column"):
-                sshpool_layer(edges, x, params, 3, frozen_labels=frozen)
+                sshpool_layer(edges, x, params, frozen_labels=frozen)
 
     def test_locality_literal_form(self, rng):
         for _ in range(10):
@@ -573,7 +588,7 @@ class TestLayerAndStack:
         p1 = layer_params(rng, 4, 1)
 
         with Tape() as tape:
-            x_out, trace = sshpool_stack(g.edges, g.features, [p0, p1], (3, 1))
+            x_out, trace = sshpool_stack(g.edges, g.features, [p0, p1])
             r = Tensor(rng.normal(size=(1, x_out.rows)))
             c = Tensor(rng.normal(size=(x_out.cols, 1)))
             objective = matmul(r, matmul(x_out, c))
@@ -581,9 +596,7 @@ class TestLayerAndStack:
         frozen = trace.hard_assignments()
 
         def eval_loss():
-            x_e, _ = sshpool_stack(
-                g.edges, g.features, [p0, p1], (3, 1), frozen=frozen
-            )
+            x_e, _ = sshpool_stack(g.edges, g.features, [p0, p1], frozen=frozen)
             return float((r.data @ x_e.data @ c.data)[0, 0])
 
         step = 1e-5
@@ -676,7 +689,7 @@ class TestPartitionProperty:
             # the layer caps its clusters at the node count
             labels = random_labels(rng, g.n, min(c, g.n))
             params = layer_params(rng, 4, c)
-            _, trace = sshpool_layer(g.edges, g.features.data, params, c, frozen_labels=labels)
+            _, trace = sshpool_layer(g.edges, g.features.data, params, frozen_labels=labels)
             ids = [i for members in trace.clusters for i in members]
             assert sorted(ids) == list(range(g.n))
             assert trace.cluster_sizes == [len(m) for m in trace.clusters]
@@ -695,7 +708,7 @@ class TestAgainstSliceReference:
             keep = bool(trial % 3 == 0)
             frozen = random_labels(rng, g.n, min(c, g.n)) if trial % 2 else None
             x_next, trace = sshpool_layer(
-                g.edges, g.features.data, params, c, keep, frozen_labels=frozen
+                g.edges, g.features.data, params, keep, frozen_labels=frozen
             )
             ref = slice_layer(
                 g.adjacency.data, g.features.data, trace.labels, min(c, g.n),
@@ -718,7 +731,7 @@ class TestLayerFiniteDifferences:
         params = [layer_params(rng, g.features.cols, clusters) for clusters in sizes]
         x = Tensor(g.features.data.copy(), requires_grad=True)
         with Tape() as tape:
-            x_next, trace = sshpool_stack(g.edges, x, params, sizes, keep_self_loops, frozen)
+            x_next, trace = sshpool_stack(g.edges, x, params, keep_self_loops, frozen)
             r = rng.normal(size=(1, x_next.rows))
             c = rng.normal(size=(x_next.cols, 1))
             objective = matmul(Tensor(r), matmul(x_next, Tensor(c)))
@@ -726,7 +739,7 @@ class TestLayerFiniteDifferences:
         labels = trace.hard_assignments()
 
         def probe():
-            x_e, _ = sshpool_stack(g.edges, x, params, sizes, keep_self_loops, labels)
+            x_e, _ = sshpool_stack(g.edges, x, params, keep_self_loops, labels)
             return float((r @ x_e.data @ c)[0, 0])
 
         step = 1e-5
@@ -815,17 +828,17 @@ class TestEdgeListMatchesDenseFormulas:
                 frozen.append(labels)
                 rows = cols
             params = [layer_params(rng, 3, size) for size in sizes]
-            _, trace = sshpool_stack(g.edges, g.features, params, sizes, keep, frozen)
+            _, trace = sshpool_stack(g.edges, g.features, params, keep, frozen)
 
             for depth, entry in enumerate(trace.layers):
-                a_in = entry.adjacency
+                a_in = entry.edges.dense()
                 if depth:
                     assert np.array_equal(a_in, trace.layers[depth - 1].coarse_adjacency)
                 else:
                     assert np.array_equal(a_in, a)
                 labels = entry.labels
                 same = labels[:, None] == labels[None, :]
-                assert np.array_equal(entry.a_mask, a_in * same)
+                assert np.array_equal(entry.kept.dense(), a_in * same)
                 hard = entry.assignment.hard.data
                 want = hard.T @ a_in @ hard
                 if not keep:
