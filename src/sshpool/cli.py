@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,13 +29,14 @@ from .data import (
     atomic_open,
     graph_stats,
     load_tu_dataset,
+    make_folds,
     stratified_subset,
 )
 from .diagnostics import certify_locality, compare_smoothing
 from .errors import ContractError, IngestError
 from .gradcheck import check_model_gradients, fixture_graph_and_params
 from .model import VARIANTS, ModelConfig, ModelParams, forward, layer_sizes_from_ratio
-from .trainer import TrainConfig, cross_validate, evaluate, sweep, train_graphs
+from .trainer import METHOD_VARIANTS, TrainConfig, cross_validate, evaluate, train_graphs
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -203,6 +205,15 @@ def _train_config(ns: argparse.Namespace) -> TrainConfig:
     )
 
 
+def _make_out(out: str | None, dataset: Dataset, train_config: TrainConfig) -> None:
+    """Create ``out`` once every check short of training has passed, so a bad
+    config leaves no directory and an unusable one fails before any run;
+    ``make_folds`` rejects a fold count the corpus cannot fill."""
+    make_folds(dataset, train_config.folds, seed=train_config.seed)
+    if out:
+        os.makedirs(out, exist_ok=True)
+
+
 def _write_json(path: str, payload) -> None:
     with atomic_open(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -220,16 +231,12 @@ def cmd_train(ns: argparse.Namespace) -> int:
     train_config = _train_config(ns)
     dataset = _load_dataset(ns)
     model_config = _model_config(ns, dataset)
-    report = cross_validate(dataset, model_config, train_config)
     out = ns.out or "out"
-    os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "report.json"), report.to_dict())
-    _write_csv(
-        os.path.join(out, "curves.csv"),
-        ["epoch", "split", "loss", "accuracy"],
-        report.curve,
-    )
-    # Checkpoint: one model trained on the full corpus with the same budget.
+    _make_out(out, dataset, train_config)
+    report = cross_validate(dataset, model_config, train_config)
+    # Checkpoint: one model trained on the full corpus with the same budget,
+    # before any file is written, so a failed run leaves an earlier run's
+    # three files as they were.
     final = train_graphs(
         dataset,
         list(range(len(dataset.graphs))),
@@ -238,6 +245,12 @@ def cmd_train(ns: argparse.Namespace) -> int:
         train_config,
         repeat=train_config.repeats,
         fold=0,
+    )
+    _write_json(os.path.join(out, "report.json"), report.to_dict())
+    _write_csv(
+        os.path.join(out, "curves.csv"),
+        ["epoch", "split", "loss", "accuracy"],
+        report.curve,
     )
     final.params.save(os.path.join(out, "model.ckpt"))
     print(
@@ -313,16 +326,26 @@ def cmd_gradcheck(ns: argparse.Namespace) -> int:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
+    """Accuracy versus depth or ratio: one row per (swept value, method)."""
     dataset = _load_dataset(ns)
-    values = getattr(ns, ns.kind + "s")  # --depths or --ratios
-    # The base config is the first swept point; sweep checks them all.
-    setattr(ns, ns.kind, values[0])
-    model_config = _model_config(ns, dataset)
+    # Each swept value sets --depth or --ratio and builds its schedule as
+    # train does; every point is built, and so checked, before any training.
+    points = []
+    for value in getattr(ns, ns.kind + "s"):  # --depths or --ratios
+        setattr(ns, ns.kind, value)
+        base = _model_config(ns, dataset)
+        points += [
+            (value, method, replace(base, **METHOD_VARIANTS[method]))
+            for method in ("sshpool", "sshpool_non", "diffpool")
+        ]
     train_config = _train_config(ns)
-    rows = sweep(dataset, ns.kind, values, model_config, train_config)
+    _make_out(ns.out, dataset, train_config)
     header = [ns.kind, "method", "mean_accuracy", "std_error"]
+    rows = []
+    for value, method, config in points:
+        report = cross_validate(dataset, config, train_config)
+        rows.append(dict(zip(header, (value, method, report.mean_accuracy, report.std_error))))
     if ns.out:
-        os.makedirs(ns.out, exist_ok=True)
         _write_csv(os.path.join(ns.out, f"sweep_{ns.kind}.csv"), header, rows)
     writer = csv.DictWriter(sys.stdout, fieldnames=header, lineterminator="\n")
     writer.writeheader()
@@ -368,7 +391,6 @@ def cmd_locality(ns: argparse.Namespace) -> int:
             num_classes=2,
             hidden_dim=hidden,
             layer_sizes=(clusters,),
-            assignment_ratio=0.5,
             dropout=0.0,
         )
         params = ModelParams(config, seed=int(rng.integers(2**31)))
@@ -406,8 +428,7 @@ def cmd_smoothing(ns: argparse.Namespace) -> int:
         params = ModelParams(_model_config(ns, dataset), seed=ns.seed)
     graphs = dataset.graphs[: ns.graphs]
     profiles = compare_smoothing(graphs, params, seed=ns.seed)
-    print(json.dumps(profiles, sort_keys=True))
-    if ns.out:
+    if ns.out:  # files first, so an unusable --out prints nothing
         os.makedirs(ns.out, exist_ok=True)
         for key, rows in profiles.items():
             _write_csv(
@@ -415,6 +436,7 @@ def cmd_smoothing(ns: argparse.Namespace) -> int:
                 ["layer", "mean_cosine", "nodes", "skipped_pairs"],
                 rows,
             )
+    print(json.dumps(profiles, sort_keys=True))
     return 0
 
 

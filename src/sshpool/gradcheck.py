@@ -55,7 +55,6 @@ def fixture_graph_and_params(
         num_classes=2,
         hidden_dim=6,
         layer_sizes=(4, 2),
-        assignment_ratio=0.5,
         dropout=0.0,
         attention_enabled=True,
         variant=variant,

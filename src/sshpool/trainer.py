@@ -1,4 +1,4 @@
-"""Adam optimisation, the epoch loop, k-fold cross-validation, and sweeps.
+"""Adam optimisation, the epoch loop, and k-fold cross-validation.
 
 Batching averages per-graph gradients (graphs vary in size, so there is no
 padded batching); accumulation runs in ascending graph-index order inside
@@ -10,13 +10,13 @@ seeds, configs) triple fully determines every reported number.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import Dataset, make_folds
 from .errors import ContractError
-from .model import ModelConfig, ModelParams, forward, layer_sizes_from_ratio, loss, predict
+from .model import ModelConfig, ModelParams, forward, loss, predict
 from .tensor import Tape
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
@@ -278,54 +278,3 @@ METHOD_VARIANTS = {
     "global_sum": {"variant": "global_sum", "attention_enabled": False},
     "global_mean": {"variant": "global_mean", "attention_enabled": False},
 }
-
-
-def _config_for(
-    base: ModelConfig,
-    method: str,
-    layer_sizes: tuple[int, ...],
-    ratio: float | None = None,
-) -> ModelConfig:
-    changes = dict(METHOD_VARIANTS[method], layer_sizes=layer_sizes, depth=len(layer_sizes))
-    if ratio is not None:
-        changes["assignment_ratio"] = ratio
-    return replace(base, **changes)
-
-
-def sweep(
-    dataset: Dataset,
-    kind: str,
-    values: list,
-    base_config: ModelConfig,
-    train_config: TrainConfig,
-    methods: tuple[str, ...] = ("sshpool", "sshpool_non", "diffpool"),
-) -> list[dict]:
-    """Accuracy versus ``kind`` ("depth" or "ratio"), one row per (value,
-    method), methods in order.
-
-    Layer sizes follow the geometric rule from ``base_config``'s first
-    layer; the field not swept keeps ``base_config``'s value. Each row is a
-    CSV row as ``sshpool sweep <kind>`` writes it:
-    ``<kind>, method, mean_accuracy, std_error``.
-    """
-    if kind not in ("depth", "ratio"):
-        raise ContractError(f"sweep kind must be 'depth' or 'ratio', got {kind!r}")
-    # Every config is built, and so checked, before any training starts.
-    points = []
-    for value in values:
-        depth = value if kind == "depth" else base_config.depth
-        ratio = value if kind == "ratio" else base_config.assignment_ratio
-        sizes = layer_sizes_from_ratio(base_config.layer_sizes[0], ratio, depth)
-        points += [(value, m, _config_for(base_config, m, sizes, ratio)) for m in methods]
-    rows = []
-    for value, method, config in points:
-        report = cross_validate(dataset, config, train_config)
-        rows.append(
-            {
-                kind: value,
-                "method": method,
-                "mean_accuracy": report.mean_accuracy,
-                "std_error": report.std_error,
-            }
-        )
-    return rows

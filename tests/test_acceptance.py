@@ -5,6 +5,7 @@ comparison uses the bundled synthetic corpus unless TU_DATA_DIR points at
 a directory containing PTC/ or PROTEINS/ in standard TU layout.
 """
 
+import dataclasses
 import os
 import time
 import warnings
@@ -24,7 +25,7 @@ from sshpool.pooling import (
     local_embedding,
 )
 from sshpool.synth import triangle_dataset
-from sshpool.trainer import TrainConfig, cross_validate, train_graphs, _config_for
+from sshpool.trainer import METHOD_VARIANTS, TrainConfig, cross_validate, train_graphs
 
 from conftest import write_chordal_corpus
 
@@ -246,7 +247,7 @@ def desk_results():
     )
     means = {}
     for method in ("sshpool", "sshpool_non", "global_sum", "diffpool"):
-        config = _config_for(base, method, base.layer_sizes)
+        config = dataclasses.replace(base, **METHOD_VARIANTS[method])
         accs = []
         for seed in (1, 2, 3):
             tc = TrainConfig(epochs=30, folds=3, repeats=1, seed=seed, batch_size=8)

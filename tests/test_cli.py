@@ -9,6 +9,7 @@ import pytest
 
 from sshpool.cli import _OPTIONS, build_parser, main, read_config_file
 from sshpool.data import load_tu_dataset, graph_stats
+from sshpool.errors import ContractError
 from sshpool.model import ModelConfig, ModelParams
 from conftest import write_chordal_corpus, write_tu
 
@@ -35,6 +36,28 @@ def with_boolean_entry(raw: bytes) -> bytes:
     payload = json.loads(raw)
     next(iter(payload["params"].values()))["data"][0] = True
     return json.dumps(payload).encode()
+
+
+def count_training_runs(monkeypatch):
+    """Record every ``train_graphs`` call, cross-validation folds and final run alike."""
+    import sshpool.trainer as trainer_module
+
+    runs = []
+    real = trainer_module.train_graphs
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "train_graphs", counting)
+    monkeypatch.setattr("sshpool.cli.train_graphs", counting)
+    return runs
+
+
+def unusable_dir(tmp_path):
+    """A path under a regular file: ``os.makedirs`` cannot create it."""
+    (tmp_path / "file").write_text("")
+    return str(tmp_path / "file" / "out")
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +127,27 @@ class TestTrain:
         assert main(args) == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
+
+    def test_unusable_out_exit_3_before_training(self, corpus, tmp_path, capsys, monkeypatch):
+        runs = count_training_runs(monkeypatch)
+        assert main(train_args(corpus, unusable_dir(tmp_path))) == 3
+        assert runs == [] and capsys.readouterr().out == ""
+
+    def test_failed_final_run_leaves_earlier_artifacts(self, corpus, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        names = ("report.json", "curves.csv", "model.ckpt")
+        assert main(train_args(corpus, str(out))) == 0
+        before = {name: (out / name).read_bytes() for name in names}
+
+        def failing(*args, **kwargs):
+            raise ContractError("the full-corpus run failed")
+
+        # Cross-validation runs as usual; only the full-corpus run fails.
+        monkeypatch.setattr("sshpool.cli.train_graphs", failing)
+        args = train_args(corpus, str(out))
+        args[args.index("--seed") + 1] = "8"
+        assert main(args) == 2
+        assert {name: (out / name).read_bytes() for name in names} == before
 
     def test_bad_flag_exit_2(self, corpus, tmp_path):
         assert main(["train", "--no-such-flag"]) == 2
@@ -407,22 +451,32 @@ class TestSweepCommand:
         assert len(capsys.readouterr().out.splitlines()) == 4
 
 
+    def sweep_before_training(self, corpus, out, ratios, monkeypatch):
+        """Exit code of a ``sweep ratio`` run, and whether it cross-validated anything."""
+        calls = []
+        monkeypatch.setattr("sshpool.cli.cross_validate", lambda *args: calls.append(args))
+        code = main(
+            ["sweep", "ratio", "--data", corpus, "--name", "synth", "--out", str(out),
+             "--ratios", ratios, "--hidden-dim", "8", "--layer-base", "4", "--depth", "2",
+             "--epochs", "1", "--folds", "2", "--repeats", "1", "--seed", "0"]
+        )
+        return code, calls != []
+
     def test_increasing_swept_schedule_exit_2_before_training(
         self, corpus, tmp_path, capsys, monkeypatch
     ):
-        import sshpool.trainer as trainer_module
-
-        calls = []
-        monkeypatch.setattr(trainer_module, "cross_validate", lambda *args: calls.append(args))
         out = tmp_path / "sw"
-        code = main(
-            ["sweep", "ratio", "--data", corpus, "--name", "synth", "--out", str(out),
-             "--ratios", "0.5,2", "--hidden-dim", "8", "--layer-base", "4", "--depth", "2",
-             "--epochs", "1", "--folds", "2", "--repeats", "1", "--seed", "0"]
-        )
-        assert code == 2
+        assert self.sweep_before_training(corpus, out, "0.5,2", monkeypatch) == (2, False)
         assert "layer sizes must strictly decrease, got (4, 8)" in capsys.readouterr().err
-        assert calls == [] and not out.exists()
+        assert not out.exists()
+
+    def test_zero_cluster_swept_ratio_exit_2_before_training(
+        self, corpus, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "sw"
+        assert self.sweep_before_training(corpus, out, "0.01", monkeypatch) == (2, False)
+        assert "ratio 0.01 from base 4 degenerates to (4, 0)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_swept_ratio_exit_2(self, corpus, capsys):
         code = main(
@@ -432,6 +486,28 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "assignment ratio must be finite, got nan" in capsys.readouterr().err
+
+    def depth_sweep_args(self, corpus, out):
+        return ["sweep", "depth", "--data", corpus, "--name", "synth", "--out", out,
+                "--depths", "1,2", "--hidden-dim", "8", "--layer-base", "4", "--ratio", "0.5",
+                "--epochs", "1", "--folds", "2", "--repeats", "1", "--seed", "3"]
+
+    def test_byte_identical_reruns(self, corpus, tmp_path):
+        written = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(self.depth_sweep_args(corpus, str(out))) == 0
+            written.append((out / "sweep_depth.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_unknown_kind_exit_2(self, capsys):
+        assert main(["sweep", "width"]) == 2
+        assert "invalid choice: 'width'" in capsys.readouterr().err
+
+    def test_unusable_out_exit_3_before_training(self, corpus, tmp_path, capsys, monkeypatch):
+        runs = count_training_runs(monkeypatch)
+        assert main(self.depth_sweep_args(corpus, unusable_dir(tmp_path))) == 3
+        assert runs == [] and capsys.readouterr().out == ""
 
 
 class TestStatsCommand:
@@ -498,6 +574,12 @@ class TestDiagnoseCommand:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"pooled", "stacked_conv"}
         assert os.path.isfile(os.path.join(out, "smoothing_pooled.csv"))
+
+    def test_smoothing_unusable_out_exit_3_printing_nothing(self, tmp_path, capsys):
+        args = ["diagnose", "smoothing", "--graphs", "4", "--hidden-dim", "8",
+                "--layer-sizes", "4,2", "--out", unusable_dir(tmp_path)]
+        assert main(args) == 3
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("variant", ["diffpool", "global_sum"])
     def test_smoothing_other_variants_exit_2(self, corpus, tmp_path, capsys, variant):

@@ -15,7 +15,6 @@ from sshpool.trainer import (
     adam_step,
     cross_validate,
     mean_and_std_error,
-    sweep,
     train_graphs,
 )
 
@@ -342,56 +341,3 @@ class TestCrossValidate:
         b = cross_validate(ds, cfg, tc)
         assert a.to_dict() == b.to_dict()
 
-
-class TestSweeps:
-    def test_depth_single_row_per_method(self):
-        ds = triangle_dataset(6, seed=0)
-        cfg = tiny_model_config(ds, layer_sizes=(4, 2), depth=2)
-        tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=0)
-        rows = sweep(ds, "depth", [1], cfg, tc, methods=("sshpool",))
-        assert len(rows) == 1
-        assert rows[0]["depth"] == 1
-        assert 0.0 <= rows[0]["mean_accuracy"] <= 1.0
-
-    def test_depth_table_deterministic(self):
-        ds = triangle_dataset(6, seed=0)
-        cfg = tiny_model_config(ds)
-        tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=3)
-        a = sweep(ds, "depth", [1, 2], cfg, tc, methods=("sshpool", "diffpool"))
-        b = sweep(ds, "depth", [1, 2], cfg, tc, methods=("sshpool", "diffpool"))
-        assert a == b
-        assert len(a) == 4
-
-    def test_ratio_rows_and_range(self):
-        ds = triangle_dataset(6, seed=0)
-        cfg = tiny_model_config(ds, layer_sizes=(8, 4), depth=2)
-        tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=0)
-        rows = sweep(ds, "ratio", [0.5, 0.25], cfg, tc, methods=("sshpool",))
-        assert [r["ratio"] for r in rows] == [0.5, 0.25]
-        for r in rows:
-            assert 0.0 <= r["mean_accuracy"] <= 1.0
-
-    def test_ratio_degenerate_rejected(self):
-        ds = triangle_dataset(6, seed=0)
-        cfg = tiny_model_config(ds, layer_sizes=(8, 4), depth=2)
-        tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=0)
-        with pytest.raises(ContractError):
-            sweep(ds, "ratio", [0.01], cfg, tc, methods=("sshpool",))
-
-    def test_increasing_schedule_rejected_before_training(self, monkeypatch):
-        import sshpool.trainer as trainer_module
-
-        ds = triangle_dataset(6, seed=0)
-        cfg = tiny_model_config(ds, layer_sizes=(8, 4), depth=2)
-        tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=0)
-        calls = []
-        monkeypatch.setattr(trainer_module, "cross_validate", lambda *args: calls.append(args))
-        with pytest.raises(ContractError, match=r"strictly decrease, got \(8, 16\)"):
-            sweep(ds, "ratio", [0.5, 2.0], cfg, tc, methods=("sshpool",))
-        assert calls == []
-
-    def test_unknown_kind_rejected(self):
-        ds = triangle_dataset(6, seed=0)
-        tc = TrainConfig(epochs=1, folds=2, repeats=1, seed=0)
-        with pytest.raises(ContractError, match="sweep kind"):
-            sweep(ds, "width", [8], tiny_model_config(ds), tc, methods=("sshpool",))
