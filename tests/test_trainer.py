@@ -341,3 +341,43 @@ class TestCrossValidate:
         b = cross_validate(ds, cfg, tc)
         assert a.to_dict() == b.to_dict()
 
+
+
+class TestSweeps:
+    """`sshpool sweep` on a small slice of the desk corpus: one row per (value, method)."""
+
+    def sweep(self, kind, values, *extra):
+        from sshpool.cli import main
+
+        return main(
+            ["sweep", kind, "--data", DESK_CORPUS, "--name", "chordal", "--limit-graphs", "12",
+             f"--{kind}s", values, "--hidden-dim", "8", *extra,
+             "--epochs", "1", "--folds", "2", "--repeats", "1", "--seed", "0"]
+        )
+
+    def rows(self, capsys):
+        lines = capsys.readouterr().out.splitlines()
+        return [line.split(",") for line in lines[1:]]
+
+    def test_depth_single_row_per_method(self, capsys):
+        assert self.sweep("depth", "1", "--layer-base", "4", "--ratio", "0.5") == 0
+        rows = self.rows(capsys)
+        assert [(r[0], r[1]) for r in rows] == [
+            ("1", method) for method in ("sshpool", "sshpool_non", "diffpool")
+        ]
+        for r in rows:
+            assert 0.0 <= float(r[2]) <= 1.0
+
+    def test_ratio_rows_and_range(self, capsys):
+        assert self.sweep("ratio", "0.5,0.25", "--layer-base", "8", "--depth", "2") == 0
+        rows = self.rows(capsys)
+        assert [float(r[0]) for r in rows] == [0.5] * 3 + [0.25] * 3
+        for r in rows:
+            assert 0.0 <= float(r[2]) <= 1.0
+
+    def test_increasing_schedule_rejected_before_training(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("sshpool.cli.cross_validate", lambda *args: calls.append(args))
+        assert self.sweep("ratio", "0.5,2.0", "--layer-base", "8", "--depth", "2") == 2
+        assert "strictly decrease, got (8, 16)" in capsys.readouterr().err
+        assert calls == []
