@@ -134,6 +134,8 @@ def read_config_file(path: str) -> dict:
 
 def _resolve(ns: argparse.Namespace) -> argparse.Namespace:
     """Flag > config file > default for the command's options; defaults for the rest."""
+    # ``ns.flags``: the options given as flags (every argparse default is None).
+    ns.flags = {key for key in _OPTIONS if getattr(ns, key, None) is not None}
     file_values = read_config_file(ns.config) if getattr(ns, "config", None) else {}
     for key, option in _OPTIONS.items():
         if not hasattr(ns, key):
@@ -175,6 +177,7 @@ def _check_feature_width(params: ModelParams, dataset: Dataset) -> None:
 
 
 def _model_config(ns: argparse.Namespace, dataset: Dataset) -> ModelConfig:
+    """The model the options describe; a ``--depth`` flag must match ``--layer-sizes``."""
     sizes = (
         tuple(ns.layer_sizes)
         if ns.layer_sizes
@@ -186,6 +189,7 @@ def _model_config(ns: argparse.Namespace, dataset: Dataset) -> ModelConfig:
         hidden_dim=ns.hidden_dim,
         layer_sizes=sizes,
         assignment_ratio=ns.ratio,
+        depth=ns.depth if "depth" in ns.flags else None,
         dropout=ns.dropout,
         attention_enabled=ns.attention,
         variant=ns.variant,
@@ -423,6 +427,10 @@ def cmd_smoothing(ns: argparse.Namespace) -> int:
         dataset = triangle_dataset(num_graphs=20, seed=ns.seed)
     if ns.ckpt:
         params = ModelParams.load(ns.ckpt)
+        ignored = [key for key in _MODEL + _SCHEDULE if key in ns.flags]
+        if ignored:
+            flags = ", ".join("--" + key.replace("_", "-") for key in ignored)
+            raise ContractError(f"{flags} cannot be combined with --ckpt, which fixes the model")
         _check_feature_width(params, dataset)
     else:
         params = ModelParams(_model_config(ns, dataset), seed=ns.seed)
@@ -520,10 +528,7 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (IngestError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -34,29 +34,27 @@ DEGREE_CAP = 63
 class Edges:
     """The nonzero entries of an n x n matrix as a list, no position repeated.
 
-    Entry k holds ``weight[k]`` at row ``dst[k]`` and column ``src[k]``;
-    ``flat[k] = dst[k] * n + src[k]``. ``from_dense`` lists them in
-    row-major order.
+    Entry k holds ``weight[k]`` at row ``dst[k]`` and column ``src[k]``.
+    ``from_dense`` lists them in row-major order.
     """
 
-    def __init__(self, n: int, dst: np.ndarray, src: np.ndarray, flat: np.ndarray,
-                 weight: np.ndarray):
-        self.n, self.dst, self.src, self.flat, self.weight = n, dst, src, flat, weight
+    def __init__(self, n: int, dst: np.ndarray, src: np.ndarray, weight: np.ndarray):
+        self.n, self.dst, self.src, self.weight = n, dst, src, weight
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "Edges":
         n, values = a.shape[0], a.reshape(-1)
         flat = values.nonzero()[0]
-        return cls(n, *np.divmod(flat, n), flat, values.take(flat))
+        return cls(n, *np.divmod(flat, n), values.take(flat))
 
     def select(self, keep: np.ndarray) -> "Edges":
         """The entries where the boolean ``keep`` is set."""
-        return Edges(self.n, self.dst[keep], self.src[keep], self.flat[keep], self.weight[keep])
+        return Edges(self.n, self.dst[keep], self.src[keep], self.weight[keep])
 
     def dense(self) -> np.ndarray:
         """The n x n matrix: the weights scattered into +0.0 everywhere else."""
         out = np.zeros((self.n, self.n))
-        out.put(self.flat, self.weight)
+        out[self.dst, self.src] = self.weight
         return out
 
 
@@ -91,14 +89,14 @@ class Graph:
         a = np.asarray(adjacency, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ContractError(f"adjacency must be square, got {a.shape}")
-        edges = Edges.from_dense(a)
-        if not np.all(edges.weight == 1.0):
+        e = Edges.from_dense(a)
+        if not np.all(e.weight == 1.0):
             raise ContractError("adjacency entries must be 0 or 1")
-        if np.any(edges.dst == edges.src):
+        if np.any(e.dst == e.src):
             raise ContractError("adjacency diagonal must be zero")
-        if not np.array_equal(np.sort(edges.src * edges.n + edges.dst), edges.flat):
+        if not np.array_equal(np.sort(e.src * e.n + e.dst), e.dst * e.n + e.src):
             raise ContractError("adjacency must be symmetric")
-        return cls(edges, Tensor(features), label)
+        return cls(e, Tensor(features), label)
 
     @property
     def n(self) -> int:
@@ -121,7 +119,7 @@ class Graph:
         inv_sqrt = 1.0 / np.sqrt(np.bincount(e.dst, minlength=n) + 1.0)
         dst = np.concatenate([e.dst, loops])
         src = np.concatenate([e.src, loops])
-        return Edges(n, dst, src, dst * n + src, inv_sqrt[dst] * inv_sqrt[src])
+        return Edges(n, dst, src, inv_sqrt[dst] * inv_sqrt[src])
 
     @cached_property
     def propagated(self) -> np.ndarray:
@@ -136,7 +134,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return self.edges.flat.size // 2
+        return self.edges.dst.size // 2
 
 
 def degree_one_hot(edges: Edges) -> np.ndarray:
@@ -285,7 +283,7 @@ def _edge_lists(
     weight = np.ones(key.size)
     bounds = bounds.tolist()
     return [
-        Edges(n, dst[lo:hi], src[lo:hi], flat[lo:hi], weight[lo:hi])
+        Edges(n, dst[lo:hi], src[lo:hi], weight[lo:hi])
         for n, lo, hi in zip(sizes.tolist(), bounds, bounds[1:])
     ]
 

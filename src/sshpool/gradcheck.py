@@ -88,7 +88,7 @@ def check_model_gradients(
         logits, trace = forward(graph, params, training=False)
         objective = loss(logits, graph.label)
     tape.backward(objective)
-    frozen = trace.hard_assignments() or None
+    frozen = [entry.labels for entry in trace.layers] or None
 
     def probe() -> float:
         lg, _ = forward(graph, params, training=False, frozen_assignments=frozen)

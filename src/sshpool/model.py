@@ -19,14 +19,7 @@ import numpy as np
 from .data import Graph, atomic_open
 from .errors import ContractError, IngestError, ShapeError
 from .pooling import CoarseningTrace, PoolLayerParams, diffpool_stack, sshpool_stack
-from .tensor import (
-    Tensor,
-    _record,
-    cross_entropy_with_logits,
-    mean_rows,
-    softmax_rows,
-    sum_rows,
-)
+from .tensor import Tensor, _record, mean_rows, softmax_rows, sum_rows
 
 VARIANTS = ("sshpool", "diffpool", "global_sum", "global_mean")
 
@@ -453,8 +446,28 @@ def forward(
 
 
 def loss(logits: Tensor, label: int) -> Tensor:
-    """Cross-entropy against the true class, stable for extreme logits."""
-    return cross_entropy_with_logits(logits, label)
+    """Cross-entropy of a 1 x C logit row against the true class:
+    logsumexp(logits) - logits[label].
+
+    Stable for extreme logits via max subtraction; backward is the classic
+    softmax-minus-one-hot rule.
+    """
+    if logits.rows != 1:
+        raise ShapeError(f"logits must be a single row, got {logits.shape}")
+    if not 0 <= label < logits.cols:
+        raise ContractError(f"label {label} outside [0, {logits.cols})")
+    row = logits.data[0]
+    m = row.max()
+    lse = m + np.log(np.add.reduce(np.exp(row - m)))
+    out = Tensor(lse - logits.data[:, label : label + 1])
+
+    def rule(g, push):
+        s = np.exp(row - m)
+        s /= np.add.reduce(s)
+        s[label] -= 1.0
+        push(logits, g[0, 0] * s.reshape(1, -1))
+
+    return _record(out, rule)
 
 
 def predict(logits: Tensor) -> int:

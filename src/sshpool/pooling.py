@@ -117,16 +117,6 @@ class CoarseningTrace:
     layers: list[LayerTrace]
     x0: np.ndarray | None = None
 
-    def hard_assignments(self) -> list[np.ndarray]:
-        """Each layer's cluster labels, in the form ``frozen`` takes them."""
-        return [entry.labels for entry in self.layers]
-
-    def feature_sequence(self) -> list[np.ndarray]:
-        """Node-embedding matrices layer by layer, led by ``x0`` when set."""
-        seq = [] if self.x0 is None else [self.x0]
-        seq.extend(entry.coarse_features for entry in self.layers)
-        return seq
-
 
 @dataclass
 class PoolLayerParams:

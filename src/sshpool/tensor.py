@@ -2,7 +2,7 @@
 
 Every value in the model is a :class:`Tensor` wrapping a 2-D numpy array.
 Each differentiable stage (global convolution, pooling, attention, the
-classifier head, the readouts and the loss below) computes its output in
+classifier head, the readouts below and the loss) computes its output in
 plain numpy and, while a :class:`Tape` is active, appends one record to
 it: the output and a hand-written backward rule. ``Tape.backward``
 replays the records in exact reverse recording order and adds each
@@ -173,29 +173,5 @@ def sum_rows(x: Tensor) -> Tensor:
 
     def rule(g, push, x=x):
         push(x, g.repeat(x.rows, axis=0))
-
-    return _record(out, rule)
-
-
-def cross_entropy_with_logits(logits: Tensor, label: int) -> Tensor:
-    """Cross-entropy of a 1 x C logit row: logsumexp(logits) - logits[label].
-
-    Stable for extreme logits via max subtraction; backward is the classic
-    softmax-minus-one-hot rule.
-    """
-    if logits.rows != 1:
-        raise ShapeError(f"logits must be a single row, got {logits.shape}")
-    if not 0 <= label < logits.cols:
-        raise ContractError(f"label {label} outside [0, {logits.cols})")
-    row = logits.data[0]
-    m = row.max()
-    lse = m + np.log(np.add.reduce(np.exp(row - m)))
-    out = Tensor(lse - logits.data[:, label : label + 1])
-
-    def rule(g, push, logits=logits, label=label, row=row, m=m):
-        s = np.exp(row - m)
-        s /= np.add.reduce(s)
-        s[label] -= 1.0
-        push(logits, g[0, 0] * s.reshape(1, -1))
 
     return _record(out, rule)

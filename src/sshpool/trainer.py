@@ -89,10 +89,6 @@ def adam_step(params: ModelParams, state: AdamState, config: TrainConfig) -> Non
     params.data -= tmp
 
 
-def _seed_for(*entropy: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy)
-
-
 def evaluate(dataset: Dataset, indices: list[int], params: ModelParams) -> tuple[float, float]:
     """Mean eval-mode loss and accuracy over the given graph indices."""
     if not indices:
@@ -140,7 +136,7 @@ def train_graphs(
     """
     init_seed, shuffle_seed, drop_seed = (
         s.generate_state(1)[0]
-        for s in _seed_for(train_config.seed, repeat, fold).spawn(3)
+        for s in np.random.SeedSequence((train_config.seed, repeat, fold)).spawn(3)
     )
     params = ModelParams(model_config, seed=int(init_seed))
     state = AdamState(params.data.size)
@@ -245,7 +241,7 @@ def cross_validate(
     """folds x repeats training runs; each repeat reshuffles the folds."""
     results: list[FoldResult] = []
     for repeat in range(train_config.repeats):
-        fold_seed = int(_seed_for(train_config.seed, repeat).generate_state(1)[0])
+        fold_seed = int(np.random.SeedSequence((train_config.seed, repeat)).generate_state(1)[0])
         plan = make_folds(dataset, train_config.folds, seed=fold_seed)
         for fold in range(train_config.folds):
             result = train_graphs(

@@ -202,7 +202,8 @@ class TestTrain:
     @pytest.mark.parametrize("sizes", ["16,8", "128,10,8"])
     def test_any_layer_sizes_without_ratio(self, corpus, tmp_path, capsys, sizes):
         args = train_args(corpus, str(tmp_path / "o"))
-        del args[args.index("--ratio"):args.index("--ratio") + 2]
+        for flag in ("--ratio", "--depth"):
+            del args[args.index(flag):args.index(flag) + 2]
         args[args.index("--layer-sizes") + 1] = sizes
         assert main(args) == 0
         report = json.loads(open(tmp_path / "o" / "report.json").read())
@@ -245,6 +246,15 @@ class TestTrain:
         assert main(args) == 2
         assert f"assignment ratio must be finite, got {ratio}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_depth_disagreeing_with_layer_sizes_exit_2(self, corpus, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = train_args(corpus, str(out))
+        args[args.index("--depth") + 1] = "3"
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "depth 3 != number of layer sizes 2" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -594,6 +604,50 @@ class TestDiagnoseCommand:
         ModelParams(config, seed=0).save(ckpt)
         assert main(args + ["--ckpt", ckpt, "--data", corpus, "--name", "synth"]) == 2
         assert f"got variant {variant!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, named",
+        [
+            (["--hidden-dim", "999"], "--hidden-dim"),
+            (["--layer-sizes", "50,40"], "--layer-sizes"),
+            (["--no-attention"], "--attention"),
+            (["--depth", "2"], "--depth"),
+            (["--hidden-dim", "999", "--layer-sizes", "50,40", "--variant", "diffpool",
+              "--no-attention"], "--hidden-dim, --layer-sizes, --variant, --attention"),
+        ],
+        ids=["hidden-dim", "layer-sizes", "no-attention", "depth", "four-flags"],
+    )
+    def test_smoothing_ckpt_with_model_flag_exit_2(
+        self, corpus, trained, tmp_path, capsys, model, named
+    ):
+        out = tmp_path / "sm"
+        args = ["diagnose", "smoothing", "--ckpt", os.path.join(trained, "model.ckpt"),
+                "--data", corpus, "--name", "synth", "--graphs", "2", "--out", str(out)]
+        assert main(args + model) == 2
+        captured = capsys.readouterr()
+        assert f"{named} cannot be combined with --ckpt" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_smoothing_ckpt_ignores_model_keys_in_config_file(
+        self, corpus, trained, tmp_path, capsys
+    ):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("hidden_dim = 999\nlayer_sizes = 50,40\nvariant = diffpool\n")
+        args = ["diagnose", "smoothing", "--ckpt", os.path.join(trained, "model.ckpt"),
+                "--data", corpus, "--name", "synth", "--graphs", "2"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_smoothing_depth_disagreeing_with_layer_sizes_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sm"
+        args = ["diagnose", "smoothing", "--graphs", "2", "--hidden-dim", "8",
+                "--layer-sizes", "4,2", "--depth", "3", "--out", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "depth 3 != number of layer sizes 2" in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("ratio", ["nan", "inf"])
     def test_smoothing_non_finite_ratio_exit_2(self, capsys, ratio):

@@ -37,6 +37,11 @@ def tu_available(name):
     return os.path.isfile(os.path.join(TU_DATA_DIR, name, f"{name}_A.txt"))
 
 
+def row_major_keys(edges):
+    """Each entry's position ``dst * n + src`` in the flattened n x n matrix."""
+    return edges.dst * edges.n + edges.src
+
+
 def dense_reference(directory, name):
     """Each graph's adjacency and degree one-hots built densely, one A line
     at a time: the loader's former construction."""
@@ -131,9 +136,11 @@ class TestLoadTU:
         for g, a, f in zip(ds.graphs, adj, feats):
             want = Graph.from_dense(a, f, g.label)
             assert g.n == want.n
-            for field in ("dst", "src", "flat", "weight"):
+            for field in ("dst", "src", "weight"):
                 got, expected = getattr(g.edges, field), getattr(want.edges, field)
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            got, expected = row_major_keys(g.edges), row_major_keys(want.edges)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
             assert np.array_equal(g.features.data, want.features.data)
 
     def test_loading_allocates_no_dense_adjacency(self, tmp_path):
@@ -151,7 +158,7 @@ class TestLoadTU:
         assert set(vars(g)) == {"edges", "features", "label", "gcn_norm"}
         for part in (g.edges, g.gcn_norm):
             arrays = [v for v in vars(part).values() if isinstance(v, np.ndarray)]
-            assert len(arrays) == 4 and all(v.ndim == 1 for v in arrays)
+            assert len(arrays) == 3 and all(v.ndim == 1 for v in arrays)
 
     def test_node_label_features(self, tmp_path):
         write_tu(
@@ -468,8 +475,9 @@ class TestGraphStructure:
             Graph.from_dense(np.zeros((3, 3)), np.ones((2, 1)), 0)
 
     def test_edges_from_dense_match_the_index_arithmetic(self, rng):
-        # ``from_dense`` splits ``flat`` with one divmod and gathers the
-        # weights with ``take``; both give what //, % and fancy indexing give.
+        # ``from_dense`` splits the flat nonzero positions with one divmod and
+        # gathers the weights with ``take``; both give what //, % and fancy
+        # indexing give.
         cases = [np.zeros((1, 1)), np.ones((1, 1)), np.zeros((5, 5))]
         for n in rng.integers(1, 30, size=40):
             cases.append((rng.random((n, n)) < 0.3).astype(float))
@@ -478,7 +486,7 @@ class TestGraphStructure:
             edges, values = Edges.from_dense(a), a.reshape(-1)
             flat = values.nonzero()[0]
             for got, want in ((edges.dst, flat // len(a)), (edges.src, flat % len(a)),
-                              (edges.flat, flat), (edges.weight, values[flat])):
+                              (row_major_keys(edges), flat), (edges.weight, values[flat])):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert edges.n == len(a) and np.array_equal(edges.dense(), a)
 
@@ -487,7 +495,7 @@ class TestGraphStructure:
         a = g.adjacency.data
         assert a.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
         a[0, 2] = 1.0  # editing a copy cannot put the edge list out of step
-        assert g.edges.flat.tolist() == [1, 3, 5, 7]
+        assert row_major_keys(g.edges).tolist() == [1, 3, 5, 7]
         assert g.adjacency.data[0, 2] == 0.0 and g.adjacency.data is not a
 
     def test_structure_is_linear_in_nodes_and_edges(self, rng):
@@ -498,16 +506,16 @@ class TestGraphStructure:
         params = ModelParams(config, seed=0)
         for _ in range(20):
             g = random_graph(rng, n_lo=1, n_hi=30, d=f)
-            e = g.edges.flat.size
+            e = g.edges.dst.size
             for part in (g.edges, g.gcn_norm):
-                for arr in (part.dst, part.src, part.flat, part.weight):
+                for arr in (part.dst, part.src, part.weight):
                     assert arr.ndim == 1 and arr.size <= g.n + e
             assert g.num_edges == int(g.adjacency.data.sum()) // 2
             forward(g, params)  # fills what a graph caches on its first forward
             assert {"gcn_norm", "propagated"} <= set(vars(g))
             for value in vars(g).values():
                 if isinstance(value, Edges):
-                    arrays = [value.dst, value.src, value.flat, value.weight]
+                    arrays = [value.dst, value.src, value.weight]
                 else:
                     arrays = [getattr(value, "data", value)]
                 for arr in (a for a in arrays if isinstance(a, np.ndarray)):

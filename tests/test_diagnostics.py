@@ -36,28 +36,28 @@ class TestSmoothingProfile:
     def test_identical_rows_give_one(self):
         mat = np.tile([1.0, 2.0, 3.0], (4, 1))
         prof = smoothing_profile([mat])
-        assert prof[0].mean_cosine == pytest.approx(1.0)
+        assert prof[0]["mean_cosine"] == pytest.approx(1.0)
 
     def test_orthogonal_rows_give_zero(self):
         prof = smoothing_profile([np.eye(3)])
-        assert prof[0].mean_cosine == pytest.approx(0.0, abs=1e-12)
+        assert prof[0]["mean_cosine"] == pytest.approx(0.0, abs=1e-12)
 
     def test_known_pair(self):
         mat = np.array([[1.0, 0.0], [1.0, 1.0]])
         prof = smoothing_profile([mat])
-        assert prof[0].mean_cosine == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+        assert prof[0]["mean_cosine"] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
     def test_undefined_below_two_rows(self):
         prof = smoothing_profile([np.ones((1, 3))])
-        assert prof[0].mean_cosine is None
-        assert prof[0].nodes == 1
+        assert prof[0]["mean_cosine"] is None
+        assert prof[0]["nodes"] == 1
 
     def test_zero_norm_rows_skipped_and_counted(self):
         mat = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         prof = smoothing_profile([mat])
         entry = prof[0]
-        assert entry.skipped_pairs == 2
-        assert entry.mean_cosine == pytest.approx(1.0)
+        assert entry["skipped_pairs"] == 2
+        assert entry["mean_cosine"] == pytest.approx(1.0)
 
     def test_matches_pair_loop(self, rng):
         def loop_profile(mat):
@@ -89,12 +89,12 @@ class TestSmoothingProfile:
         ]
         for mat, entry in zip(mats, smoothing_profile(mats)):
             mean, skipped = loop_profile(mat)
-            assert entry.skipped_pairs == skipped
-            assert entry.nodes == len(mat)
+            assert entry["skipped_pairs"] == skipped
+            assert entry["nodes"] == len(mat)
             if mean is None:
-                assert entry.mean_cosine is None
+                assert entry["mean_cosine"] is None
             else:
-                assert abs(entry.mean_cosine - mean) <= 1e-12
+                assert abs(entry["mean_cosine"] - mean) <= 1e-12
 
     def test_builds_no_pair_sized_array(self, rng):
         mat = rng.normal(size=(2000, 8))
@@ -110,7 +110,7 @@ class TestSmoothingProfile:
     def test_values_in_range(self, rng):
         mats = [rng.normal(size=(int(rng.integers(2, 9)), 5)) for _ in range(6)]
         for entry in smoothing_profile(mats):
-            assert entry.mean_cosine is None or -1.0 <= entry.mean_cosine <= 1.0 + 1e-12
+            assert entry["mean_cosine"] is None or -1.0 <= entry["mean_cosine"] <= 1.0 + 1e-12
 
 
 class TestCertifyLocality:
@@ -152,6 +152,55 @@ class TestCertifyLocality:
         assert report.violations
         first = report.violations[0]
         assert {"node", "cluster", "kind"} <= set(first)
+
+    def test_violations_match_per_cluster_loop_in_order(self, rng):
+        # The certifier's list, entry for entry, is what a loop over the
+        # clusters finds: cluster by cluster, the local embedding before the
+        # coarse row, node u's own cluster skipped.
+        def per_cluster_violations(u, labels, base_z, new_z, base_xn, new_xn):
+            bad = []
+            for k in range(base_xn.shape[0]):
+                if k == labels[u]:
+                    continue
+                rows = labels == k
+                if not np.array_equal(base_z[rows], new_z[rows]):
+                    bad.append({"node": u, "cluster": k, "kind": "local_embedding"})
+                if not np.array_equal(base_xn[k], new_xn[k]):
+                    bad.append({"node": u, "cluster": k, "kind": "coarse_row"})
+            return bad
+
+        # Five clusters of two nodes and an empty sixth. The sum of the input
+        # leaks into the Z rows of clusters 0, 1, 2, 4 and into coarse rows
+        # 0, 1, 2, 3, 5: whatever node is bumped, at least two foreign
+        # clusters leak in both kinds, one in Z only and two in coarse rows only.
+        fixed = np.arange(10) // 2
+        z_leak = np.isin(fixed, [0, 1, 2, 4])[:, None]
+        coarse_leak = np.isin(np.arange(6), [0, 1, 2, 3, 5])[:, None]
+        calls = []
+
+        def leaky_layer(adjacency, x, params, keep_self_loops=False, frozen_labels=None):
+            labels = fixed if frozen_labels is None else frozen_labels
+            xn, trace = sshpool_layer(adjacency, x, params, keep_self_loops, labels)
+            z = trace.local_embedding + x.sum() * z_leak
+            xn = xn + x.sum() * coarse_leak
+            calls.append((x, z, xn))
+            return xn, SimpleNamespace(labels=labels, local_embedding=z)
+
+        g = make_graph([(k, k + 1) for k in range(9)], 10, d=4)
+        params = ModelParams(probe_config(clusters=(6,)), seed=0)
+        report = certify_locality(g, params, trials=30, rng=rng, layer_impl=leaky_layer)
+
+        (base_x, base_z, base_xn), *trials = calls
+        want = []
+        for x, z, xn in trials:
+            (u,) = np.flatnonzero((x != base_x).any(axis=1)).tolist()
+            bad = per_cluster_violations(u, fixed, base_z, z, base_xn, xn)
+            both = {v["cluster"] for v in bad if v["kind"] == "local_embedding"} & {
+                v["cluster"] for v in bad if v["kind"] == "coarse_row"}
+            assert len(both) >= 2
+            want += bad
+        assert len(trials) == 30 and report.passes == 0
+        assert report.violations == want
 
     def test_trials_contract(self, rng):
         g = random_graph(rng, d=4)

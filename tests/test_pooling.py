@@ -593,7 +593,7 @@ class TestLayerAndStack:
             c = Tensor(rng.normal(size=(x_out.cols, 1)))
             objective = matmul(r, matmul(x_out, c))
         tape.backward(objective)
-        frozen = trace.hard_assignments()
+        frozen = [e.labels for e in trace.layers]
 
         def eval_loss():
             x_e, _ = sshpool_stack(g.edges, g.features, [p0, p1], frozen=frozen)
@@ -736,7 +736,7 @@ class TestLayerFiniteDifferences:
             c = rng.normal(size=(x_next.cols, 1))
             objective = matmul(Tensor(r), matmul(x_next, Tensor(c)))
         tape.backward(objective)
-        labels = trace.hard_assignments()
+        labels = [e.labels for e in trace.layers]
 
         def probe():
             x_e, _ = sshpool_stack(g.edges, x, params, keep_self_loops, labels)

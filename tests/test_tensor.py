@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sshpool.errors import ContractError, ShapeError
-from sshpool.tensor import Tape, Tensor, cross_entropy_with_logits, mean_rows, sum_rows
+from sshpool.model import loss
+from sshpool.tensor import Tape, Tensor, mean_rows, sum_rows
 
 from op_reference import add, dropout, matmul, relu, row_softmax, scale, transpose
 
@@ -161,23 +162,23 @@ class TestDropout:
 
 class TestCrossEntropy:
     def test_uniform_case(self):
-        out = cross_entropy_with_logits(Tensor([[0.0, 0.0]]), 0)
+        out = loss(Tensor([[0.0, 0.0]]), 0)
         assert out.item() == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_stability(self):
-        out = cross_entropy_with_logits(Tensor([[1000.0, 0.0]]), 0)
+        out = loss(Tensor([[1000.0, 0.0]]), 0)
         assert out.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_direct_oracle(self, rng):
         logits = rng.normal(size=(1, 5)) * 3
         label = 3
         want = -math.log(np.exp(logits[0]).sum() ** -1 * np.exp(logits[0][label]))
-        got = cross_entropy_with_logits(Tensor(logits), label).item()
+        got = loss(Tensor(logits), label).item()
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(ContractError):
-            cross_entropy_with_logits(Tensor([[0.0, 0.0]]), 2)
+            loss(Tensor([[0.0, 0.0]]), 2)
 
 
 class TestBackward:
@@ -328,10 +329,10 @@ class TestFiniteDifferences:
         logits = rng.normal(size=(1, 4))
         t = Tensor(logits.copy(), requires_grad=True)
         with Tape() as tape:
-            out = cross_entropy_with_logits(t, 2)
+            out = loss(t, 2)
         tape.backward(out)
         numeric = fd_gradient(
-            lambda arrs: cross_entropy_with_logits(Tensor(arrs[0]), 2).item(),
+            lambda arrs: loss(Tensor(arrs[0]), 2).item(),
             [logits.copy()],
             0,
         )
