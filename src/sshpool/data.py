@@ -36,10 +36,17 @@ class Edges:
 
     Entry k holds ``weight[k]`` at row ``dst[k]`` and column ``src[k]``.
     ``from_dense`` lists them in row-major order.
+
+    ``partition`` is the :class:`~sshpool.pooling.Partition` of the last
+    labelling a pooling layer read this list under, or None: its kept-edge
+    mask, 1 + kept degrees, coarse edge list and occupied clusters, O(n + E)
+    read-only arrays. The layer reuses it while the same labels come back,
+    so the entries must not change after the list's first pooling forward.
     """
 
     def __init__(self, n: int, dst: np.ndarray, src: np.ndarray, weight: np.ndarray):
         self.n, self.dst, self.src, self.weight = n, dst, src, weight
+        self.partition = None
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "Edges":
@@ -65,8 +72,11 @@ class Graph:
     The adjacency is symmetric 0/1 with a zero diagonal; self-loops are
     added only inside convolutions. ``edges``, its row-major nonzeros, is
     the graph's only structure, so everything held is O(n * f + E).
-    ``gcn_norm`` and ``propagated`` are derived on first use and kept, so
-    a graph's features and edges must not change after its first forward.
+    ``gcn_norm`` and ``propagated`` are derived on first use and kept, and
+    each pooling layer keeps its last cluster partition on the edge list it
+    read (``edges.partition``, then that partition's coarse edge list's, one
+    per layer, each O(n + E) of its level). So a graph's features and edges
+    must not change after its first forward.
     """
 
     edges: Edges

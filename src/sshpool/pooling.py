@@ -19,6 +19,15 @@ them, and no n x n matrix is built on the layer's path. A layer runs on
 plain arrays and records nothing; :func:`sshpool_stack` records the whole
 stack as one tape record.
 
+The mask, kept degrees, coarse edge list and occupied clusters depend only
+on the labels and the edges. Each layer keeps them as a :class:`Partition`
+on the edge list it read, one per list, O(n + E) and no dense c x c
+matrix, and reuses them while the same labels come back; so a graph's
+edges must not change after its first forward. A reused layer-0 partition
+hands layer 1 the same coarse edge list, so reuse chains down the stack.
+The logits, labels, sums and every product run on every forward, so a
+reused partition gives the bits of a fresh one.
+
 Because the mask drops every cross-cluster edge, perturbing one node's
 features can only move embeddings inside its own cluster; every other
 cluster's output is bit-identical. That locality is the point of the
@@ -51,30 +60,87 @@ class AssignmentPair:
         return Tensor(np.eye(self.logits.shape[1])[self.labels])
 
 
+@dataclass(slots=True, eq=False)
+class Partition:
+    """One edge list's separated subgraphs under one labelling.
+
+    ``key`` is the labelling: the labels' values as intp bytes, the cluster
+    count and ``keep_self_loops``. ``mask`` flags the entries whose ends
+    share a cluster, and ``scale`` is 1 + each node's kept degree; both are
+    read-only. ``ends``, each entry's two end labels, is held only until
+    ``coarse``, the next layer's edge list, is built on its first read.
+    ``occupied``, the non-empty clusters, is found by the stack's first
+    backward. The coarse list's arrays and ``occupied`` are index arrays
+    and stay writable, as a graph's own edge list does: numpy's ``take``
+    and ``bincount`` copy a read-only index array on every call.
+    """
+
+    key: tuple
+    mask: np.ndarray
+    scale: np.ndarray
+    ends: tuple | None
+    coarse: Edges | None = None
+    occupied: np.ndarray | None = None
+
+
 @dataclass
 class LayerTrace:
     """Everything one pooling layer produced, for inspection, tests and the
     stack's backward.
 
     ``labels[u]`` is node u's cluster. ``features`` (X), ``edges`` and
-    ``weights`` are the layer's inputs; ``mask`` flags the entries of
-    ``edges`` that join two nodes of one cluster, and ``kept`` lists them.
-    ``scale`` and ``sums`` are :func:`local_conv`'s 1 + deg(v) and s_j.
+    ``weights`` are the layer's inputs. ``partition`` is the labelling's
+    :class:`Partition` of ``edges``, shared by every forward that reused
+    it. From it, ``mask`` flags the entries of ``edges`` that join two
+    nodes of one cluster, ``kept`` lists them, and ``scale`` is
+    :func:`local_conv`'s 1 + deg(v); both are read-only. ``sums`` is
+    :func:`local_conv`'s s_j. ``coarse_adjacency`` is scattered from the
+    coarse edge list on each read.
     """
 
     assignment: AssignmentPair
     coarse_features: np.ndarray
-    coarse_adjacency: np.ndarray
     edges: Edges
-    mask: np.ndarray
+    partition: Partition
     features: np.ndarray
     weights: np.ndarray
-    scale: np.ndarray
     sums: np.ndarray
 
     @property
     def labels(self) -> np.ndarray:
         return self.assignment.labels
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.partition.mask
+
+    @property
+    def scale(self) -> np.ndarray:
+        return self.partition.scale
+
+    @property
+    def coarse_edges(self) -> Edges:
+        """H^T A H as the next layer's edge list, built on the partition's
+        first read and kept on it."""
+        part = self.partition
+        if part.coarse is None:
+            a_next = coarsen(part.ends, self.edges, len(self.weights), part.key[2])
+            part.coarse, part.ends = Edges.from_dense(a_next), None
+        return part.coarse
+
+    @property
+    def coarse_adjacency(self) -> np.ndarray:
+        """The c x c coarse adjacency H^T A H, a fresh dense copy on every read."""
+        return self.coarse_edges.dense()
+
+    @property
+    def occupied(self) -> np.ndarray:
+        """The clusters holding a node, ascending, built on the partition's
+        first read and kept on it."""
+        part = self.partition
+        if part.occupied is None:
+            part.occupied = np.bincount(self.labels, minlength=len(self.weights)).nonzero()[0]
+        return part.occupied
 
     @property
     def kept(self) -> Edges:
@@ -191,7 +257,12 @@ def _check_labels(labels, n: int, clusters: int) -> np.ndarray:
 
 
 def local_conv(
-    x: np.ndarray, adjacency: Edges, mask: np.ndarray, labels: np.ndarray, weights: np.ndarray
+    x: np.ndarray,
+    adjacency: Edges,
+    mask: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    scale: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Convolve every cluster and compress it to one coarse row.
 
@@ -202,12 +273,14 @@ def local_conv(
     (1 + deg(v)) X_v over cluster j's nodes v in ascending order from +0.0
     and deg(v) is the weight of A_mask's column v. Row j is bit for bit
     ``s_j[None] @ weights[j]``, and an empty cluster has s_j = 0.
+    ``scale``, when given, is these 1 + deg(v), computed before for ``mask``.
 
     Returns the c x d' coarse rows, the c x 1 x d sums s and the node
     scales 1 + deg(v); :func:`sshpool_stack`'s backward reuses the last two.
     """
     c, (n, d) = weights.shape[0], x.shape
-    scale = np.bincount(adjacency.src, weights=adjacency.weight * mask, minlength=n) + 1.0
+    if scale is None:
+        scale = np.bincount(adjacency.src, weights=adjacency.weight * mask, minlength=n) + 1.0
     bins = (labels * d)[:, None] + np.arange(d)
     # Bin (j, k) adds column k of cluster j's rows in node order.
     sums = np.bincount(bins.ravel(), weights=(scale[:, None] * x).ravel(), minlength=c * d)
@@ -262,6 +335,12 @@ def sshpool_layer(
     checks and locality probes).
     Returns the coarse features; the coarse adjacency is the trace's
     ``coarse_adjacency``.
+
+    The mask, kept degrees, coarse edge list and occupied clusters depend
+    only on the labels and the edges. They are kept on ``adjacency`` as its
+    :class:`Partition` and reused while the same labels, cluster count and
+    ``keep_self_loops`` come back; any other labelling replaces them. The
+    logits, labels, sums and coarse features are computed on every call.
     """
     n = x.shape[0]
     c_eff = min(len(params.weights), n)
@@ -275,21 +354,26 @@ def sshpool_layer(
         labels = harden(logits)
     else:
         labels = _check_labels(frozen_labels, n, c_eff)
-    ends = labels.take(adjacency.dst), labels.take(adjacency.src)
-    mask = extract_subgraphs(ends)
     weights = params.weights[:c_eff]
-    x_next, sums, scale = local_conv(x, adjacency, mask, labels, weights)
-    a_next = coarsen(ends, adjacency, c_eff, keep_self_loops)
+    key = (labels.astype(np.intp, copy=False).tobytes(), c_eff, bool(keep_self_loops))
+    part = adjacency.partition
+    if part is None or part.key != key:
+        ends = labels.take(adjacency.dst), labels.take(adjacency.src)
+        mask = extract_subgraphs(ends)
+        x_next, sums, scale = local_conv(x, adjacency, mask, labels, weights)
+        mask.setflags(write=False)
+        scale.setflags(write=False)
+        part = adjacency.partition = Partition(key, mask, scale, ends)
+    else:
+        x_next, sums, _ = local_conv(x, adjacency, part.mask, labels, weights, part.scale)
 
     trace = LayerTrace(
         assignment=AssignmentPair(logits=logits, labels=labels),
         coarse_features=x_next,
-        coarse_adjacency=a_next,
         edges=adjacency,
-        mask=mask,
+        partition=part,
         features=x,
         weights=weights,
-        scale=scale,
         sums=sums,
     )
     return x_next, trace
@@ -326,15 +410,14 @@ def sshpool_stack(
     entries = []
     for depth, params in enumerate(layers):
         if entries:  # the previous layer's coarse graph, listed only when a layer reads it
-            a_cur = Edges.from_dense(entries[-1].coarse_adjacency)
+            a_cur = entries[-1].coarse_edges
         frozen_labels = frozen[depth] if frozen is not None else None
         x_cur, entry = sshpool_layer(a_cur, x_cur, params, keep_self_loops, frozen_labels)
         entries.append(entry)
 
     def rule(g, push):
         for entry, params in zip(reversed(entries), reversed(layers)):
-            labels, weights = entry.labels, entry.weights
-            occ = np.bincount(labels, minlength=len(weights)).nonzero()[0]
+            labels, weights, occ = entry.labels, entry.weights, entry.occupied
             s_occ = entry.sums.take(occ, axis=0)
             params.grads[occ] += s_occ.transpose(0, 2, 1) * g.take(occ, axis=0)[:, None, :]
             back = g[:, None, :] @ weights.transpose(0, 2, 1)

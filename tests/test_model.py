@@ -659,13 +659,16 @@ class TestForward:
         monkeypatch.setattr(data.Edges, "from_dense", counting)
         params = ModelParams(small_config(), seed=5)
         assert "gcn_norm" not in vars(g)
-        first, _ = forward(g, params)
+        first, trace = forward(g, params)
         edges, norm, ax = g.edges, vars(g)["gcn_norm"], vars(g)["propagated"]
+        coarse = [entry.edges for entry in trace.layers[1:]]
         for _ in range(3):
-            again, _ = forward(g, params)
+            again, trace = forward(g, params)
             assert np.array_equal(again.data, first.data)
-        # only coarse adjacencies, one per layer that reads one, per forward
-        assert len(shapes) == 4 * (len(params.config.layer_sizes) - 1)
+            assert all(a is b for a, b in zip(coarse, [e.edges for e in trace.layers[1:]]))
+        # only coarse adjacencies, one per layer that reads one, on the first
+        # forward: the repeats reuse each layer's partition and coarse list
+        assert len(shapes) == len(params.config.layer_sizes) - 1
         assert (g.n, g.n) not in shapes
         assert g.edges is edges and g.gcn_norm is norm and g.propagated is ax
 

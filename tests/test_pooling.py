@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 
@@ -695,6 +696,128 @@ class TestPartitionProperty:
             assert trace.cluster_sizes == [len(m) for m in trace.clusters]
             assert np.all(trace.assignment.hard.data.sum(axis=1) == 1.0)
             trials += 1
+
+
+def stack_outputs(graph, layers, keep_self_loops=False, frozen=None):
+    """Everything a taped stack forward and backward produce on ``graph``:
+    coarse rows, each layer's labels, mask, scale, sums and coarse
+    adjacency, the input gradient and every cluster weight gradient."""
+    for params in layers:
+        params.grads[...] = 0.0
+    x = Tensor(graph.features.data.copy(), requires_grad=True)
+    with Tape() as tape:
+        out, trace = sshpool_stack(graph.edges, x, layers, keep_self_loops, frozen)
+        r = Tensor(np.linspace(1.0, 2.0, out.rows)[None])
+        c = Tensor(np.linspace(-1.0, 1.5, out.cols)[:, None])
+        objective = matmul(r, matmul(out, c))
+    tape.backward(objective)
+    arrays = [out.data, x.grad] + [params.grads.copy() for params in layers]
+    for entry in trace.layers:
+        arrays += [entry.labels, entry.mask, entry.scale, entry.sums, entry.coarse_adjacency]
+    return arrays, trace
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestPartitionReuse:
+    """A layer keeps its labelling's partition on the edge list it read and
+    reuses it while the labels repeat. Every reuse, and every replacement,
+    gives the bits of a cold copy of the graph that never ran a forward."""
+
+    def setup_graph(self, rng):
+        g = random_graph(rng, n_lo=9, n_hi=12)
+        layers = [layer_params(rng, 4, 5), layer_params(rng, 4, 3), layer_params(rng, 4, 2)]
+        return g, copy.deepcopy(g), layers
+
+    def test_hit_and_miss_and_labels_flipping_back(self, rng):
+        g, cold, layers = self.setup_graph(rng)
+        n = g.n
+        a, b = random_labels(rng, n, 5), random_labels(rng, n, 5)
+        b[0] = (a[0] + 1) % 5  # a miss: the labelling differs
+        tail = [random_labels(rng, 5, 3), random_labels(rng, 3, 2)]
+        seen = []
+        for labels in (a, a, b, a):
+            frozen = [labels] + tail
+            got, trace = stack_outputs(g, layers, frozen=frozen)
+            want, _ = stack_outputs(copy.deepcopy(cold), layers, frozen=frozen)
+            assert_same_bits(got, want)
+            seen.append(trace.layers[0].partition)
+            assert g.edges.partition is seen[-1]
+        assert seen[1] is seen[0]  # a hit
+        assert seen[2] is not seen[1]  # a miss replaces the one slot
+        assert seen[3] is not seen[0] and seen[3] is not seen[2]
+
+    def test_repeated_labels_reuse_every_layer_down_the_stack(self, rng):
+        g, cold, layers = self.setup_graph(rng)
+        first, trace = stack_outputs(g, layers)
+        again, again_trace = stack_outputs(g, layers)
+        want, _ = stack_outputs(copy.deepcopy(cold), layers)
+        assert_same_bits(first, want)
+        assert_same_bits(again, want)
+        for a, b in zip(trace.layers, again_trace.layers):
+            assert a.partition is b.partition and a.edges is b.edges
+        for upper, lower in zip(trace.layers, again_trace.layers[1:]):
+            # layer 1 reads the coarse edge list layer 0's partition kept
+            assert lower.edges is upper.partition.coarse
+
+    def test_one_edge_list_under_two_cluster_counts(self, rng):
+        g, cold, _ = self.setup_graph(rng)
+        three, five = layer_params(rng, 4, 3), layer_params(rng, 4, 5)
+        labels = random_labels(rng, g.n, 3)  # valid under both counts
+        for params in (three, five, three, five):
+            x_next, trace = sshpool_layer(g.edges, g.features.data, params, frozen_labels=labels)
+            fresh = copy.deepcopy(cold)
+            x_want, want = sshpool_layer(
+                fresh.edges, fresh.features.data, params, frozen_labels=labels
+            )
+            assert x_next.tobytes() == x_want.tobytes()
+            assert trace.coarse_adjacency.shape == (len(params.weights),) * 2
+            assert trace.coarse_adjacency.tobytes() == want.coarse_adjacency.tobytes()
+
+    def test_one_edge_list_under_both_self_loop_settings(self, rng):
+        g, cold, layers = self.setup_graph(rng)
+        frozen = [random_labels(rng, g.n, 5), random_labels(rng, 5, 3), random_labels(rng, 3, 2)]
+        for keep in (True, False, True, False):
+            got, _ = stack_outputs(g, layers, keep, frozen)
+            want, _ = stack_outputs(copy.deepcopy(cold), layers, keep, frozen)
+            assert_same_bits(got, want)
+        on, _ = stack_outputs(g, layers, True, frozen)
+        off, _ = stack_outputs(g, layers, False, frozen)
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(on, off))
+
+    def test_frozen_labels_of_another_integer_dtype(self, rng):
+        g, cold, _ = self.setup_graph(rng)
+        params = layer_params(rng, 4, 5)
+        labels = random_labels(rng, g.n, 5)
+        _, first = sshpool_layer(g.edges, g.features.data, params, frozen_labels=labels)
+        for dtype in (np.int8, np.int32, np.uint16, np.int64):
+            x_next, trace = sshpool_layer(
+                g.edges, g.features.data, params, frozen_labels=labels.astype(dtype)
+            )
+            assert trace.partition is first.partition  # the same values: a hit
+            fresh = copy.deepcopy(cold)
+            x_want, want = sshpool_layer(
+                fresh.edges, fresh.features.data, params, frozen_labels=labels.astype(dtype)
+            )
+            assert x_next.tobytes() == x_want.tobytes()
+            assert trace.coarse_adjacency.tobytes() == want.coarse_adjacency.tobytes()
+
+    def test_held_arrays_refuse_writes(self, rng):
+        g, cold, layers = self.setup_graph(rng)
+        before, trace = stack_outputs(g, layers)
+        for entry in trace.layers:
+            for held in (entry.mask, entry.scale):
+                with pytest.raises(ValueError, match="read-only"):
+                    held[0] = 7
+        after, _ = stack_outputs(g, layers)
+        want, _ = stack_outputs(copy.deepcopy(cold), layers)
+        assert_same_bits(before, want)
+        assert_same_bits(after, want)
 
 
 class TestAgainstSliceReference:

@@ -201,6 +201,28 @@ class TestTrainFold:
         b = train_graphs(ds, plan.train_indices(0), plan.test_indices(0), cfg, tc)
         assert a.curve == b.curve
 
+    def test_partitions_left_by_another_run_keep_every_bit(self):
+        # Each pooling layer keeps its last partition on the graph's edge
+        # lists. A run on graphs warmed by a run at another seed must give
+        # the bits of the same run on freshly loaded graphs.
+        from sshpool.data import load_tu_dataset, stratified_subset
+
+        def load():
+            return stratified_subset(load_tu_dataset(DESK_CORPUS, "chordal"), 30, seed=2)
+
+        warm, fresh = load(), load()
+        cfg = tiny_model_config(warm, layer_sizes=(6, 3, 2), depth=3, dropout=0.3)
+        plan = make_folds(warm, 2, seed=2)
+        split = plan.train_indices(0), plan.test_indices(0)
+        train_graphs(warm, *split, cfg, TrainConfig(epochs=2, folds=2, repeats=1, seed=5))
+        assert all(g.edges.partition is not None for g in warm.graphs)
+        assert all(g.edges.partition is None for g in fresh.graphs)
+        tc = TrainConfig(epochs=3, folds=2, repeats=1, seed=0)
+        got = train_graphs(warm, *split, cfg, tc)
+        want = train_graphs(fresh, *split, cfg, tc)
+        assert got.curve == want.curve
+        assert got.params.data.tobytes() == want.params.data.tobytes()
+
     def test_no_test_fold_leakage(self, monkeypatch):
         # Every epoch trains on each train-fold graph once, then evaluates
         # each test-fold graph once; no test graph reaches a training forward.
